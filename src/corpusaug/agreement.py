@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
+from .corpus_io import CorpusFormatError, iter_lines
+
 log = logging.getLogger(__name__)
 
 MODE_OFF = "off"
@@ -72,24 +74,22 @@ def load_annotations(path: str | Path) -> AnnotatedLexicon:
     """
     p = Path(path)
     entries: Dict[str, TokenAnnotation] = {}
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) < 2:
-                log.warning("%s:%d: expected token/pos[/morph]; row skipped", p, lineno)
-                continue
-            token, pos = columns[0], columns[1]
-            if not token or not pos:
-                log.warning("%s:%d: empty token or pos; row skipped", p, lineno)
-                continue
-            morph = parse_morph(columns[2]) if len(columns) > 2 else {}
-            if token in entries:
-                log.warning("%s:%d: duplicate annotation for %r; first kept", p, lineno, token)
-                continue
-            entries[token] = TokenAnnotation(pos, morph)
+    for lineno, line in enumerate(iter_lines(p, CorpusFormatError)):
+        if not line:
+            continue
+        columns = line.split("\t")
+        if len(columns) < 2:
+            log.warning("%s:%d: expected token/pos[/morph]; row skipped", p, lineno)
+            continue
+        token, pos = columns[0], columns[1]
+        if not token or not pos:
+            log.warning("%s:%d: empty token or pos; row skipped", p, lineno)
+            continue
+        morph = parse_morph(columns[2]) if len(columns) > 2 else {}
+        if token in entries:
+            log.warning("%s:%d: duplicate annotation for %r; first kept", p, lineno, token)
+            continue
+        entries[token] = TokenAnnotation(pos, morph)
     return AnnotatedLexicon(entries)
 
 

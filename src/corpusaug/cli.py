@@ -176,14 +176,17 @@ def resolve_config(
             ftype = run_fields[key].type
         else:
             raise ConfigError(f"unknown config key: {key!r}")
-        if ftype in ("int", int):
-            value: object = int(raw)
-        elif ftype in ("float", float):
-            value = float(raw)
-        elif ftype in ("bool", bool):
-            value = _parse_bool(raw)
-        else:
-            value = raw
+        try:
+            if ftype in ("int", int):
+                value: object = int(raw)
+            elif ftype in ("float", float):
+                value = float(raw)
+            elif ftype in ("bool", bool):
+                value = _parse_bool(raw)
+            else:
+                value = raw
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {ftype}") from exc
         setattr(target, name, value)
     return config
 

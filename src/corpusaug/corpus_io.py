@@ -13,7 +13,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 log = logging.getLogger(__name__)
 
@@ -112,21 +112,29 @@ def is_punctuation(token: str) -> bool:
     )
 
 
+def iter_lines(path: Path, error: Type[Exception]) -> Iterator[str]:
+    """Stream the lines of a UTF-8 file without their ``\\n`` or ``\\r\\n`` ending.
+
+    An undecodable byte raises ``error`` with its byte offset in the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                yield line.removesuffix("\n").removesuffix("\r")
+    except UnicodeDecodeError:
+        # The streaming decoder reports no file offset; the raw bytes do.
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: undecodable byte at offset {exc.start}") from exc
+        raise
+
+
 def _read_lines(path: str | Path) -> List[str]:
     p = Path(path)
     if not p.is_file():
         raise CorpusFormatError(f"corpus file not found: {p}")
-    raw = p.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(
-            f"{p}: undecodable byte at offset {exc.start}"
-        ) from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":  # trailing newline
-        lines.pop()
-    return lines
+    return list(iter_lines(p, CorpusFormatError))
 
 
 def load_parallel_corpus(source_path: str | Path, target_path: str | Path) -> ParallelCorpus:
@@ -245,25 +253,23 @@ def load_dictionary(path: str | Path) -> List[DictionaryEntry]:
         raise CorpusFormatError(f"dictionary file not found: {p}")
     entries: List[DictionaryEntry] = []
     seen: set[Tuple[Tuple[str, ...], Tuple[str, ...]]] = set()
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 2:
-                log.warning("%s:%d: expected 2 columns, got %d; row skipped", p, lineno, len(columns))
-                continue
-            source_term = tuple(columns[0].split())
-            target_term = tuple(columns[1].split())
-            if not source_term or not target_term:
-                log.warning("%s:%d: empty term column; row skipped", p, lineno)
-                continue
-            key = (source_term, target_term)
-            if key in seen:
-                continue
-            seen.add(key)
-            entries.append(DictionaryEntry(source_term, target_term))
+    for lineno, line in enumerate(iter_lines(p, CorpusFormatError)):
+        if not line:
+            continue
+        columns = line.split("\t")
+        if len(columns) != 2:
+            log.warning("%s:%d: expected 2 columns, got %d; row skipped", p, lineno, len(columns))
+            continue
+        source_term = tuple(columns[0].split())
+        target_term = tuple(columns[1].split())
+        if not source_term or not target_term:
+            log.warning("%s:%d: empty term column; row skipped", p, lineno)
+            continue
+        key = (source_term, target_term)
+        if key in seen:
+            continue
+        seen.add(key)
+        entries.append(DictionaryEntry(source_term, target_term))
     return entries
 
 

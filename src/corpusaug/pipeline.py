@@ -5,6 +5,13 @@ dictionary entry) the pipeline walks candidate sentences in a deterministic
 order, picks the most similar in-sentence word, applies the enabled
 similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
+
+The in-sentence word is searched once per item over all its candidates: one
+matvec over the eligible corpus types pre-ranks every position, each
+position within ``PRERANK_WINDOW`` of its sentence's best is re-scored with
+``cosine``'s exact arithmetic, and the lowest index with the highest exact
+score wins. Picks and recorded scores are those of a per-token ``cosine``
+loop, so outputs do not depend on the vectorization.
 """
 
 from __future__ import annotations
@@ -34,12 +41,11 @@ from .corpus_io import (
     RareWord,
     Sentence,
     build_vocabulary,
-    has_digit,
-    is_punctuation,
 )
 from .embeddings import (
     EmbeddingTable,
-    SentenceVector,
+    VectorRows,
+    WordIndex,
     best_word_in_sentence,
     sentence_embedding,
     term_embedding,
@@ -173,24 +179,24 @@ class ReplacementRecord:
     lm_ratio_tgt: Optional[float] = None
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        out: Dict[str, object] = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        for name in _TUPLE_FIELDS:
+            if out[name] is not None:
+                out[name] = list(out[name])
         return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ReplacementRecord":
         kwargs = dict(data)
-        for key in ("item_surface", "source_inserted", "target_inserted"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("source_span", "target_span"):
+        for key in _TUPLE_FIELDS:
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ReplacementRecord))
+# Stored as tuples, written to JSON as lists.
+_TUPLE_FIELDS = ("item_surface", "source_span", "source_inserted", "target_span", "target_inserted")
 
 
 @dataclass
@@ -265,7 +271,7 @@ def _process_item(
     item: _Item,
     corpus: ParallelCorpus,
     alignments: Sequence[SentenceAlignment],
-    embeddings: EmbeddingTable,
+    word_index: WordIndex,
     lexicon: Optional[AnnotatedLexicon],
     lm_src: TrigramModel,
     lm_tgt: TrigramModel,
@@ -275,8 +281,14 @@ def _process_item(
     item_annotation = lexicon.get(item.annotation_token) if lexicon is not None else None
     pairs: List[SyntheticPair] = []
     records: List[ReplacementRecord] = []
+    best_words = best_word_in_sentence(
+        word_index,
+        item.query_vec,
+        [candidate_id for candidate_id, _ in item.candidates],
+        item.identity_token,
+    )
 
-    for candidate_id, sent_sim in item.candidates:
+    for (candidate_id, sent_sim), best in zip(item.candidates, best_words):
         if len(pairs) >= config.max_per_item:
             break
         source_sentence = corpus.source[candidate_id]
@@ -289,17 +301,6 @@ def _process_item(
         )
         records.append(record)
 
-        def eligible(index: int) -> bool:
-            token = source_sentence.tokens[index]
-            if has_digit(token) or is_punctuation(token):
-                return False
-            if item.identity_token is not None and token == item.identity_token:
-                return False
-            if mode != agreement.MODE_OFF and (lexicon is None or token not in lexicon):
-                return False
-            return True
-
-        best = best_word_in_sentence(item.query_vec, source_sentence, embeddings, eligible)
         if best is None:
             record.reason = REASON_NO_CANDIDATE_WORD
             continue
@@ -402,11 +403,12 @@ def augment_rare_words(
     alignments = ordered_map(
         lambda pair: viterbi_align(pair, alignment_table), list(corpus.pairs()), workers
     )
-    corpus_vectors: Optional[List[SentenceVector]] = None
+    word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
     if config.use_sent_sim:
         corpus_vectors = ordered_map(
             lambda s: sentence_embedding(s, embeddings), corpus.source, workers
         )
+        corpus_rows = VectorRows.stack([sv.vector for sv in corpus_vectors], embeddings.dim)
 
     items: List[_Item] = []
     item_rejections: List[ReplacementRecord] = []
@@ -437,9 +439,8 @@ def augment_rare_words(
             continue
         hosts = set(rare.host_sentence_ids)
         if config.use_sent_sim:
-            assert corpus_vectors is not None
             host_vector = corpus_vectors[min(rare.host_sentence_ids)]
-            hits = top_k_sentences(host_vector, corpus_vectors, config.sent_k, exclude=hosts)
+            hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
             candidates = tuple((hit.sentence_id, hit.score) for hit in hits)
         else:
             candidates = _all_candidates(len(corpus), hosts)
@@ -458,7 +459,7 @@ def augment_rare_words(
 
     results = ordered_map(
         lambda item: _process_item(
-            item, corpus, alignments, embeddings, lexicon, lm_src, lm_tgt, config
+            item, corpus, alignments, word_index, lexicon, lm_src, lm_tgt, config
         ),
         items,
         workers,
@@ -500,6 +501,7 @@ def augment_dictionary(
     alignments = ordered_map(
         lambda pair: viterbi_align(pair, alignment_table), list(corpus.pairs()), workers
     )
+    word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
 
     items: List[_Item] = []
     item_rejections: List[ReplacementRecord] = []
@@ -542,7 +544,7 @@ def augment_dictionary(
 
     results = ordered_map(
         lambda item: _process_item(
-            item, corpus, alignments, embeddings, lexicon, lm_src, lm_tgt, config
+            item, corpus, alignments, word_index, lexicon, lm_src, lm_tgt, config
         ),
         items,
         workers,
@@ -619,12 +621,13 @@ def write_provenance(
     rejected: Sequence[ReplacementRecord],
 ) -> None:
     """Write one JSON object per record (accepted first, then rejected)."""
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for pair in accepted:
-            fh.write(json.dumps(pair.record.to_dict(), sort_keys=True, ensure_ascii=False))
+            fh.write(encode(pair.record.to_dict()))
             fh.write("\n")
         for record in rejected:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True, ensure_ascii=False))
+            fh.write(encode(record.to_dict()))
             fh.write("\n")
 
 

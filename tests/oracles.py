@@ -2,12 +2,65 @@
 
 These deliberately avoid the code paths of the package under test: the
 eigensolver is a plain cyclic Jacobi iteration, and the EM reference uses
-dense numpy arrays over explicit vocabulary indices.
+dense numpy arrays over explicit vocabulary indices. The retrieval
+references are plain loops of scalar ``cosine`` calls, the definition the
+vectorized search must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from corpusaug.agreement import MODE_OFF
+from corpusaug.corpus_io import has_digit, is_punctuation
+from corpusaug.embeddings import SimilarityHit, cosine
+
+
+def eligible_reference(sentence, identity_token, lexicon, mode):
+    """Per-position eligibility of a candidate word, checked token by token."""
+
+    def eligible(index):
+        token = sentence.tokens[index]
+        if has_digit(token) or is_punctuation(token):
+            return False
+        if identity_token is not None and token == identity_token:
+            return False
+        if mode != MODE_OFF and (lexicon is None or token not in lexicon):
+            return False
+        return True
+
+    return eligible
+
+
+def best_word_reference(query_vec, sentence, table, eligible):
+    """The eligible token position most cosine-similar to ``query_vec``.
+
+    Positions whose token has no vector are skipped; ties go to the lowest
+    index; returns None when nothing qualifies.
+    """
+    best = None
+    for index, token in enumerate(sentence.tokens):
+        if not eligible(index):
+            continue
+        vec = table.get(token)
+        if vec is None:
+            continue
+        score = cosine(query_vec, vec)
+        if best is None or score > best[1]:
+            best = (index, score)
+    return best
+
+
+def top_k_reference(query, corpus_vectors, k, exclude=None):
+    """The k sentences most cosine-similar to the query, (score desc, id asc)."""
+    exclude = exclude or set()
+    hits = [
+        SimilarityHit(i, cosine(query.vector, sv.vector))
+        for i, sv in enumerate(corpus_vectors)
+        if i not in exclude
+    ]
+    hits.sort(key=lambda h: (-h.score, h.sentence_id))
+    return hits[:k]
 
 
 def jacobi_eigenvalues(matrix, max_sweeps=100, tol=1e-14):

@@ -31,6 +31,12 @@ class TestLoadAnnotations:
         assert annotation.pos == "NOUN"
         assert annotation.morph == {"Number": "Plur"}
 
+    def test_crlf_line_endings(self, tmp_path):
+        (tmp_path / "a.tsv").write_bytes(b"dogs\tNOUN\tNumber=Plur\r\nran\tVERB\r\n")
+        lex = load_annotations(tmp_path / "a.tsv")
+        assert lex.get("dogs").morph == {"Number": "Plur"}
+        assert lex.get("ran").pos == "VERB"
+
     def test_underscore_morph_empty(self, tmp_path):
         (tmp_path / "a.tsv").write_text("ran\tVERB\t_\n", encoding="utf-8")
         assert load_annotations(tmp_path / "a.tsv").get("ran").morph == {}

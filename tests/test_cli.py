@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from corpusaug.cli import (
     ABLATION_PRESETS,
     EXIT_INPUT,
@@ -55,6 +57,38 @@ class TestConfigHandling:
         assert (aug.use_sent_sim, aug.use_word_sim, aug.use_pos, aug.use_morph) == (
             False, False, False, False,
         )
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("setting", ["t_r=abc", "lm_discount=x", "use_pos=maybe"])
+    def test_unparseable_value_exit_2_names_key(self, toy, tmp_path, capsys, setting):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        assert main(["stats", "--config", str(cfg), "--set", setting]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert repr(setting.split("=")[0]) in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_dictionary_exit_2_with_offset(self, toy, tmp_path, capsys):
+        path = tmp_path / "dict.tsv"
+        path.write_bytes(b"alpha\tbeta\ngam\xffma\tdelta\n")
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", dictionary=path)
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "undecodable byte at offset 14" in capsys.readouterr().err
+
+    def test_non_utf8_embeddings_exit_2_with_offset(self, toy, tmp_path, capsys):
+        path = tmp_path / "emb.vec"
+        path.write_bytes(b"a 1 0\nb\xfe 0 1\n")
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", embeddings_src=path)
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_INPUT
+        assert "undecodable byte at offset 7" in capsys.readouterr().err
+
+    def test_non_utf8_annotations_exit_2_with_offset(self, toy, tmp_path, capsys):
+        cfg, _ = prepare_run(toy, tmp_path)
+        path = tmp_path / "ann.tsv"
+        path.write_bytes(b"book\tNOUN\t_\r\npen\tNO\xc3UN\t_\r\n")
+        argv = ["augment", "--config", str(cfg), "--set", f"annotations_src={path}"]
+        assert main(argv) == EXIT_INPUT
+        assert "undecodable byte at offset 19" in capsys.readouterr().err
 
 
 class TestStats:

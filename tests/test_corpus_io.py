@@ -205,6 +205,15 @@ class TestLoadDictionary:
         with pytest.raises(CorpusFormatError):
             load_dictionary(tmp_path / "none.tsv")
 
+    def test_crlf_line_endings(self, tmp_path, caplog):
+        (tmp_path / "d.tsv").write_bytes(b"a\tb\r\n\r\nc d\te\r\n")
+        with caplog.at_level(logging.WARNING):
+            entries = load_dictionary(tmp_path / "d.tsv")
+        assert [(e.source_term, e.target_term) for e in entries] == [
+            (("a",), ("b",)), (("c", "d"), ("e",)),
+        ]
+        assert not caplog.records
+
 
 class TestCorpusStats:
     def make_corpus(self):

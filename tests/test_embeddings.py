@@ -1,13 +1,20 @@
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusaug.agreement import MODE_OFF, MODE_POS, AnnotatedLexicon, TokenAnnotation
 from corpusaug.corpus_io import Sentence
 from corpusaug.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
+    SentenceVector,
+    VectorRows,
+    WordIndex,
     best_word_in_sentence,
     cosine,
     load_embeddings,
@@ -18,7 +25,12 @@ from corpusaug.embeddings import (
     top_k_sentences,
 )
 
-from oracles import jacobi_eigenvalues
+from oracles import (
+    best_word_reference,
+    eligible_reference,
+    jacobi_eigenvalues,
+    top_k_reference,
+)
 
 
 def make_table(rows):
@@ -208,56 +220,183 @@ class TestSentenceEmbedding:
             term_embedding((), self.table)
 
 
+def sentence_rows(vectors):
+    return VectorRows.stack([sv.vector for sv in vectors], len(vectors[0].vector) if vectors else 2)
+
+
 class TestTopK:
     def query(self, vec):
-        from corpusaug.embeddings import SentenceVector
-
         return SentenceVector(np.array(vec, dtype=float), 1, 1)
 
     def test_basic(self):
         hits = top_k_sentences(
-            self.query([1, 0]), [self.query([1, 0]), self.query([0, 1])], 1
+            self.query([1, 0]), sentence_rows([self.query([1, 0]), self.query([0, 1])]), 1
         )
         assert [(h.sentence_id, h.score) for h in hits] == [(0, 1.0)]
 
     def test_exclusion(self):
         hits = top_k_sentences(
-            self.query([1, 0]), [self.query([1, 0]), self.query([0, 1])], 1, {0}
+            self.query([1, 0]), sentence_rows([self.query([1, 0]), self.query([0, 1])]), 1, {0}
         )
         assert [(h.sentence_id, h.score) for h in hits] == [(1, 0.0)]
 
     def test_tie_breaks_by_id(self):
         vectors = [self.query([2, 0]), self.query([1, 0]), self.query([3, 0])]
-        hits = top_k_sentences(self.query([1, 0]), vectors, 3)
+        hits = top_k_sentences(self.query([1, 0]), sentence_rows(vectors), 3)
         assert [h.sentence_id for h in hits] == [0, 1, 2]
 
     def test_fewer_than_k(self):
-        hits = top_k_sentences(self.query([1, 0]), [self.query([1, 0])], 5)
+        hits = top_k_sentences(self.query([1, 0]), sentence_rows([self.query([1, 0])]), 5)
         assert len(hits) == 1
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            top_k_sentences(self.query([1, 0]), [], 0)
+            top_k_sentences(self.query([1, 0]), sentence_rows([]), 0)
+
+
+def search_one(table, tokens, query, exclude_token=None, lexicon=None, mode=MODE_OFF):
+    """``best_word_in_sentence`` on a one-sentence corpus."""
+    index = WordIndex.build([Sentence(0, tuple(tokens))], table, lexicon, mode)
+    return best_word_in_sentence(index, query, [0], exclude_token)[0]
 
 
 class TestBestWord:
     table = make_table({"a": [1, 0], "b": [0, 1]})
 
     def test_picks_max(self):
-        best = best_word_in_sentence([1, 0], Sentence(0, ("a", "b")), self.table, lambda i: True)
-        assert best == (0, 1.0)
+        assert search_one(self.table, ("a", "b"), [1, 0]) == (0, 1.0)
 
     def test_eligibility(self):
-        best = best_word_in_sentence(
-            [1, 0], Sentence(0, ("a", "b")), self.table, lambda i: i != 0
-        )
-        assert best == (1, 0.0)
+        assert search_one(self.table, ("a", "b"), [1, 0], exclude_token="a") == (1, 0.0)
 
     def test_no_embedded_tokens(self):
-        best = best_word_in_sentence([1, 0], Sentence(0, ("x", "y")), self.table, lambda i: True)
-        assert best is None
+        assert search_one(self.table, ("x", "y"), [1, 0]) is None
 
     def test_tie_lowest_index(self):
-        table = make_table({"a": [1, 0], "a2": [1, 0]})
-        best = best_word_in_sentence([1, 0], Sentence(0, ("a2", "a")), table, lambda i: True)
-        assert best == (0, 1.0)
+        # Letter-only twin: a digit token such as "a2" is never eligible.
+        table = make_table({"a": [1, 0], "aa": [1, 0]})
+        assert search_one(table, ("aa", "a"), [1, 0]) == (0, 1.0)
+
+    def test_no_sentences(self):
+        index = WordIndex.build([Sentence(0, ("a",))], self.table, None, MODE_OFF)
+        assert best_word_in_sentence(index, [1, 0], []) == []
+
+
+# -- parity of the vectorized search with the scalar oracles -------------------
+
+DIM = 8
+# Arbitrary floats make the vectorized and the scalar dot products round
+# differently; small integers give exact ties, axis-aligned and zero
+# vectors. The scaled copies below give near ties a few ulps apart.
+_components = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False).map(
+        lambda x: x if abs(x) > 1e-3 else 0.0
+    ),
+    st.integers(-1, 1).map(float),
+)
+_vectors = st.one_of(
+    st.lists(_components, min_size=DIM, max_size=DIM),
+    st.lists(st.integers(-1, 1).map(float), min_size=DIM, max_size=DIM),
+)
+
+
+@st.composite
+def _near_tie_pool(draw, size):
+    """Vectors, some repeated exactly and some scaled by 1 + k * 2**-52."""
+    pool = []
+    for _ in range(size):
+        if pool and draw(st.booleans()):
+            base = pool[draw(st.integers(0, len(pool) - 1))]
+            pool.append(base * (1.0 + draw(st.integers(0, 3)) * 2.0**-52))
+        else:
+            pool.append(np.array(draw(_vectors)))
+    return pool
+
+
+# Letter tokens, two that are never eligible by their form, and one that has
+# no vector.
+_WORDS = ("ant", "bee", "cat", "dog", "eel", "fox")
+_FORM_INELIGIBLE = ("a1", "...")
+_NO_VECTOR = "zzz"
+
+
+@st.composite
+def search_cases(draw):
+    pool = draw(_near_tie_pool(len(_WORDS) + len(_FORM_INELIGIBLE) + 2))
+    table = EmbeddingTable(
+        DIM, {token: pool[i] for i, token in enumerate(_WORDS + _FORM_INELIGIBLE)}
+    )
+    vocabulary = _WORDS + _FORM_INELIGIBLE + (_NO_VECTOR,)
+    sentences = [
+        Sentence(i, tuple(tokens))
+        for i, tokens in enumerate(
+            draw(st.lists(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=8),
+                          min_size=1, max_size=6))
+        )
+    ]
+    mode = draw(st.sampled_from((MODE_OFF, MODE_POS)))
+    annotated = draw(st.sets(st.sampled_from(_WORDS)))
+    lexicon = AnnotatedLexicon({t: TokenAnnotation("NOUN") for t in annotated})
+    query = draw(st.one_of(
+        _vectors.map(np.array),
+        st.sampled_from(pool),
+        st.just(np.zeros(DIM)),
+    ))
+    identity = draw(st.one_of(st.none(), st.sampled_from(vocabulary)))
+    candidates = draw(st.lists(st.integers(0, len(sentences) - 1), max_size=8))
+    return table, sentences, lexicon, mode, query, identity, candidates
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+def bits(result):
+    """A (position, score) pair with the score as its exact IEEE-754 bytes."""
+    return None if result is None else (result[0], float_bits(result[1]))
+
+
+class TestSearchParity:
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases())
+    def test_best_word_matches_scalar_loop(self, case):
+        table, sentences, lexicon, mode, query, identity, candidates = case
+        index = WordIndex.build(sentences, table, lexicon, mode)
+        got = best_word_in_sentence(index, query, candidates, identity)
+        expected = [
+            best_word_reference(
+                query, sentences[i], table,
+                eligible_reference(sentences[i], identity, lexicon, mode),
+            )
+            for i in candidates
+        ]
+        assert [bits(r) for r in got] == [bits(r) for r in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_near_tie_pool(8), st.data())
+    def test_top_k_matches_scalar_sort(self, pool, data):
+        vectors = [SentenceVector(v, 1, 1) for v in pool]
+        query = SentenceVector(
+            data.draw(st.one_of(
+                _vectors.map(np.array), st.sampled_from(pool), st.just(np.zeros(DIM))
+            )), 1, 1,
+        )
+        k = data.draw(st.integers(1, len(pool) + 1))
+        exclude = data.draw(st.sets(st.integers(0, len(pool) - 1)))
+        got = top_k_sentences(query, VectorRows.stack(pool, DIM), k, exclude)
+        expected = top_k_reference(query, vectors, k, exclude)
+        assert [(h.sentence_id, float_bits(h.score)) for h in got] == [
+            (h.sentence_id, float_bits(h.score)) for h in expected
+        ]
+
+    def test_masking_and_gating_pinned(self):
+        # "cat" is the identity token, "a1" and "..." are ineligible by form,
+        # "zzz" has no vector and "dog" is unannotated under the POS mode.
+        table = make_table({"cat": [1, 0], "dog": [1, 0.1], "eel": [1, 0.5],
+                            "a1": [1, 0], "...": [1, 0]})
+        lexicon = AnnotatedLexicon({t: TokenAnnotation("NOUN") for t in ("cat", "eel")})
+        tokens = ("a1", "cat", "zzz", "...", "dog", "eel")
+        assert search_one(table, tokens, [1, 0], "cat")[0] == 4
+        assert search_one(table, tokens, [1, 0], "cat", lexicon, MODE_POS)[0] == 5
+        assert search_one(table, ("a1", "...", "zzz"), [1, 0]) is None
+        assert search_one(table, tokens, [1, 0], None, None, MODE_POS) is None
