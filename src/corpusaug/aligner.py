@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .corpus_io import ParallelCorpus, RareWord, Sentence
-from .parallel import ordered_map
 
 log = logging.getLogger(__name__)
 
@@ -76,39 +77,23 @@ class TargetSpan:
         return self.end - self.start + 1
 
 
-def _sentence_counts(
-    cond_tokens: Tuple[str, ...],
-    gen_tokens: Tuple[str, ...],
-    t: Dict[str, Dict[str, float]],
-) -> Tuple[List[Tuple[str, str, float]], float]:
-    """E-step contribution of one pair: fractional counts plus log-likelihood."""
-    contributions: List[Tuple[str, str, float]] = []
-    loglik = 0.0
-    log_len = math.log(len(cond_tokens))
-    for f in gen_tokens:
-        denom = 0.0
-        for e in cond_tokens:
-            denom += t[e].get(f, 0.0)
-        loglik += math.log(denom) - log_len
-        for e in cond_tokens:
-            p = t[e].get(f, 0.0)
-            if p > 0.0:
-                contributions.append((e, f, p / denom))
-    return contributions, loglik
-
-
 def train_ibm1(
     corpus: ParallelCorpus,
     iterations: int = DEFAULT_ITERATIONS,
     direction: str = DIRECTION_TGT_GIVEN_SRC,
-    workers: int = 1,
 ) -> TranslationTable:
     """Train the lexical table by EM.
 
-    Probabilities start uniform over co-occurring pairs. Expected counts are
-    computed per sentence pair and merged in sentence order, so results are
-    bit-identical for any worker count. The recorded per-iteration corpus
-    log-likelihood (length-normalized) is non-decreasing.
+    Probabilities start uniform over co-occurring pairs. Every (generated,
+    conditioning) token pair of every sentence pair is one link in a flat
+    array, laid out pair by pair, generated token outer and conditioning
+    token inner, NULL first; each link points at its (e, f) key. An
+    iteration is then a few numpy passes over that array. ``np.bincount``
+    adds its weights in input order, so each denominator, count and total
+    is summed in the same order as a per-sentence dict loop would sum it,
+    and the table and log-likelihoods equal that loop's bit for bit. The
+    recorded per-iteration corpus log-likelihood (length-normalized) is
+    non-decreasing.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -117,47 +102,74 @@ def train_ibm1(
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
 
-    if direction == DIRECTION_TGT_GIVEN_SRC:
-        pairs = [
-            ((NULL_TOKEN,) + s.tokens, g.tokens) for s, g in corpus.pairs()
-        ]
-    else:
-        pairs = [
-            ((NULL_TOKEN,) + g.tokens, s.tokens) for s, g in corpus.pairs()
-        ]
+    cond_vocab: Dict[str, int] = {NULL_TOKEN: 0}
+    gen_vocab: Dict[str, int] = {}
+    pair_ids = []
+    for s, g in corpus.pairs():
+        cond, gen = (s, g) if direction == DIRECTION_TGT_GIVEN_SRC else (g, s)
+        cond_ids = [0] + [cond_vocab.setdefault(e, len(cond_vocab)) for e in cond.tokens]
+        gen_ids = [gen_vocab.setdefault(f, len(gen_vocab)) for f in gen.tokens]
+        pair_ids.append(
+            (np.array(cond_ids, dtype=np.int64), np.array(gen_ids, dtype=np.int64))
+        )
+    n_gen = len(gen_vocab)
+    n_cond = len(cond_vocab)
 
-    cooccur: Dict[str, Dict[str, None]] = {}
-    for cond_tokens, gen_tokens in pairs:
-        for e in cond_tokens:
-            row = cooccur.setdefault(e, {})
-            for f in gen_tokens:
-                row.setdefault(f, None)
-    t: Dict[str, Dict[str, float]] = {
-        e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooccur.items()
-    }
+    # One row of links per generated token: e·|F| + f, conditioning side inner.
+    codes = np.concatenate(
+        [(c * n_gen)[None, :] + g[:, None] for c, g in pair_ids], axis=None
+    )
+    cond_len = np.array([len(c) for c, _ in pair_ids], dtype=np.int64)
+    seg_pair = np.repeat(np.arange(len(pair_ids)), [len(g) for _, g in pair_ids])
+    n_seg = len(seg_pair)
+    seg = np.repeat(np.arange(n_seg), cond_len[seg_pair])
+    seg_log_len = np.array([math.log(n) for n in cond_len.tolist()])[seg_pair]
+    keys, link = np.unique(codes, return_inverse=True)
+    key_e = keys // n_gen
+    t = 1.0 / np.bincount(key_e, minlength=n_cond)[key_e]
+    # Keys still in their row of the table; a dropped key reads t = 0.
+    present = np.ones(len(keys), dtype=bool)
 
     logliks: List[float] = []
     for _ in range(iterations):
-        results = ordered_map(
-            lambda pair: _sentence_counts(pair[0], pair[1], t), pairs, workers
-        )
-        counts: Dict[str, Dict[str, float]] = {e: {} for e in t}
-        totals: Dict[str, float] = {e: 0.0 for e in t}
+        p = t[link]
+        denom = np.bincount(seg, weights=p, minlength=n_seg)
+        # math.log, not np.log, whose last bit may differ; summed per pair in
+        # token order, then over pairs, as the per-sentence loop sums.
+        logs = np.fromiter(map(math.log, denom.tolist()), np.float64, n_seg)
+        seg_ll = logs - seg_log_len
         loglik = 0.0
-        for contributions, ll in results:
-            loglik += ll
-            for e, f, value in contributions:
-                row = counts[e]
-                row[f] = row.get(f, 0.0) + value
-                totals[e] += value
+        for pair_ll in np.bincount(
+            seg_pair, weights=seg_ll, minlength=len(pair_ids)
+        ).tolist():
+            loglik += pair_ll
         logliks.append(loglik)
-        for e, row in counts.items():
-            total = totals[e]
-            if total > 0.0:
-                t[e] = {f: value / total for f, value in row.items()}
+
+        hit = p > 0.0
+        hit_key = link[hit]
+        value = p[hit] / denom[seg[hit]]
+        counts = np.bincount(hit_key, weights=value, minlength=len(keys))
+        totals = np.bincount(key_e[hit_key], weights=value, minlength=n_cond)
+        # A row with no positive total keeps its previous probabilities;
+        # any other row is exactly the keys that received a contribution.
+        renew = (totals > 0.0)[key_e]
+        contributed = np.zeros(len(keys), dtype=bool)
+        contributed[hit_key] = True
+        present = np.where(renew, contributed, present)
+        t = np.where(renew, counts / np.where(renew, totals[key_e], 1.0), t)
         log.debug("EM iteration %d: log-likelihood %.6f", len(logliks), loglik)
 
-    return TranslationTable(t=t, direction=direction, log_likelihoods=tuple(logliks))
+    # Keys are sorted e-major, so each conditioning token's row is one slice.
+    row_e = key_e[present]
+    gen_tokens = np.array(list(gen_vocab), dtype=object)
+    gen_names = gen_tokens[keys[present] % n_gen].tolist()
+    probs = t[present].tolist()
+    bounds = np.searchsorted(row_e, np.arange(n_cond + 1)).tolist()
+    table = {
+        e: dict(zip(gen_names[lo:hi], probs[lo:hi]))
+        for e, lo, hi in zip(cond_vocab, bounds, bounds[1:])
+    }
+    return TranslationTable(t=table, direction=direction, log_likelihoods=tuple(logliks))
 
 
 def viterbi_align(
@@ -286,7 +298,7 @@ def load_translation_table(path: str | Path) -> TranslationTable:
     t: Dict[str, Dict[str, float]] = {}
     direction = DIRECTION_TGT_GIVEN_SRC
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -299,5 +311,10 @@ def load_translation_table(path: str | Path) -> TranslationTable:
                     f"{path}:{lineno}: expected 3 columns, got {len(columns)}"
                 )
             f, e, p = columns
-            t.setdefault(e, {})[f] = float(p)
+            try:
+                t.setdefault(e, {})[f] = float(p)
+            except ValueError:
+                raise PharaohFormatError(
+                    f"{path}:{lineno}: probability is not a number: {p!r}"
+                ) from None
     return TranslationTable(t=t, direction=direction)

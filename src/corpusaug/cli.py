@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__, agreement, pipeline
 from .aligner import (
     DIRECTION_TGT_GIVEN_SRC,
+    PharaohFormatError,
     load_translation_table,
     save_translation_table,
     train_ibm1,
@@ -131,6 +132,21 @@ class RunConfig:
             out[f.name] = getattr(self.augmentation, f.name)
         return out
 
+    def validate(self) -> None:
+        """Reject training knobs the trainers would refuse, naming the key."""
+        if self.em_iterations < 1:
+            raise ConfigError(
+                f"config key 'em_iterations': must be >= 1, got {self.em_iterations}"
+            )
+        if self.lm_min_count < 1:
+            raise ConfigError(
+                f"config key 'lm_min_count': must be >= 1, got {self.lm_min_count}"
+            )
+        if not 0.0 < self.lm_discount < 1.0:
+            raise ConfigError(
+                f"config key 'lm_discount': must be in (0, 1), got {self.lm_discount}"
+            )
+
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
@@ -188,6 +204,7 @@ def resolve_config(
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {ftype}") from exc
         setattr(target, name, value)
+    config.validate()
     return config
 
 
@@ -302,9 +319,7 @@ def cmd_prepare(config: RunConfig) -> int:
         if artifact == "aligner":
             if corpus is None:
                 corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
-            table = train_ibm1(
-                corpus, config.em_iterations, DIRECTION_TGT_GIVEN_SRC, config.workers
-            )
+            table = train_ibm1(corpus, config.em_iterations, DIRECTION_TGT_GIVEN_SRC)
             save_translation_table(table, out_path)
         elif artifact in ("lm_src", "lm_tgt"):
             mono_path = config.mono_src if artifact == "lm_src" else config.mono_tgt
@@ -450,8 +465,14 @@ def cmd_verify(run_dir: str | Path) -> int:
     manifest_path = run_path / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    resolved = manifest["resolved_config"]
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        resolved = manifest["resolved_config"]
+        src_corpus, tgt_corpus = resolved["src_corpus"], resolved["tgt_corpus"]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{manifest_path}: not valid JSON ({exc})") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{manifest_path}: missing key {exc}") from exc
 
     aug = AugmentationConfig(
         **{
@@ -460,7 +481,7 @@ def cmd_verify(run_dir: str | Path) -> int:
             if f.name in resolved
         }
     )
-    corpus = load_parallel_corpus(resolved["src_corpus"], resolved["tgt_corpus"])
+    corpus = load_parallel_corpus(src_corpus, tgt_corpus)
     cache_dir = run_path / "cache"
     embeddings = load_embeddings(cache_dir / "embeddings.src.vec")
     lm_src = load_lm(cache_dir / "lm.src.tsv")
@@ -571,7 +592,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALE_CACHE
-    except (ConfigError, CorpusFormatError, EmbeddingFormatError, FileNotFoundError) as exc:
+    except (
+        ConfigError,
+        CorpusFormatError,
+        EmbeddingFormatError,
+        PharaohFormatError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericError as exc:

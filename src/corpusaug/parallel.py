@@ -1,7 +1,8 @@
 """Deterministic worker-pool helper.
 
-All batch work in this package goes through :func:`ordered_map` so that
-results are always merged in input order. Worker count then affects only
+The per-item work of the augmentation pipeline (alignment, sentence
+embeddings, the gate loop) goes through :func:`ordered_map` so that results
+are always merged in input order. Worker count then affects only
 scheduling, never output bytes.
 """
 

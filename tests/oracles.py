@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths of the package under test: the
 eigensolver is a plain cyclic Jacobi iteration, and the EM reference uses
-dense numpy arrays over explicit vocabulary indices. The retrieval
+dense numpy arrays over explicit vocabulary indices. The dict EM is the
+per-sentence loop the array-backed ``train_ibm1`` must reproduce bit for
+bit. The retrieval
 references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit.
 """
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from corpusaug.agreement import MODE_OFF
+from corpusaug.aligner import DIRECTION_TGT_GIVEN_SRC, NULL_TOKEN, TranslationTable
 from corpusaug.corpus_io import has_digit, is_punctuation
 from corpusaug.embeddings import SimilarityHit, cosine
 
@@ -136,6 +139,63 @@ def ibm1_reference(pairs, iterations):
         totals = counts.sum(axis=0, keepdims=True)
         t = np.where(totals > 0, counts / np.maximum(totals, 1e-300), t)
     return t, src_vocab, tgt_vocab, logliks
+
+
+def _sentence_counts(cond_tokens, gen_tokens, t):
+    """E-step contribution of one pair: fractional counts plus log-likelihood."""
+    contributions = []
+    loglik = 0.0
+    log_len = math.log(len(cond_tokens))
+    for f in gen_tokens:
+        denom = 0.0
+        for e in cond_tokens:
+            denom += t[e].get(f, 0.0)
+        loglik += math.log(denom) - log_len
+        for e in cond_tokens:
+            p = t[e].get(f, 0.0)
+            if p > 0.0:
+                contributions.append((e, f, p / denom))
+    return contributions, loglik
+
+
+def ibm1_dict_reference(corpus, iterations, direction=DIRECTION_TGT_GIVEN_SRC):
+    """IBM Model 1 EM as a dict-of-dict loop over sentence pairs.
+
+    Expected counts are merged in sentence order. A key stays in its row
+    only if it received a contribution in the last iteration that renewed
+    the row; a row with a zero total keeps its previous probabilities.
+    """
+    if direction == DIRECTION_TGT_GIVEN_SRC:
+        pairs = [((NULL_TOKEN,) + s.tokens, g.tokens) for s, g in corpus.pairs()]
+    else:
+        pairs = [((NULL_TOKEN,) + g.tokens, s.tokens) for s, g in corpus.pairs()]
+
+    cooccur = {}
+    for cond_tokens, gen_tokens in pairs:
+        for e in cond_tokens:
+            row = cooccur.setdefault(e, {})
+            for f in gen_tokens:
+                row.setdefault(f, None)
+    t = {e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooccur.items()}
+
+    logliks = []
+    for _ in range(iterations):
+        results = [_sentence_counts(cond, gen, t) for cond, gen in pairs]
+        counts = {e: {} for e in t}
+        totals = {e: 0.0 for e in t}
+        loglik = 0.0
+        for contributions, ll in results:
+            loglik += ll
+            for e, f, value in contributions:
+                row = counts[e]
+                row[f] = row.get(f, 0.0) + value
+                totals[e] += value
+        logliks.append(loglik)
+        for e, row in counts.items():
+            total = totals[e]
+            if total > 0.0:
+                t[e] = {f: value / total for f, value in row.items()}
+    return TranslationTable(t=t, direction=direction, log_likelihoods=tuple(logliks))
 
 
 def trigram_prob_reference(sentences, discount, w1, w2, w3, bos="<s>", eos="</s>", unk="<unk>"):

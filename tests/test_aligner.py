@@ -2,8 +2,13 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusaug.aligner import (
+    DIRECTION_SRC_GIVEN_TGT,
+    DIRECTION_TGT_GIVEN_SRC,
+    DIRECTIONS,
     NULL_TOKEN,
     PharaohFormatError,
     SentenceAlignment,
@@ -20,7 +25,7 @@ from corpusaug.aligner import (
 )
 from corpusaug.corpus_io import ParallelCorpus, RareWord, Sentence
 
-from oracles import ibm1_reference
+from oracles import ibm1_dict_reference, ibm1_reference
 
 
 def make_corpus(pairs):
@@ -82,12 +87,12 @@ class TestTrainIbm1:
             for a, b in zip(table.log_likelihoods, table.log_likelihoods[1:]):
                 assert b >= a - 1e-9
 
-    def test_worker_count_bit_identical(self):
+    def test_repeat_calls_bit_identical(self):
         corpus = make_corpus(CLASSIC * 4)
-        t1 = train_ibm1(corpus, 6, workers=1)
-        t8 = train_ibm1(corpus, 6, workers=8)
-        assert t1.t == t8.t
-        assert t1.log_likelihoods == t8.log_likelihoods
+        first = train_ibm1(corpus, 6)
+        second = train_ibm1(corpus, 6)
+        assert first.t == second.t
+        assert first.log_likelihoods == second.log_likelihoods
 
     def test_unique_one_token_pairs_align_perfectly(self):
         pairs = [("s%d" % i, "t%d" % i) for i in range(10)]
@@ -102,6 +107,43 @@ class TestTrainIbm1:
             train_ibm1(make_corpus(CLASSIC), 0)
         with pytest.raises(ValueError):
             train_ibm1(make_corpus(CLASSIC), 5, direction="sideways")
+
+
+def _token_lists(prefix, vocab_size):
+    # A small vocabulary makes tokens repeat within a sentence; min_size=1
+    # keeps 1-token sentences in reach of the shrinker.
+    token = st.integers(0, vocab_size - 1).map(lambda i: f"{prefix}{i}")
+    return st.lists(token, min_size=1, max_size=12)
+
+
+@st.composite
+def em_cases(draw):
+    """(pairs as token lists, iterations, direction)."""
+    src = _token_lists("s", draw(st.integers(1, 6)))
+    tgt = _token_lists("t", draw(st.integers(1, 6)))
+    pairs = draw(st.lists(st.tuples(src, tgt), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        # a target word that co-occurs with a single source word (and NULL)
+        pairs.insert(draw(st.integers(0, len(pairs))), (["lone"], ["only"]))
+    return pairs, draw(st.integers(1, 12)), draw(st.sampled_from(DIRECTIONS))
+
+
+class TestDictParity:
+    """The array EM equals the dict-of-dict loop bit for bit, not approximately."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(em_cases())
+    @example(([(["a", "a", "b"], ["x", "x", "y", "x"])], 3, DIRECTION_TGT_GIVEN_SRC))
+    @example(([(["a"], ["x"]), (["b"], ["y"]), (["a"], ["y"])], 12, DIRECTION_TGT_GIVEN_SRC))
+    @example(([(["a", "b"], ["x", "y"]), (["lone"], ["only"])], 5, DIRECTION_SRC_GIVEN_TGT))
+    def test_table_and_loglik_equal_dict_loop(self, case):
+        pairs, iterations, direction = case
+        corpus = make_corpus([(" ".join(src), " ".join(tgt)) for src, tgt in pairs])
+        table = train_ibm1(corpus, iterations, direction)
+        reference = ibm1_dict_reference(corpus, iterations, direction)
+        assert table.direction == reference.direction
+        assert table.t == reference.t
+        assert table.log_likelihoods == reference.log_likelihoods
 
 
 class TestViterbi:
@@ -227,6 +269,12 @@ class TestTablePersistence:
         for e, row in table.t.items():
             for f, p in row.items():
                 assert again.t[e][f] == pytest.approx(p, rel=1e-11)
+
+    def test_non_numeric_probability_names_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("#direction\ttgt_given_src\nx\ty\t0.5\nx\ty\tnotafloat\n", encoding="utf-8")
+        with pytest.raises(PharaohFormatError, match=r"t\.tsv:3: .*'notafloat'"):
+            load_translation_table(path)
 
     def test_rows_sorted_for_stable_diffs(self, tmp_path):
         table = train_ibm1(make_corpus(CLASSIC), 3)

@@ -68,6 +68,17 @@ class TestBadInput:
         assert repr(setting.split("=")[0]) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "setting", ["em_iterations=0", "lm_discount=1.5", "lm_min_count=0"]
+    )
+    def test_bad_training_knob_exit_2_names_key(self, toy, tmp_path, capsys, setting):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        assert main(["prepare", "--config", str(cfg), "--set", setting]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert repr(setting.split("=")[0]) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_dictionary_exit_2_with_offset(self, toy, tmp_path, capsys):
         path = tmp_path / "dict.tsv"
         path.write_bytes(b"alpha\tbeta\ngam\xffma\tdelta\n")
@@ -256,6 +267,17 @@ class TestAugment:
         out = tmp_path / "out"
         cfg = toy.write_config(tmp_path / "c.cfg", out)
         assert main(["prepare", "--config", str(cfg)]) == 3
+
+    def test_corrupt_cached_table_exit_2_names_line(self, toy, tmp_path, capsys):
+        cfg, out = prepare_run(toy, tmp_path)
+        table = out / "cache" / "aligner.tsv"
+        with open(table, "a", encoding="utf-8") as fh:
+            fh.write("x\ty\tnotafloat\n")
+        lineno = len(table.read_text(encoding="utf-8").splitlines())
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"aligner.tsv:{lineno}:" in err
+        assert "Traceback" not in err
 
     def test_dict_mode_refuses_sentence_similarity(self, toy, tmp_path, capsys):
         cfg, out = prepare_run(toy, tmp_path, use_sent_sim="true")

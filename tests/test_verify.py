@@ -1,3 +1,8 @@
+import json
+
+import pytest
+
+from corpusaug.cli import EXIT_INPUT, EXIT_OK, main
 from corpusaug.pipeline import AugmentationConfig, augment_rare_words
 from corpusaug.verify import verify_records
 
@@ -71,3 +76,34 @@ class TestVerifyRecords:
     def test_empty_provenance_is_vacuously_clean(self):
         fx, config, _ = run()
         assert verify(fx, config, []) == []
+
+
+class TestVerifyBadManifest:
+    """A damaged manifest is an input error (exit 2), not a traceback."""
+
+    @pytest.fixture
+    def run_dir(self, toy, tmp_path):
+        out = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", out)
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+        return out
+
+    def test_missing_src_corpus_exit_2(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["resolved_config"]["src_corpus"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'src_corpus'" in err
+        assert "Traceback" not in err
+
+    def test_truncated_manifest_exit_2(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err
+        assert "Traceback" not in err
