@@ -2,8 +2,9 @@
 
 Runs are driven by a flat ``key = value`` config file with CLI overrides
 (flags win). ``prepare`` trains and caches the heavyweight artifacts under
-``<out_dir>/cache`` keyed by input-content hashes; ``augment`` refuses to
-run on a stale cache. Exit codes are a stable contract: 0 success, 2 input
+``<out_dir>/cache`` keyed by input-content hashes, and rebuilds an artifact
+whose bytes no longer match the hash it stored; ``augment`` refuses to run
+on a stale cache. Exit codes are a stable contract: 0 success, 2 input
 error, 3 numeric error, 4 stale cache, 5 verification failure.
 """
 
@@ -44,7 +45,7 @@ from .embeddings import (
     postprocess_alpha,
     save_embeddings,
 )
-from .lm import load_lm, save_lm, train_lm
+from .lm import LmFormatError, load_lm, save_lm, train_lm
 from .pipeline import (
     AugmentationConfig,
     ConfigError,
@@ -64,6 +65,12 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_STALE_CACHE = 4
 EXIT_VERIFY = 5
+
+# Cache file names under <out_dir>/cache.
+ALIGNER_FILE = "aligner.tsv"
+LM_SRC_FILE = "lm.src.bin"
+LM_TGT_FILE = "lm.tgt.bin"
+EMBEDDINGS_FILE = "embeddings.src.vec"
 
 MODE_RARE = "rare"
 MODE_DICT = "dict"
@@ -163,7 +170,7 @@ def parse_config_file(path: str | Path) -> Dict[str, str]:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     values: Dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines()):
+    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -231,7 +238,7 @@ def _sha256(path: str | Path) -> str:
 
 def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
     """Per-artifact input hashes and parameters for the cache."""
-    expected: Dict[str, Dict[str, object]] = {
+    return {
         "aligner": {
             "inputs": {
                 config.src_corpus: _sha256(config.src_corpus),
@@ -241,7 +248,7 @@ def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
                 "iterations": config.em_iterations,
                 "direction": DIRECTION_TGT_GIVEN_SRC,
             },
-            "output": "aligner.tsv",
+            "output": ALIGNER_FILE,
         },
         "lm_src": {
             "inputs": {config.mono_src: _sha256(config.mono_src)},
@@ -249,7 +256,7 @@ def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
                 "min_count": config.lm_min_count,
                 "discount": config.lm_discount,
             },
-            "output": "lm.src.tsv",
+            "output": LM_SRC_FILE,
         },
         "lm_tgt": {
             "inputs": {config.mono_tgt: _sha256(config.mono_tgt)},
@@ -257,21 +264,14 @@ def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
                 "min_count": config.lm_min_count,
                 "discount": config.lm_discount,
             },
-            "output": "lm.tgt.tsv",
+            "output": LM_TGT_FILE,
         },
         "embeddings_src": {
             "inputs": {config.embeddings_src: _sha256(config.embeddings_src)},
             "params": {"alpha": config.augmentation.alpha_src},
-            "output": "embeddings.src.vec",
+            "output": EMBEDDINGS_FILE,
         },
     }
-    if config.embeddings_tgt:
-        expected["embeddings_tgt"] = {
-            "inputs": {config.embeddings_tgt: _sha256(config.embeddings_tgt)},
-            "params": {"alpha": config.augmentation.alpha_tgt},
-            "output": "embeddings.tgt.vec",
-        }
-    return expected
 
 
 def _cache_dir(config: RunConfig) -> Path:
@@ -283,6 +283,13 @@ def _load_fingerprints(cache_dir: Path) -> Dict[str, Dict[str, object]]:
     if not fp_path.is_file():
         return {}
     return json.loads(fp_path.read_text(encoding="utf-8"))
+
+
+def _same_inputs(stored: Optional[Dict[str, object]], spec: Dict[str, object]) -> bool:
+    """Whether a stored fingerprint was built from ``spec``'s inputs and params."""
+    if stored is None:
+        return False
+    return {k: v for k, v in stored.items() if k != "output_sha256"} == spec
 
 
 # -- commands -----------------------------------------------------------------
@@ -312,7 +319,12 @@ def cmd_prepare(config: RunConfig) -> int:
     corpus = None
     for artifact, spec in expected.items():
         out_path = cache_dir / str(spec["output"])
-        if stored.get(artifact) == spec and out_path.is_file():
+        entry = stored.get(artifact)
+        if (
+            _same_inputs(entry, spec)
+            and out_path.is_file()
+            and entry.get("output_sha256") == _sha256(out_path)
+        ):
             log.info("%s: up to date", artifact)
             continue
         log.info("%s: building", artifact)
@@ -328,19 +340,11 @@ def cmd_prepare(config: RunConfig) -> int:
             )
             save_lm(model, out_path)
         else:
-            emb_path = (
-                config.embeddings_src
-                if artifact == "embeddings_src"
-                else config.embeddings_tgt
+            table = postprocess_alpha(
+                load_embeddings(config.embeddings_src), config.augmentation.alpha_src
             )
-            alpha = (
-                config.augmentation.alpha_src
-                if artifact == "embeddings_src"
-                else config.augmentation.alpha_tgt
-            )
-            table = postprocess_alpha(load_embeddings(emb_path), alpha)
             save_embeddings(table, out_path)
-        stored[artifact] = spec
+        stored[artifact] = dict(spec, output_sha256=_sha256(out_path))
 
     (cache_dir / "fingerprints.json").write_text(
         json.dumps(stored, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -355,7 +359,7 @@ def _check_cache(config: RunConfig) -> Path:
     stored = _load_fingerprints(cache_dir)
     for artifact, spec in expected.items():
         out_path = cache_dir / str(spec["output"])
-        if stored.get(artifact) != spec or not out_path.is_file():
+        if not _same_inputs(stored.get(artifact), spec) or not out_path.is_file():
             raise StaleCacheError(
                 f"cache artifact {artifact!r} is stale or missing; rerun prepare"
             )
@@ -374,10 +378,10 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     cache_dir = _check_cache(config)
 
     corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
-    embeddings = load_embeddings(cache_dir / "embeddings.src.vec")
-    alignment_table = load_translation_table(cache_dir / "aligner.tsv")
-    lm_src = load_lm(cache_dir / "lm.src.tsv")
-    lm_tgt = load_lm(cache_dir / "lm.tgt.tsv")
+    embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
+    alignment_table = load_translation_table(cache_dir / ALIGNER_FILE)
+    lm_src = load_lm(cache_dir / LM_SRC_FILE)
+    lm_tgt = load_lm(cache_dir / LM_TGT_FILE)
     lexicon = (
         agreement.load_annotations(config.annotations_src)
         if config.annotations_src
@@ -483,9 +487,9 @@ def cmd_verify(run_dir: str | Path) -> int:
     )
     corpus = load_parallel_corpus(src_corpus, tgt_corpus)
     cache_dir = run_path / "cache"
-    embeddings = load_embeddings(cache_dir / "embeddings.src.vec")
-    lm_src = load_lm(cache_dir / "lm.src.tsv")
-    lm_tgt = load_lm(cache_dir / "lm.tgt.tsv")
+    embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
+    lm_src = load_lm(cache_dir / LM_SRC_FILE)
+    lm_tgt = load_lm(cache_dir / LM_TGT_FILE)
     lexicon = (
         agreement.load_annotations(resolved["annotations_src"])
         if resolved.get("annotations_src")
@@ -597,6 +601,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         CorpusFormatError,
         EmbeddingFormatError,
         PharaohFormatError,
+        LmFormatError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,27 @@ to one exactly, which the tests exploit.
 Sentences are padded with two begin markers and two end markers so that any
 token span, however close to a boundary, owns a full set of overlapping
 trigram windows.
+
+The model is held as integer token ids: ``BOS``, ``EOS``, ``UNK``, then the
+sorted vocabulary. With ``V`` ids, bigram keys are ``h*V + w`` and trigram
+keys ``(h1*V + h2)*V + w``, stored as sorted int64 arrays beside their
+counts. The probabilities are computed from the same Python integers, with
+the same float operations in the same order, as a model keyed by token
+strings, so they are equal to it bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from .corpus_io import Sentence
 
@@ -27,9 +39,13 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 RESERVED = (BOS, EOS, UNK)
+BOS_ID, EOS_ID, UNK_ID = range(len(RESERVED))
 
 DEFAULT_DISCOUNT = 0.75
 DEFAULT_MIN_COUNT = 1
+
+# First bytes of a cached model; the format number changes with the layout.
+LM_MAGIC = b"corpusaug-lm 1\n"
 
 Span = Tuple[int, int]
 
@@ -38,101 +54,174 @@ class ArpaFormatError(ValueError):
     """Malformed ARPA n-gram file."""
 
 
-@dataclass
-class TrigramModel:
-    """Count tables plus derived prediction tables.
+class LmFormatError(ValueError):
+    """Truncated or malformed cached language model."""
 
-    ``unigrams``/``bigrams``/``trigrams`` are positional counts over padded
-    sentences, so every n-gram count is bounded by its prefix's count. The
-    derived ``_follow*`` tables count continuations per history and back the
-    discounted probabilities.
+
+def _check_id_count(size: int) -> None:
+    if size ** 3 > np.iinfo(np.int64).max:
+        raise ValueError(f"{size} token ids overflow the int64 trigram keys")
+
+
+def _check_ngrams(order: int, keys: np.ndarray, counts: np.ndarray, size: int) -> None:
+    name = f"{order}-gram"
+    if keys.shape != counts.shape:
+        raise ValueError(f"{name} keys and counts differ in length")
+    if keys.size == 0:
+        return
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError(f"{name} keys are not strictly increasing")
+    if keys[0] < 0 or keys[-1] >= size ** order:
+        raise ValueError(f"{name} key out of range [0, {size ** order})")
+    if np.any(counts <= 0):
+        raise ValueError(f"{name} count not positive")
+
+
+def _continuations(
+    keys: np.ndarray, counts: np.ndarray, size: int
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per history: summed count and number of distinct continuations.
+
+    Begin markers are contexts only: n-grams whose final token is BOS carry
+    no prediction mass, so they are left out (the count tables keep them).
+    """
+    keep = keys % size != BOS_ID
+    keys, counts = keys[keep], counts[keep]
+    if keys.size == 0:
+        return {}, {}
+    history = keys // size  # sorted, because the keys are
+    starts = np.flatnonzero(np.concatenate(([True], history[1:] != history[:-1])))
+    follow = np.add.reduceat(counts, starts)
+    types = np.diff(np.append(starts, keys.size))
+    histories = history[starts].tolist()
+    return dict(zip(histories, follow.tolist())), dict(zip(histories, types.tolist()))
+
+
+class TrigramModel:
+    """Positional n-gram counts over token ids plus derived prediction tables.
+
+    ``unigram_counts`` has one entry per id; the bigram and trigram tables are
+    sorted key arrays with parallel count arrays. Counts are positional over
+    padded sentences, so every n-gram count is bounded by its prefix's count.
+    The string-keyed ``unigrams``/``bigrams``/``trigrams``/``vocab`` views are
+    built on first use; scoring never needs them.
     """
 
-    unigrams: Dict[str, int]
-    bigrams: Dict[Tuple[str, str], int]
-    trigrams: Dict[Tuple[str, str, str], int]
-    vocab: frozenset
-    discount: float = DEFAULT_DISCOUNT
-    min_count: int = DEFAULT_MIN_COUNT
+    def __init__(
+        self,
+        vocab: Sequence[str],
+        unigram_counts: np.ndarray,
+        bigram_keys: np.ndarray,
+        bigram_counts: np.ndarray,
+        trigram_keys: np.ndarray,
+        trigram_counts: np.ndarray,
+        discount: float = DEFAULT_DISCOUNT,
+        min_count: int = DEFAULT_MIN_COUNT,
+    ) -> None:
+        if not 0.0 < discount < 1.0:
+            raise ValueError(f"discount must be in (0, 1), got {discount}")
+        if min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {min_count}")
+        tokens = RESERVED + tuple(vocab)
+        size = len(tokens)
+        _check_id_count(size)
+        if any(a >= b for a, b in zip(vocab, vocab[1:])):
+            raise ValueError("vocabulary is not strictly sorted")
+        ids = {token: i for i, token in enumerate(tokens)}
+        if len(ids) != size:
+            raise ValueError("vocabulary contains a reserved marker")
+        unigram_counts, bigram_keys, bigram_counts, trigram_keys, trigram_counts = (
+            np.asarray(a, dtype=np.int64)
+            for a in (unigram_counts, bigram_keys, bigram_counts, trigram_keys, trigram_counts)
+        )
+        if unigram_counts.shape != (size,):
+            raise ValueError(f"expected {size} unigram counts, got {unigram_counts.size}")
+        if np.any(np.delete(unigram_counts, UNK_ID) <= 0) or unigram_counts[UNK_ID] < 0:
+            raise ValueError("unigram count not positive")
+        _check_ngrams(2, bigram_keys, bigram_counts, size)
+        _check_ngrams(3, trigram_keys, trigram_counts, size)
 
-    _follow3: Dict[Tuple[str, str], int] = field(init=False, repr=False)
-    _n1plus3: Dict[Tuple[str, str], int] = field(init=False, repr=False)
-    _follow2: Dict[str, int] = field(init=False, repr=False)
-    _n1plus2: Dict[str, int] = field(init=False, repr=False)
-    _uni_pred: Dict[str, int] = field(init=False, repr=False)
-    _uni_total: int = field(init=False, repr=False)
+        self.tokens = tokens
+        self.ids = ids
+        self.discount = discount
+        self.min_count = min_count
+        self.unigram_counts = unigram_counts
+        self.bigram_keys, self.bigram_counts = bigram_keys, bigram_counts
+        self.trigram_keys, self.trigram_counts = trigram_keys, trigram_counts
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
-        # Begin markers are contexts only: n-grams whose final token is BOS
-        # carry no prediction mass, so they are excluded from the derived
-        # continuation statistics (the raw count tables keep them).
-        follow3: Dict[Tuple[str, str], int] = {}
-        n1plus3: Dict[Tuple[str, str], int] = {}
-        for (w1, w2, w3), count in self.trigrams.items():
-            if w3 == BOS:
-                continue
-            follow3[(w1, w2)] = follow3.get((w1, w2), 0) + count
-            n1plus3[(w1, w2)] = n1plus3.get((w1, w2), 0) + 1
-        follow2: Dict[str, int] = {}
-        n1plus2: Dict[str, int] = {}
-        for (w1, w2), count in self.bigrams.items():
-            if w2 == BOS:
-                continue
-            follow2[w1] = follow2.get(w1, 0) + count
-            n1plus2[w1] = n1plus2.get(w1, 0) + 1
+        self._bigram = dict(zip(bigram_keys.tolist(), bigram_counts.tolist()))
+        self._trigram = dict(zip(trigram_keys.tolist(), trigram_counts.tolist()))
+        self._follow2, self._n1plus2 = _continuations(bigram_keys, bigram_counts, size)
+        self._follow3, self._n1plus3 = _continuations(trigram_keys, trigram_counts, size)
         # Unigram backoff distribution over the predictable alphabet
         # (vocab + EOS + UNK; BOS is never predicted). UNK gets a floor
         # count of 1 so unknown words keep positive probability.
-        uni_pred: Dict[str, int] = {}
-        for w in sorted(self.vocab) + [EOS, UNK]:
-            uni_pred[w] = self.unigrams.get(w, 0)
-        uni_pred[UNK] = max(uni_pred[UNK], 1)
-        self._follow3 = follow3
-        self._n1plus3 = n1plus3
-        self._follow2 = follow2
-        self._n1plus2 = n1plus2
+        uni_pred = unigram_counts.tolist()
+        uni_pred[BOS_ID] = 0
+        uni_pred[UNK_ID] = max(uni_pred[UNK_ID], 1)
         self._uni_pred = uni_pred
-        self._uni_total = sum(uni_pred.values())
+        self._uni_total = sum(uni_pred)
+
+    # -- string views -------------------------------------------------------
+
+    def _decode(self, keys: np.ndarray, counts: np.ndarray, order: int) -> Dict[tuple, int]:
+        size, tokens = len(self.tokens), self.tokens
+        columns = []
+        for _ in range(order):
+            keys, last = np.divmod(keys, size)
+            columns.append([tokens[i] for i in last.tolist()])
+        return dict(zip(zip(*reversed(columns)), counts.tolist()))
+
+    @cached_property
+    def vocab(self) -> frozenset:
+        return frozenset(self.tokens[len(RESERVED):])
+
+    @cached_property
+    def unigrams(self) -> Dict[str, int]:
+        return {t: c for t, c in zip(self.tokens, self.unigram_counts.tolist()) if c > 0}
+
+    @cached_property
+    def bigrams(self) -> Dict[Tuple[str, str], int]:
+        return self._decode(self.bigram_keys, self.bigram_counts, 2)
+
+    @cached_property
+    def trigrams(self) -> Dict[Tuple[str, str, str], int]:
+        return self._decode(self.trigram_keys, self.trigram_counts, 3)
 
     # -- token normalization ------------------------------------------------
 
     def alphabet(self) -> List[str]:
         """Predictable tokens: vocabulary plus EOS and UNK."""
-        return list(self._uni_pred)
+        return list(self.tokens[len(RESERVED):]) + [EOS, UNK]
 
     def map_history(self, token: str) -> str:
-        if token in self.vocab or token in RESERVED:
-            return token
-        return UNK
+        return token if token in self.ids else UNK
 
     def map_predicted(self, token: str) -> str:
-        if token in self.vocab or token == EOS or token == UNK:
-            return token
-        return UNK
+        return token if token in self.ids and token != BOS else UNK
 
-    # -- probabilities ------------------------------------------------------
+    # -- probabilities over ids ---------------------------------------------
 
-    def _p1(self, w: str) -> float:
+    def _p1(self, w: int) -> float:
         return self._uni_pred[w] / self._uni_total
 
-    def _p2(self, h: str, w: str) -> float:
+    def _p2(self, h: int, w: int) -> float:
         follow = self._follow2.get(h, 0)
         if follow == 0:
             return self._p1(w)
-        count = self.bigrams.get((h, w), 0)
+        count = self._bigram.get(h * len(self.tokens) + w, 0)
         discounted = max(count - self.discount, 0.0) / follow
         interp = self.discount * self._n1plus2[h] / follow
         return discounted + interp * self._p1(w)
 
-    def _p3(self, h1: str, h2: str, w: str) -> float:
-        follow = self._follow3.get((h1, h2), 0)
+    def _p3(self, h1: int, h2: int, w: int) -> float:
+        history = h1 * len(self.tokens) + h2
+        follow = self._follow3.get(history, 0)
         if follow == 0:
             return self._p2(h2, w)
-        count = self.trigrams.get((h1, h2, w), 0)
+        count = self._trigram.get(history * len(self.tokens) + w, 0)
         discounted = max(count - self.discount, 0.0) / follow
-        interp = self.discount * self._n1plus3[(h1, h2)] / follow
+        interp = self.discount * self._n1plus3[history] / follow
         return discounted + interp * self._p2(h2, w)
 
     def trigram_prob(self, w1: str, w2: str, w3: str) -> float:
@@ -141,18 +230,22 @@ class TrigramModel:
         Always in (0, 1]; for any history the values sum to one over the
         predictable alphabet.
         """
-        return self._p3(self.map_history(w1), self.map_history(w2), self.map_predicted(w3))
+        ids = self.ids
+        w = ids.get(w3, UNK_ID)
+        return self._p3(ids.get(w1, UNK_ID), ids.get(w2, UNK_ID), UNK_ID if w == BOS_ID else w)
 
     def backoff_weights(self) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
         """Leftover-mass weights per history, as used by the ARPA export."""
+        ids, size = self.ids, len(self.tokens)
         uni_bow = {}
-        for w in list(self._uni_pred) + [BOS]:
-            follow = self._follow2.get(w, 0)
-            uni_bow[w] = self.discount * self._n1plus2[w] / follow if follow else 1.0
+        for w in self.alphabet() + [BOS]:
+            follow = self._follow2.get(ids[w], 0)
+            uni_bow[w] = self.discount * self._n1plus2[ids[w]] / follow if follow else 1.0
         bi_bow = {}
         for pair in self.bigrams:
-            follow = self._follow3.get(pair, 0)
-            bi_bow[pair] = self.discount * self._n1plus3[pair] / follow if follow else 1.0
+            history = ids[pair[0]] * size + ids[pair[1]]
+            follow = self._follow3.get(history, 0)
+            bi_bow[pair] = self.discount * self._n1plus3[history] / follow if follow else 1.0
         return uni_bow, bi_bow
 
 
@@ -163,43 +256,40 @@ def train_lm(
 ) -> TrigramModel:
     """Count padded n-grams over a monolingual corpus.
 
-    Tokens rarer than ``min_count`` are replaced by UNK before counting.
+    Tokens rarer than ``min_count``, and corpus tokens equal to a reserved
+    marker, are replaced by UNK before counting.
     """
     if not mono:
         raise ValueError("monolingual corpus must be non-empty")
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    raw: Dict[str, int] = {}
+    raw = Counter(itertools.chain.from_iterable(sent.tokens for sent in mono))
+    vocab = sorted(t for t, c in raw.items() if c >= min_count and t not in RESERVED)
+    size = len(RESERVED) + len(vocab)
+    _check_id_count(size)
+    lookup = {t: i for i, t in enumerate(vocab, start=len(RESERVED))}
+    stream: List[int] = []
     for sent in mono:
-        for token in sent.tokens:
-            raw[token] = raw.get(token, 0) + 1
-
-    def mapped(token: str) -> str:
-        if token in RESERVED:
-            return UNK  # reserved markers may not appear as corpus tokens
-        return token if raw[token] >= min_count else UNK
-
-    unigrams: Dict[str, int] = {}
-    bigrams: Dict[Tuple[str, str], int] = {}
-    trigrams: Dict[Tuple[str, str, str], int] = {}
-    vocab = set()
-    for sent in mono:
-        tokens = [mapped(t) for t in sent.tokens]
-        vocab.update(t for t in tokens if t != UNK)
-        padded = [BOS, BOS] + tokens + [EOS, EOS]
-        for i, w in enumerate(padded):
-            unigrams[w] = unigrams.get(w, 0) + 1
-            if i + 1 < len(padded):
-                pair = (w, padded[i + 1])
-                bigrams[pair] = bigrams.get(pair, 0) + 1
-            if i + 2 < len(padded):
-                triple = (w, padded[i + 1], padded[i + 2])
-                trigrams[triple] = trigrams.get(triple, 0) + 1
+        stream += (BOS_ID, BOS_ID)
+        stream += [lookup.get(t, UNK_ID) for t in sent.tokens]
+        stream += (EOS_ID, EOS_ID)
+    ids = np.array(stream, dtype=np.int64)
+    # The padded sentences are laid end to end; a window that crosses from
+    # one sentence into the next is the only place EOS is followed by BOS.
+    crossing = (ids[:-1] == EOS_ID) & (ids[1:] == BOS_ID)
+    bigrams = ids[:-1] * size + ids[1:]
+    trigrams = bigrams[:-1] * size + ids[2:]
+    bigram_keys, bigram_counts = np.unique(bigrams[~crossing], return_counts=True)
+    trigram_keys, trigram_counts = np.unique(
+        trigrams[~(crossing[:-1] | crossing[1:])], return_counts=True
+    )
     return TrigramModel(
-        unigrams=unigrams,
-        bigrams=bigrams,
-        trigrams=trigrams,
-        vocab=frozenset(vocab),
+        vocab,
+        np.bincount(ids, minlength=size),
+        bigram_keys,
+        bigram_counts,
+        trigram_keys,
+        trigram_counts,
         discount=discount,
         min_count=min_count,
     )
@@ -310,21 +400,22 @@ def export_arpa(model: TrigramModel, path: str | Path) -> None:
     file reproduces the model's probabilities up to print rounding. Tokens
     that are contexts only (the begin marker) get the conventional -99 stand-in.
     """
+    ids = model.ids
     uni_bow, bi_bow = model.backoff_weights()
     uni_entries: List[Tuple[str, float, float]] = []
     for w in sorted(set(model.alphabet()) | {BOS}):
-        logp = -99.0 if w == BOS else math.log10(model._p1(w))
+        logp = -99.0 if w == BOS else math.log10(model._p1(ids[w]))
         uni_entries.append((w, logp, math.log10(uni_bow[w]) if uni_bow[w] > 0 else 0.0))
     bi_entries: List[Tuple[Tuple[str, str], float, float]] = []
     for pair in sorted(model.bigrams):
         w1, w2 = pair
-        logp = -99.0 if w2 == BOS else math.log10(model._p2(w1, w2))
+        logp = -99.0 if w2 == BOS else math.log10(model._p2(ids[w1], ids[w2]))
         bow = bi_bow[pair]
         bi_entries.append((pair, logp, math.log10(bow) if bow > 0 else 0.0))
     tri_entries: List[Tuple[Tuple[str, str, str], float]] = []
     for triple in sorted(model.trigrams):
         w1, w2, w3 = triple
-        tri_entries.append((triple, math.log10(model._p3(w1, w2, w3))))
+        tri_entries.append((triple, math.log10(model._p3(ids[w1], ids[w2], ids[w3]))))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\\data\\\n")
@@ -435,54 +526,71 @@ def import_arpa(path: str | Path) -> ArpaScorer:
 # -- internal persistence ---------------------------------------------------
 
 
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """The array in the narrowest unsigned type that holds its largest value."""
+    top = int(array.max()) if array.size else 0
+    return array.astype(np.min_scalar_type(top).newbyteorder("<"))
+
+
 def save_lm(model: TrigramModel, path: str | Path) -> None:
-    """Persist the count tables as sorted TSV with a parameter header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#discount\t{model.discount!r}\n")
-        fh.write(f"#min_count\t{model.min_count}\n")
-        for order, table in ((1, model.unigrams), (2, model.bigrams), (3, model.trigrams)):
-            if order == 1:
-                rows = sorted((w, c) for w, c in table.items())
-                for w, c in rows:
-                    fh.write(f"1\t{w}\t{c}\n")
-            else:
-                rows = sorted((" ".join(ng), c) for ng, c in table.items())
-                for ng, c in rows:
-                    fh.write(f"{order}\t{ng}\t{c}\n")
+    """Write the model as ``LM_MAGIC`` followed by eight ``.npy`` arrays.
+
+    In order: the discount, the minimum count, the vocabulary as UTF-8 with
+    each token ended by a newline, the unigram counts, then keys and counts
+    of the bigrams and of the trigrams. Integer arrays are stored unsigned in
+    the narrowest type that holds them. Equal models give equal bytes.
+    """
+    vocab = model.tokens[len(RESERVED):]
+    if any("\n" in token for token in vocab):
+        raise ValueError("a token containing a newline cannot be saved")
+    arrays = (
+        np.array([model.discount], dtype="<f8"),
+        np.array([model.min_count], dtype="<i8"),
+        np.frombuffer("".join(t + "\n" for t in vocab).encode("utf-8"), dtype=np.uint8),
+        _narrow(model.unigram_counts),
+        _narrow(model.bigram_keys),
+        _narrow(model.bigram_counts),
+        _narrow(model.trigram_keys),
+        _narrow(model.trigram_counts),
+    )
+    with open(path, "wb") as fh:
+        fh.write(LM_MAGIC)
+        for array in arrays:
+            np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _read_lm(fh) -> TrigramModel:
+    if fh.read(len(LM_MAGIC)) != LM_MAGIC:
+        raise ValueError("not a cached language model (bad magic)")
+    discount, min_count, vocab, *tables = (
+        np.lib.format.read_array(fh, allow_pickle=False) for _ in range(8)
+    )
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last array")
+    if discount.shape != (1,) or discount.dtype.kind != "f":
+        raise ValueError("bad discount array")
+    if min_count.shape != (1,) or min_count.dtype.kind not in "iu":
+        raise ValueError("bad min_count array")
+    if vocab.dtype != np.uint8 or any(a.ndim != 1 or a.dtype.kind not in "iu" for a in tables):
+        raise ValueError("bad array type or shape")
+    tokens = vocab.tobytes().decode("utf-8").split("\n")
+    if tokens.pop() != "":
+        raise ValueError("vocabulary does not end with a newline")
+    return TrigramModel(
+        tokens, *tables, discount=float(discount[0]), min_count=int(min_count[0])
+    )
 
 
 def load_lm(path: str | Path) -> TrigramModel:
-    unigrams: Dict[str, int] = {}
-    bigrams: Dict[Tuple[str, str], int] = {}
-    trigrams: Dict[Tuple[str, str, str], int] = {}
-    discount = DEFAULT_DISCOUNT
-    min_count = DEFAULT_MIN_COUNT
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#discount\t"):
-                discount = float(line.split("\t", 1)[1])
-                continue
-            if line.startswith("#min_count\t"):
-                min_count = int(line.split("\t", 1)[1])
-                continue
-            order_s, ngram_s, count_s = line.split("\t")
-            tokens = tuple(ngram_s.split(" "))
-            count = int(count_s)
-            if order_s == "1":
-                unigrams[tokens[0]] = count
-            elif order_s == "2":
-                bigrams[(tokens[0], tokens[1])] = count
-            else:
-                trigrams[(tokens[0], tokens[1], tokens[2])] = count
-    vocab = frozenset(w for w in unigrams if w not in RESERVED)
-    return TrigramModel(
-        unigrams=unigrams,
-        bigrams=bigrams,
-        trigrams=trigrams,
-        vocab=vocab,
-        discount=discount,
-        min_count=min_count,
-    )
+    """Read a model written by :func:`save_lm`.
+
+    A truncated or malformed file raises :class:`LmFormatError` naming the
+    path: wrong magic, a missing array, key and count arrays of different
+    lengths, keys unsorted or out of ``[0, V**k)``, or non-positive counts.
+    """
+    p = Path(path)
+    try:
+        with open(p, "rb") as fh:
+            return _read_lm(fh)
+    except ValueError as exc:
+        raise LmFormatError(f"{p}: {exc}") from exc

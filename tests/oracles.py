@@ -6,17 +6,22 @@ dense numpy arrays over explicit vocabulary indices. The dict EM is the
 per-sentence loop the array-backed ``train_ibm1`` must reproduce bit for
 bit. The retrieval
 references are plain loops of scalar ``cosine`` calls, the definition the
-vectorized search must reproduce bit for bit.
+vectorized search must reproduce bit for bit. The dict trigram model is the
+string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
+same ``trigram_prob`` floats.
 """
 
 import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from corpusaug.agreement import MODE_OFF
 from corpusaug.aligner import DIRECTION_TGT_GIVEN_SRC, NULL_TOKEN, TranslationTable
-from corpusaug.corpus_io import has_digit, is_punctuation
+from corpusaug.corpus_io import Sentence, has_digit, is_punctuation
 from corpusaug.embeddings import SimilarityHit, cosine
+from corpusaug.lm import BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK
 
 
 def eligible_reference(sentence, identity_token, lexicon, mode):
@@ -250,3 +255,158 @@ def trigram_prob_reference(sentences, discount, w1, w2, w3, bos="<s>", eos="</s>
         return unk
 
     return p3(norm(w1, False), norm(w2, False), norm(w3, True))
+
+
+@dataclass
+class DictTrigramModel:
+    """The string-keyed dict trigram model: count tables plus derived tables.
+
+    ``unigrams``/``bigrams``/``trigrams`` are positional counts over padded
+    sentences, so every n-gram count is bounded by its prefix's count. The
+    derived ``_follow*`` tables count continuations per history and back the
+    discounted probabilities.
+    """
+
+    unigrams: Dict[str, int]
+    bigrams: Dict[Tuple[str, str], int]
+    trigrams: Dict[Tuple[str, str, str], int]
+    vocab: frozenset
+    discount: float = DEFAULT_DISCOUNT
+    min_count: int = DEFAULT_MIN_COUNT
+
+    _follow3: Dict[Tuple[str, str], int] = field(init=False, repr=False)
+    _n1plus3: Dict[Tuple[str, str], int] = field(init=False, repr=False)
+    _follow2: Dict[str, int] = field(init=False, repr=False)
+    _n1plus2: Dict[str, int] = field(init=False, repr=False)
+    _uni_pred: Dict[str, int] = field(init=False, repr=False)
+    _uni_total: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
+        # Begin markers are contexts only: n-grams whose final token is BOS
+        # carry no prediction mass, so they are excluded from the derived
+        # continuation statistics (the raw count tables keep them).
+        follow3: Dict[Tuple[str, str], int] = {}
+        n1plus3: Dict[Tuple[str, str], int] = {}
+        for (w1, w2, w3), count in self.trigrams.items():
+            if w3 == BOS:
+                continue
+            follow3[(w1, w2)] = follow3.get((w1, w2), 0) + count
+            n1plus3[(w1, w2)] = n1plus3.get((w1, w2), 0) + 1
+        follow2: Dict[str, int] = {}
+        n1plus2: Dict[str, int] = {}
+        for (w1, w2), count in self.bigrams.items():
+            if w2 == BOS:
+                continue
+            follow2[w1] = follow2.get(w1, 0) + count
+            n1plus2[w1] = n1plus2.get(w1, 0) + 1
+        # Unigram backoff distribution over the predictable alphabet
+        # (vocab + EOS + UNK; BOS is never predicted). UNK gets a floor
+        # count of 1 so unknown words keep positive probability.
+        uni_pred: Dict[str, int] = {}
+        for w in sorted(self.vocab) + [EOS, UNK]:
+            uni_pred[w] = self.unigrams.get(w, 0)
+        uni_pred[UNK] = max(uni_pred[UNK], 1)
+        self._follow3 = follow3
+        self._n1plus3 = n1plus3
+        self._follow2 = follow2
+        self._n1plus2 = n1plus2
+        self._uni_pred = uni_pred
+        self._uni_total = sum(uni_pred.values())
+
+    # -- token normalization ------------------------------------------------
+
+    def alphabet(self) -> List[str]:
+        """Predictable tokens: vocabulary plus EOS and UNK."""
+        return list(self._uni_pred)
+
+    def map_history(self, token: str) -> str:
+        if token in self.vocab or token in RESERVED:
+            return token
+        return UNK
+
+    def map_predicted(self, token: str) -> str:
+        if token in self.vocab or token == EOS or token == UNK:
+            return token
+        return UNK
+
+    # -- probabilities ------------------------------------------------------
+
+    def _p1(self, w: str) -> float:
+        return self._uni_pred[w] / self._uni_total
+
+    def _p2(self, h: str, w: str) -> float:
+        follow = self._follow2.get(h, 0)
+        if follow == 0:
+            return self._p1(w)
+        count = self.bigrams.get((h, w), 0)
+        discounted = max(count - self.discount, 0.0) / follow
+        interp = self.discount * self._n1plus2[h] / follow
+        return discounted + interp * self._p1(w)
+
+    def _p3(self, h1: str, h2: str, w: str) -> float:
+        follow = self._follow3.get((h1, h2), 0)
+        if follow == 0:
+            return self._p2(h2, w)
+        count = self.trigrams.get((h1, h2, w), 0)
+        discounted = max(count - self.discount, 0.0) / follow
+        interp = self.discount * self._n1plus3[(h1, h2)] / follow
+        return discounted + interp * self._p2(h2, w)
+
+    def trigram_prob(self, w1: str, w2: str, w3: str) -> float:
+        """P(w3 | w1, w2) after mapping out-of-vocabulary tokens to UNK.
+
+        Always in (0, 1]; for any history the values sum to one over the
+        predictable alphabet.
+        """
+        return self._p3(self.map_history(w1), self.map_history(w2), self.map_predicted(w3))
+
+
+def train_lm_dict_reference(
+    mono: Sequence[Sentence],
+    min_count: int = DEFAULT_MIN_COUNT,
+    discount: float = DEFAULT_DISCOUNT,
+) -> DictTrigramModel:
+    """Count padded n-grams sentence by sentence into tuple-keyed dicts.
+
+    Tokens rarer than ``min_count`` are replaced by UNK before counting.
+    """
+    if not mono:
+        raise ValueError("monolingual corpus must be non-empty")
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    raw: Dict[str, int] = {}
+    for sent in mono:
+        for token in sent.tokens:
+            raw[token] = raw.get(token, 0) + 1
+
+    def mapped(token: str) -> str:
+        if token in RESERVED:
+            return UNK  # reserved markers may not appear as corpus tokens
+        return token if raw[token] >= min_count else UNK
+
+    unigrams: Dict[str, int] = {}
+    bigrams: Dict[Tuple[str, str], int] = {}
+    trigrams: Dict[Tuple[str, str, str], int] = {}
+    vocab = set()
+    for sent in mono:
+        tokens = [mapped(t) for t in sent.tokens]
+        vocab.update(t for t in tokens if t != UNK)
+        padded = [BOS, BOS] + tokens + [EOS, EOS]
+        for i, w in enumerate(padded):
+            unigrams[w] = unigrams.get(w, 0) + 1
+            if i + 1 < len(padded):
+                pair = (w, padded[i + 1])
+                bigrams[pair] = bigrams.get(pair, 0) + 1
+            if i + 2 < len(padded):
+                triple = (w, padded[i + 1], padded[i + 2])
+                trigrams[triple] = trigrams.get(triple, 0) + 1
+    return DictTrigramModel(
+        unigrams=unigrams,
+        bigrams=bigrams,
+        trigrams=trigrams,
+        vocab=frozenset(vocab),
+        discount=discount,
+        min_count=min_count,
+    )

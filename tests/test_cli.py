@@ -1,7 +1,14 @@
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corpusaug
 from corpusaug.cli import (
     ABLATION_PRESETS,
     EXIT_INPUT,
@@ -14,6 +21,7 @@ from corpusaug.cli import (
     parse_config_file,
     resolve_config,
 )
+from corpusaug.pipeline import ConfigError
 
 
 def prepare_run(toy, tmp_path, name="run", **extra):
@@ -28,6 +36,12 @@ class TestConfigHandling:
         path = tmp_path / "c.cfg"
         path.write_text("a_key = v one\n# comment\nworkers=3\n", encoding="utf-8")
         assert parse_config_file(path) == {"a_key": "v one", "workers": "3"}
+
+    def test_parse_error_names_1_based_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("a_key = 1\nno equals sign\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: expected key = value"):
+            parse_config_file(path)
 
     def test_resolve_types_and_overrides(self):
         config = resolve_config(
@@ -127,7 +141,7 @@ class TestPrepare:
     def test_cache_files_and_fingerprints(self, toy, tmp_path):
         _, out = prepare_run(toy, tmp_path)
         cache = out / "cache"
-        for name in ("aligner.tsv", "lm.src.tsv", "lm.tgt.tsv", "embeddings.src.vec"):
+        for name in ("aligner.tsv", "lm.src.bin", "lm.tgt.bin", "embeddings.src.vec"):
             assert (cache / name).is_file()
         fingerprints = json.loads((cache / "fingerprints.json").read_text())
         assert set(fingerprints) == {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
@@ -324,3 +338,84 @@ class TestVerifyCommand:
 
     def test_missing_run_dir_exit_2(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path / "nope")]) == EXIT_INPUT
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    return data
+
+
+class TestCorruptCache:
+    def test_truncated_lm_augment_exit_2(self, toy, tmp_path, capsys):
+        cfg, out = prepare_run(toy, tmp_path)
+        path = out / "cache" / "lm.src.bin"
+        _truncate(path)
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_truncated_lm_verify_exit_2(self, toy, tmp_path, capsys):
+        cfg, out = prepare_run(toy, tmp_path)
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+        path = out / "cache" / "lm.tgt.bin"
+        _truncate(path)
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_prepare_rebuilds_damaged_artifact(self, toy, tmp_path, caplog):
+        cfg, out = prepare_run(toy, tmp_path)
+        path = out / "cache" / "lm.src.bin"
+        fingerprints = json.loads((out / "cache" / "fingerprints.json").read_text())
+        assert all(len(spec["output_sha256"]) == 64 for spec in fingerprints.values())
+        original = _truncate(path)
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert "lm_src: building" in messages
+        assert sum("up to date" in m for m in messages) == 3
+        assert path.read_bytes() == original
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+
+
+class TestChildProcess:
+    """The commands as separate processes, read the way an outside caller reads them."""
+
+    def test_prepare_augment_verify(self, toy, tmp_path):
+        out = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", out)
+        package_root = str(Path(corpusaug.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        stdout = {}
+        for name, argv in (
+            ("prepare", ["prepare", "--config", str(cfg)]),
+            ("augment", ["augment", "--config", str(cfg), "--mode", "both"]),
+            ("verify", ["verify", "--run-dir", str(out)]),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "corpusaug.cli"] + argv,
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+            stdout[name] = proc.stdout.decode("utf-8")
+        assert re.search(r"^0 violations across \d+ accepted", stdout["verify"], re.MULTILINE)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        accepted = manifest["merge"]["synthetic_pairs"]
+        assert type(accepted) is int and accepted > 0
+        tallies = [
+            count
+            for per_set in manifest["rejections_per_set"].values()
+            for count in per_set.values()
+        ]
+        assert tallies and all(type(count) is int for count in tallies)
+        with open(out / "provenance.jsonl", encoding="utf-8") as fh:
+            lines = sum(1 for _ in fh)
+        assert accepted + sum(tallies) == lines

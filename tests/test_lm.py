@@ -1,15 +1,23 @@
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusaug.corpus_io import Sentence
 from corpusaug.lm import (
     BOS,
     EOS,
+    LM_MAGIC,
     UNK,
     ArpaFormatError,
     ContextWindow,
+    LmFormatError,
+    _check_id_count,
     export_arpa,
     import_arpa,
     lm_ratio_accept,
@@ -19,7 +27,7 @@ from corpusaug.lm import (
     window_score,
 )
 
-from oracles import trigram_prob_reference
+from oracles import train_lm_dict_reference, trigram_prob_reference
 
 
 def sentences(token_lists):
@@ -265,3 +273,146 @@ class TestPersistence:
         for h1, h2 in [("a", "b"), (BOS, BOS), ("zz", "qq")]:
             for w in model.alphabet():
                 assert again.trigram_prob(h1, h2, w) == model.trigram_prob(h1, h2, w)
+
+    def test_equal_models_save_equal_bytes(self, tmp_path):
+        corpus = sentences(TWO_TYPE + [["e", "a"], ["a"]])
+        save_lm(train_lm(corpus, 1, 0.6), tmp_path / "one.bin")
+        save_lm(train_lm(corpus, 1, 0.6), tmp_path / "two.bin")
+        save_lm(load_lm(tmp_path / "one.bin"), tmp_path / "three.bin")
+        first = (tmp_path / "one.bin").read_bytes()
+        assert first.startswith(LM_MAGIC)
+        assert (tmp_path / "two.bin").read_bytes() == first
+        assert (tmp_path / "three.bin").read_bytes() == first
+
+    def test_key_space_must_fit_int64(self):
+        _check_id_count(2 ** 21 - 1)
+        with pytest.raises(ValueError, match="overflow"):
+            _check_id_count(2 ** 21)
+
+
+def _model_arrays():
+    """The eight arrays of a cached model of the corpus ``a b``."""
+    model = train_lm(sentences([["a", "b"]]), 1)
+    return [
+        np.array([0.75]),
+        np.array([1]),
+        np.frombuffer(b"a\nb\n", dtype=np.uint8),
+        model.unigram_counts,
+        model.bigram_keys,
+        model.bigram_counts,
+        model.trigram_keys,
+        model.trigram_counts,
+    ]
+
+
+def _write_arrays(path, arrays, magic=LM_MAGIC):
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        for array in arrays:
+            np.lib.format.write_array(fh, np.asarray(array), allow_pickle=False)
+
+
+def _set(index, position, value):
+    def mutate(arrays):
+        arrays[index] = arrays[index].copy()
+        arrays[index][position] = value
+        return arrays
+
+    return mutate
+
+
+class TestCorruptCache:
+    def test_hand_written_arrays_load(self, tmp_path):
+        _write_arrays(tmp_path / "lm.bin", _model_arrays())
+        model = train_lm(sentences([["a", "b"]]), 1)
+        again = load_lm(tmp_path / "lm.bin")
+        assert again.trigrams == model.trigrams
+        assert again.trigram_prob("a", "b", EOS) == model.trigram_prob("a", "b", EOS)
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "lm.bin"
+        save_lm(train_lm(sentences(TWO_TYPE), 1), path)
+        data = path.read_bytes()
+        for cut in (0, len(LM_MAGIC) // 2, len(LM_MAGIC) + 20, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(LmFormatError, match=str(path)):
+                load_lm(path)
+
+    def test_wrong_magic(self, tmp_path):
+        path = tmp_path / "lm.bin"
+        _write_arrays(path, _model_arrays(), magic=b"corpusaug-lm 0\n")
+        with pytest.raises(LmFormatError, match="bad magic"):
+            load_lm(path)
+        # a count table in the text format of earlier versions
+        path.write_text("#discount\t0.75\n#min_count\t1\n1\ta\t1\n", encoding="utf-8")
+        with pytest.raises(LmFormatError, match="bad magic"):
+            load_lm(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda a: a[:-1], "EOF"),  # the trigram counts are missing
+            (lambda a: a + [np.array([1])], "trailing"),
+            (lambda a: a[:5] + [a[5][:-1]] + a[6:], "differ in length"),
+            (lambda a: a[:6] + [a[6][::-1]] + a[7:], "not strictly increasing"),
+            (_set(6, -1, 5 ** 3), "out of range"),
+            (_set(4, 0, -1), "out of range"),
+            (_set(7, 0, 0), "not positive"),
+            (_set(5, 0, -2), "not positive"),
+            (_set(3, 0, 0), "unigram count not positive"),
+            (_set(0, 0, 1.0), "discount"),
+            (lambda a: a[:2] + [np.frombuffer(b"b\na\n", dtype=np.uint8)] + a[3:], "sorted"),
+            (lambda a: a[:2] + [np.frombuffer(b"a\nb", dtype=np.uint8)] + a[3:], "newline"),
+            (lambda a: a[:2] + [np.frombuffer(b"a\n\xff\n", dtype=np.uint8)] + a[3:], "utf-8"),
+            (lambda a: a[:3] + [a[3][:-1]] + a[4:], "unigram counts"),
+            (lambda a: a[:4] + [a[4].astype(np.float64)] + a[5:], "type"),
+        ],
+    )
+    def test_malformed_arrays(self, tmp_path, mutate, message):
+        path = tmp_path / "lm.bin"
+        _write_arrays(path, mutate(_model_arrays()))
+        with pytest.raises(LmFormatError, match=message) as info:
+            load_lm(path)
+        assert str(path) in str(info.value)
+
+
+@st.composite
+def lm_cases(draw):
+    """(sentences as token lists, min_count, discount).
+
+    Four letters keep tokens repeating; the reserved markers appear as
+    corpus tokens, and min_size=1 keeps 1-token sentences in reach.
+    """
+    token = st.sampled_from(["a", "b", "c", "d", BOS, EOS, UNK])
+    corpus = draw(st.lists(st.lists(token, min_size=1, max_size=8), min_size=1, max_size=8))
+    discount = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return corpus, draw(st.integers(1, 3)), discount
+
+
+class TestDictParity:
+    """The array model equals the dict model bit for bit, not approximately."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lm_cases())
+    @example(([["a"]], 1, 0.75))
+    @example(([["a", "a", "a"], ["a", BOS, "b"]], 2, 0.5))
+    @example(([[BOS, EOS, UNK], ["b"]], 3, 0.999))  # empty vocabulary
+    def test_counts_and_probabilities_equal_dict_model(self, case):
+        corpus, min_count, discount = case
+        mono = sentences(corpus)
+        reference = train_lm_dict_reference(mono, min_count, discount)
+        model = train_lm(mono, min_count, discount)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_lm(model, Path(tmp) / "lm.bin")
+            loaded = load_lm(Path(tmp) / "lm.bin")
+        for ours in (model, loaded):
+            assert ours.unigrams == reference.unigrams
+            assert ours.bigrams == reference.bigrams
+            assert ours.trigrams == reference.trigrams
+            assert ours.vocab == reference.vocab
+            assert ours.alphabet() == reference.alphabet()
+        tokens = reference.alphabet() + [BOS, "oov"]
+        for w1, w2, w3 in itertools.product(tokens, repeat=3):
+            expected = reference.trigram_prob(w1, w2, w3)
+            assert model.trigram_prob(w1, w2, w3) == expected, (w1, w2, w3)
+            assert loaded.trigram_prob(w1, w2, w3) == expected, (w1, w2, w3)
