@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,11 +230,12 @@ def target_span(
 def translate_rare_word(
     rare: RareWord,
     corpus: ParallelCorpus,
-    table: TranslationTable,
+    alignments: Sequence[SentenceAlignment],
     max_span: int = DEFAULT_MAX_SPAN,
 ) -> Tuple[Optional[Tuple[str, ...]], Optional[str]]:
     """Target tokens aligned to the rare word in its first host sentence.
 
+    ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``.
     Returns ``(tokens, None)`` on success, else ``(None, reason)`` with
     reason ``unaligned`` or ``span_too_long``.
     """
@@ -249,7 +250,7 @@ def translate_rare_word(
         raise ValueError(
             f"rare word {rare.surface!r} not found in host sentence {host_id}"
         ) from exc
-    alignment = viterbi_align((source, target), table)
+    alignment = alignments[host_id]
     if not alignment.targets_of(position):
         return None, REASON_UNALIGNED
     span = target_span(alignment, position, max_span)

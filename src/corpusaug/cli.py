@@ -17,7 +17,7 @@ import logging
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, agreement, pipeline
 from .aligner import (
@@ -71,6 +71,7 @@ ALIGNER_FILE = "aligner.tsv"
 LM_SRC_FILE = "lm.src.bin"
 LM_TGT_FILE = "lm.tgt.bin"
 EMBEDDINGS_FILE = "embeddings.src.vec"
+FINGERPRINTS_FILE = "fingerprints.json"
 
 MODE_RARE = "rare"
 MODE_DICT = "dict"
@@ -278,11 +279,22 @@ def _cache_dir(config: RunConfig) -> Path:
     return Path(config.out_dir) / "cache"
 
 
+class StaleCacheError(RuntimeError):
+    pass
+
+
 def _load_fingerprints(cache_dir: Path) -> Dict[str, Dict[str, object]]:
-    fp_path = cache_dir / "fingerprints.json"
+    """The stored fingerprints; StaleCacheError naming the file when it is unreadable."""
+    fp_path = cache_dir / FINGERPRINTS_FILE
     if not fp_path.is_file():
         return {}
-    return json.loads(fp_path.read_text(encoding="utf-8"))
+    try:
+        stored = json.loads(fp_path.read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8 or not JSON
+        stored = None
+    if not isinstance(stored, dict) or not all(isinstance(v, dict) for v in stored.values()):
+        raise StaleCacheError(f"{fp_path}: not a JSON object of artifact fingerprints")
+    return stored
 
 
 def _same_inputs(stored: Optional[Dict[str, object]], spec: Dict[str, object]) -> bool:
@@ -314,7 +326,11 @@ def cmd_prepare(config: RunConfig) -> int:
     cache_dir = _cache_dir(config)
     cache_dir.mkdir(parents=True, exist_ok=True)
     expected = _expected_fingerprints(config)
-    stored = _load_fingerprints(cache_dir)
+    try:
+        stored = _load_fingerprints(cache_dir)
+    except StaleCacheError as exc:
+        log.warning("%s; rebuilding every artifact", exc)
+        stored = {}
 
     corpus = None
     for artifact, spec in expected.items():
@@ -346,8 +362,14 @@ def cmd_prepare(config: RunConfig) -> int:
             save_embeddings(table, out_path)
         stored[artifact] = dict(spec, output_sha256=_sha256(out_path))
 
-    (cache_dir / "fingerprints.json").write_text(
-        json.dumps(stored, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    kept = {str(spec["output"]) for spec in expected.values()} | {FINGERPRINTS_FILE}
+    for path in sorted(cache_dir.iterdir()):
+        if path.name not in kept and path.is_file():
+            log.info("removing stale cache file %s", path)
+            path.unlink()
+    fingerprints = {artifact: stored[artifact] for artifact in expected}
+    (cache_dir / FINGERPRINTS_FILE).write_text(
+        json.dumps(fingerprints, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     log.info("cache ready under %s", cache_dir)
     return EXIT_OK
@@ -364,10 +386,6 @@ def _check_cache(config: RunConfig) -> Path:
                 f"cache artifact {artifact!r} is stale or missing; rerun prepare"
             )
     return cache_dir
-
-
-class StaleCacheError(RuntimeError):
-    pass
 
 
 def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
@@ -388,10 +406,10 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         else None
     )
 
-    sets: List[List[pipeline.SyntheticPair]] = []
-    set_names: List[str] = []
-    rejected: List[pipeline.ReplacementRecord] = []
-
+    inputs = pipeline.RunInputs.build(
+        corpus, embeddings, alignment_table, lm_src, lm_tgt, lexicon, aug.syntactic_mode()
+    )
+    runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.ReplacementRecord]]] = {}
     if mode in (MODE_RARE, MODE_BOTH):
         vocab = build_vocabulary(corpus.source)
         validity = RareWordValidityConfig(
@@ -400,26 +418,19 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         )
         rare_words = extract_rare_words(vocab, corpus.source, aug.t_r, validity)
         log.info("extracted %d rare word(s) at threshold %d", len(rare_words), aug.t_r)
-        accepted, rare_rejected = augment_rare_words(
-            corpus, rare_words, embeddings, alignment_table,
-            lm_src, lm_tgt, lexicon, aug, config.workers,
-        )
-        sets.append(accepted)
-        set_names.append(pipeline.ITEM_RARE_WORD)
-        rejected.extend(rare_rejected)
+        runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
 
     if mode in (MODE_DICT, MODE_BOTH):
         if not config.dictionary:
             raise ConfigError("dictionary path required for dictionary augmentation")
         dictionary = load_dictionary(config.dictionary)
-        accepted, dict_rejected = augment_dictionary(
-            corpus, dictionary, embeddings, alignment_table,
-            lm_src, lm_tgt, lexicon, aug, config.dict_scope, config.workers,
+        runs[pipeline.ITEM_DICTIONARY] = augment_dictionary(
+            inputs, dictionary, aug, config.dict_scope
         )
-        sets.append(accepted)
-        set_names.append(pipeline.ITEM_DICTIONARY)
-        rejected.extend(dict_rejected)
 
+    set_names = list(runs)
+    sets = [accepted for accepted, _ in runs.values()]
+    rejected = [record for _, set_rejected in runs.values() for record in set_rejected]
     merged, merge_manifest = merge_and_dedup(corpus, sets, set_names, aug.soft_cap)
 
     # Deduplication re-marks duplicate pairs as rejected; partition afterwards
@@ -522,7 +533,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="override one config key (repeatable; flags win over the file)",
     )
     parser.add_argument("--out-dir", help="override out_dir")
-    parser.add_argument("--workers", type=int, help="override worker count")
+    parser.add_argument("--workers", type=int, help="ignored: runs are single-threaded")
 
 
 def _overrides_from_args(args: argparse.Namespace) -> Dict[str, str]:
@@ -585,6 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             level=getattr(logging, config.log_level.upper(), logging.INFO),
             stream=sys.stderr,
         )
+        if config.workers > 1:
+            log.warning("workers = %d has no effect: runs are single-threaded", config.workers)
         if args.command == "stats":
             return cmd_stats(config)
         if args.command == "prepare":

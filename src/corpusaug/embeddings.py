@@ -290,7 +290,7 @@ class WordIndex:
     vector, is neither a digit nor a punctuation token, and is annotated
     when the syntactic mode is not ``off``. ``sentences[i]`` holds the type
     id of each token of sentence ``i``; ineligible tokens carry the sentinel
-    id ``len(rows)``. The index is read-only, so threads may share it.
+    id ``len(rows)``.
     """
 
     rows: VectorRows

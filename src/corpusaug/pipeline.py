@@ -6,6 +6,11 @@ order, picks the most similar in-sentence word, applies the enabled
 similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
 
+Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
+with the Viterbi alignment of every pair and the word index built once;
+``augment_rare_words`` and ``augment_dictionary`` only turn their items into
+``_Item``s, and ``_run_items`` runs the gate loop over them in item order.
+
 The in-sentence word is searched once per item over all its candidates: one
 matvec over the eligible corpus types pre-ranks every position, each
 position within ``PRERANK_WINDOW`` of its sentence's best is re-scored with
@@ -20,7 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +57,6 @@ from .embeddings import (
     top_k_sentences,
 )
 from .lm import TrigramModel, lm_ratio_accept
-from .parallel import ordered_map
 
 log = logging.getLogger(__name__)
 
@@ -256,33 +260,54 @@ class _Item:
     candidates: Tuple[Tuple[int, Optional[float]], ...]
 
 
-def _item_rejection(kind: str, surface: Tuple[str, ...], reason: str,
-                    base_sentence_id: Optional[int] = None) -> ReplacementRecord:
-    return ReplacementRecord(
-        item_kind=kind,
-        item_surface=surface,
-        base_sentence_id=base_sentence_id,
-        accepted=False,
-        reason=reason,
-    )
+@dataclass(frozen=True)
+class RunInputs:
+    """What one augmentation run reads, built once and shared by both modes.
+
+    ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``, read by
+    the gate loop and by rare-word translation. ``word_index`` is built for
+    the syntactic mode ``mode``, which the run's config must share.
+    """
+
+    corpus: ParallelCorpus
+    embeddings: EmbeddingTable
+    lm_src: TrigramModel
+    lm_tgt: TrigramModel
+    lexicon: Optional[AnnotatedLexicon]
+    mode: str
+    alignments: Tuple[SentenceAlignment, ...]
+    word_index: WordIndex
+
+    @classmethod
+    def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
+              alignment_table: TranslationTable, lm_src: TrigramModel, lm_tgt: TrigramModel,
+              lexicon: Optional[AnnotatedLexicon], mode: str) -> "RunInputs":
+        """Align every pair once and index the source side once."""
+        alignments = tuple(viterbi_align(pair, alignment_table) for pair in corpus.pairs())
+        word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
+        return cls(corpus, embeddings, lm_src, lm_tgt, lexicon, mode, alignments, word_index)
+
+
+def ordered_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, kept as a name the benchmark wraps.
+
+    ``bench/spans.py`` hooks ``pipeline.ordered_map`` to report the
+    ``parallel.map_*`` metrics, and ``bench/`` changes only together with
+    its metrics, so the gate loop calls this until they are retired.
+    """
+    return [fn(item) for item in items]
 
 
 def _process_item(
-    item: _Item,
-    corpus: ParallelCorpus,
-    alignments: Sequence[SentenceAlignment],
-    word_index: WordIndex,
-    lexicon: Optional[AnnotatedLexicon],
-    lm_src: TrigramModel,
-    lm_tgt: TrigramModel,
-    config: AugmentationConfig,
+    item: _Item, inputs: RunInputs, config: AugmentationConfig
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
     mode = config.syntactic_mode()
+    corpus, lexicon = inputs.corpus, inputs.lexicon
     item_annotation = lexicon.get(item.annotation_token) if lexicon is not None else None
     pairs: List[SyntheticPair] = []
     records: List[ReplacementRecord] = []
     best_words = best_word_in_sentence(
-        word_index,
+        inputs.word_index,
         item.query_vec,
         [candidate_id for candidate_id, _ in item.candidates],
         item.identity_token,
@@ -329,7 +354,7 @@ def _process_item(
                     record.reason = REASON_MORPH
                 continue
 
-        alignment = alignments[candidate_id]
+        alignment = inputs.alignments[candidate_id]
         if not alignment.targets_of(position):
             record.reason = REASON_UNALIGNED
             continue
@@ -350,7 +375,7 @@ def _process_item(
         record.target_inserted = item.target_insert
 
         src_ok, src_ratio = lm_ratio_accept(
-            lm_src,
+            inputs.lm_src,
             (source_sentence.tokens, (position, position)),
             (synthetic.source_tokens, (position, position + len(item.source_insert) - 1)),
             config.lm_threshold,
@@ -361,7 +386,7 @@ def _process_item(
             continue
 
         tgt_ok, tgt_ratio = lm_ratio_accept(
-            lm_tgt,
+            inputs.lm_tgt,
             (target_sentence.tokens, (span.start, span.end)),
             (synthetic.target_tokens, (span.start, span.start + len(item.target_insert) - 1)),
             config.lm_threshold,
@@ -382,107 +407,93 @@ def _all_candidates(n: int, exclude: Set[int]) -> Tuple[Tuple[int, Optional[floa
     return tuple((i, None) for i in range(n) if i not in exclude)
 
 
-def augment_rare_words(
-    corpus: ParallelCorpus,
-    rare_words: Sequence[RareWord],
-    embeddings: EmbeddingTable,
-    alignment_table: TranslationTable,
-    lm_src: TrigramModel,
-    lm_tgt: TrigramModel,
-    lexicon: Optional[AnnotatedLexicon],
+def _run_items(
+    resolved: Sequence[Union[_Item, ReplacementRecord]],
+    inputs: RunInputs,
     config: AugmentationConfig,
-    workers: int = 1,
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
-    """Generate synthetic pairs by substituting rare words into new contexts.
+    """The path both modes share: the annotation check, then the gate loop.
 
-    Items are processed in surface order; a rare word's own host sentences
-    are never candidates. Output order is independent of ``workers``.
+    ``resolved`` holds, in item order, each item or the record of its
+    item-level rejection. Returns the accepted pairs and the rejected
+    records, item-level rejections first, in item order.
     """
-    config.validate()
     mode = config.syntactic_mode()
-    alignments = ordered_map(
-        lambda pair: viterbi_align(pair, alignment_table), list(corpus.pairs()), workers
-    )
-    word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
-    if config.use_sent_sim:
-        corpus_vectors = ordered_map(
-            lambda s: sentence_embedding(s, embeddings), corpus.source, workers
-        )
-        corpus_rows = VectorRows.stack([sv.vector for sv in corpus_vectors], embeddings.dim)
-
+    if mode != inputs.mode:
+        raise ConfigError(f"inputs indexed for syntactic mode {inputs.mode!r}, not {mode!r}")
+    lexicon = inputs.lexicon
     items: List[_Item] = []
-    item_rejections: List[ReplacementRecord] = []
-    for rare in sorted(rare_words, key=lambda r: r.surface):
-        surface = (rare.surface,)
-        translation, reason = translate_rare_word(
-            rare, corpus, alignment_table, config.max_span
-        )
-        if translation is None:
-            item_rejections.append(
-                _item_rejection(
-                    ITEM_RARE_WORD, surface, reason, min(rare.host_sentence_ids)
-                )
-            )
-            continue
-        query_vec = embeddings.get(rare.surface)
-        if query_vec is None:
-            item_rejections.append(
-                _item_rejection(ITEM_RARE_WORD, surface, REASON_COVERAGE)
-            )
-            continue
-        if mode != agreement.MODE_OFF and (
-            lexicon is None or rare.surface not in lexicon
+    rejected: List[ReplacementRecord] = []
+    for entry in resolved:
+        if isinstance(entry, ReplacementRecord):
+            rejected.append(entry)
+        elif mode != agreement.MODE_OFF and (
+            lexicon is None or entry.annotation_token not in lexicon
         ):
-            item_rejections.append(
-                _item_rejection(ITEM_RARE_WORD, surface, REASON_UNANNOTATED)
+            rejected.append(
+                ReplacementRecord(entry.kind, entry.surface, reason=REASON_UNANNOTATED)
             )
-            continue
-        hosts = set(rare.host_sentence_ids)
-        if config.use_sent_sim:
-            host_vector = corpus_vectors[min(rare.host_sentence_ids)]
-            hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
-            candidates = tuple((hit.sentence_id, hit.score) for hit in hits)
         else:
-            candidates = _all_candidates(len(corpus), hosts)
-        items.append(
-            _Item(
-                kind=ITEM_RARE_WORD,
-                surface=surface,
-                query_vec=query_vec,
-                source_insert=surface,
-                target_insert=translation,
-                annotation_token=rare.surface,
-                identity_token=rare.surface,
-                candidates=candidates,
-            )
-        )
-
-    results = ordered_map(
-        lambda item: _process_item(
-            item, corpus, alignments, word_index, lexicon, lm_src, lm_tgt, config
-        ),
-        items,
-        workers,
-    )
+            items.append(entry)
     accepted: List[SyntheticPair] = []
-    rejected: List[ReplacementRecord] = list(item_rejections)
-    for pairs, records in results:
+    for pairs, records in ordered_map(lambda item: _process_item(item, inputs, config), items):
         accepted.extend(pairs)
         rejected.extend(r for r in records if not r.accepted)
     return accepted, rejected
 
 
+def augment_rare_words(
+    inputs: RunInputs,
+    rare_words: Sequence[RareWord],
+    config: AugmentationConfig,
+) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+    """Generate synthetic pairs by substituting rare words into new contexts.
+
+    Items are processed in surface order; a rare word's own host sentences
+    are never candidates.
+    """
+    config.validate()
+    corpus, embeddings = inputs.corpus, inputs.embeddings
+    if config.use_sent_sim:
+        corpus_vectors = [sentence_embedding(s, embeddings) for s in corpus.source]
+        corpus_rows = VectorRows.stack([sv.vector for sv in corpus_vectors], embeddings.dim)
+
+    def resolve(rare: RareWord) -> Union[_Item, ReplacementRecord]:
+        surface = (rare.surface,)
+        translation, reason = translate_rare_word(rare, corpus, inputs.alignments, config.max_span)
+        host_id = min(rare.host_sentence_ids)
+        if translation is None:
+            return ReplacementRecord(ITEM_RARE_WORD, surface, host_id, reason=reason)
+        query_vec = embeddings.get(rare.surface)
+        if query_vec is None:
+            return ReplacementRecord(ITEM_RARE_WORD, surface, reason=REASON_COVERAGE)
+        hosts = set(rare.host_sentence_ids)
+        if config.use_sent_sim:
+            host_vector = corpus_vectors[host_id]
+            hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
+            candidates = tuple((hit.sentence_id, hit.score) for hit in hits)
+        else:
+            candidates = _all_candidates(len(corpus), hosts)
+        return _Item(
+            kind=ITEM_RARE_WORD,
+            surface=surface,
+            query_vec=query_vec,
+            source_insert=surface,
+            target_insert=translation,
+            annotation_token=rare.surface,
+            identity_token=rare.surface,
+            candidates=candidates,
+        )
+
+    resolved = [resolve(rare) for rare in sorted(rare_words, key=lambda r: r.surface)]
+    return _run_items(resolved, inputs, config)
+
+
 def augment_dictionary(
-    corpus: ParallelCorpus,
+    inputs: RunInputs,
     dictionary: Sequence[DictionaryEntry],
-    embeddings: EmbeddingTable,
-    alignment_table: TranslationTable,
-    lm_src: TrigramModel,
-    lm_tgt: TrigramModel,
-    lexicon: Optional[AnnotatedLexicon],
     config: AugmentationConfig,
     scope: str = SCOPE_OOV_ONLY,
-    workers: int = 1,
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
     """Generate synthetic pairs by substituting dictionary terms.
 
@@ -496,65 +507,30 @@ def augment_dictionary(
     if scope not in (SCOPE_OOV_ONLY, SCOPE_ALL):
         raise ConfigError(f"unknown dictionary scope: {scope!r}")
     config.validate(dict_mode=True)
-    mode = config.syntactic_mode()
-    vocab = build_vocabulary(corpus.source)
-    alignments = ordered_map(
-        lambda pair: viterbi_align(pair, alignment_table), list(corpus.pairs()), workers
-    )
-    word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
+    vocab = build_vocabulary(inputs.corpus.source)
+    all_candidates = _all_candidates(len(inputs.corpus), set())
 
-    items: List[_Item] = []
-    item_rejections: List[ReplacementRecord] = []
-    all_candidates = _all_candidates(len(corpus), set())
-    for entry in dictionary:
+    def resolve(entry: DictionaryEntry) -> Union[_Item, ReplacementRecord]:
         surface = entry.source_term
         if scope == SCOPE_OOV_ONLY and all(token in vocab for token in surface):
-            item_rejections.append(
-                _item_rejection(ITEM_DICTIONARY, surface, REASON_IN_VOCABULARY)
-            )
-            continue
-        term_vector = term_embedding(surface, embeddings)
+            return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_IN_VOCABULARY)
+        term_vector = term_embedding(surface, inputs.embeddings)
         if term_vector.covered_tokens < len(surface):
-            item_rejections.append(
-                _item_rejection(ITEM_DICTIONARY, surface, REASON_COVERAGE)
-            )
-            continue
-        # The term's head token (last token, head-final convention) stands
-        # in for the whole term in the syntactic gate.
-        annotation_token = surface[-1]
-        if mode != agreement.MODE_OFF and (
-            lexicon is None or annotation_token not in lexicon
-        ):
-            item_rejections.append(
-                _item_rejection(ITEM_DICTIONARY, surface, REASON_UNANNOTATED)
-            )
-            continue
-        items.append(
-            _Item(
-                kind=ITEM_DICTIONARY,
-                surface=surface,
-                query_vec=term_vector.vector,
-                source_insert=surface,
-                target_insert=entry.target_term,
-                annotation_token=annotation_token,
-                identity_token=surface[0] if len(surface) == 1 else None,
-                candidates=all_candidates,
-            )
+            return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_COVERAGE)
+        return _Item(
+            kind=ITEM_DICTIONARY,
+            surface=surface,
+            query_vec=term_vector.vector,
+            source_insert=surface,
+            target_insert=entry.target_term,
+            # The term's head token (last token, head-final convention)
+            # stands in for the whole term in the syntactic gate.
+            annotation_token=surface[-1],
+            identity_token=surface[0] if len(surface) == 1 else None,
+            candidates=all_candidates,
         )
 
-    results = ordered_map(
-        lambda item: _process_item(
-            item, corpus, alignments, word_index, lexicon, lm_src, lm_tgt, config
-        ),
-        items,
-        workers,
-    )
-    accepted: List[SyntheticPair] = []
-    rejected: List[ReplacementRecord] = list(item_rejections)
-    for pairs, records in results:
-        accepted.extend(pairs)
-        rejected.extend(r for r in records if not r.accepted)
-    return accepted, rejected
+    return _run_items([resolve(entry) for entry in dictionary], inputs, config)
 
 
 def merge_and_dedup(

@@ -10,12 +10,20 @@ from corpusaug.aligner import TranslationTable, train_ibm1
 from corpusaug.corpus_io import ParallelCorpus, RareWord, Sentence
 from corpusaug.embeddings import EmbeddingTable
 from corpusaug.lm import TrigramModel, train_lm
+from corpusaug.pipeline import RunInputs
 
 
 def corpus_of(rows) -> ParallelCorpus:
     src = tuple(Sentence(i, tuple(s.split())) for i, (s, _) in enumerate(rows))
     tgt = tuple(Sentence(i, tuple(t.split())) for i, (_, t) in enumerate(rows))
     return ParallelCorpus(src, tgt)
+
+
+def inputs_of(corpus, embeddings, table, lm_src, lm_tgt, lexicon, config) -> RunInputs:
+    """The run inputs of one augmentation call, indexed for ``config``."""
+    return RunInputs.build(
+        corpus, embeddings, table, lm_src, lm_tgt, lexicon, config.syntactic_mode()
+    )
 
 
 def mono_of(lines) -> List[Sentence]:

@@ -197,12 +197,16 @@ class TestTargetSpan:
         assert target_span(alignment, 1, max_span=8) == TargetSpan(0, 7)
 
 
+def align_all(corpus, table):
+    return [viterbi_align(pair, table) for pair in corpus.pairs()]
+
+
 class TestTranslateRareWord:
     def test_composition(self):
         corpus = make_corpus(CLASSIC)
         table = train_ibm1(corpus, 20)
         rare = RareWord("house", 1, (0,))
-        tokens, reason = translate_rare_word(rare, corpus, table)
+        tokens, reason = translate_rare_word(rare, corpus, align_all(corpus, table))
         assert tokens == ("haus",)
         assert reason is None
 
@@ -212,7 +216,7 @@ class TestTranslateRareWord:
             t={"a": {"x": 0.1}, "b": {"x": 0.2}, NULL_TOKEN: {"x": 0.9}}
         )
         rare = RareWord("a", 1, (0,))
-        tokens, reason = translate_rare_word(rare, corpus, table)
+        tokens, reason = translate_rare_word(rare, corpus, align_all(corpus, table))
         assert tokens is None
         assert reason == "unaligned"
 
@@ -228,11 +232,13 @@ class TestTranslateRareWord:
             }
         )
         rare = RareWord("house", 2, (1, 0))
-        tokens, reason = translate_rare_word(rare, corpus, table)
+        tokens, reason = translate_rare_word(rare, corpus, align_all(corpus, table))
         assert tokens is None
         assert reason == "unaligned"
         # with only the second host it aligns fine
-        tokens2, reason2 = translate_rare_word(RareWord("house", 2, (1,)), corpus, table)
+        tokens2, reason2 = translate_rare_word(
+            RareWord("house", 2, (1,)), corpus, align_all(corpus, table)
+        )
         assert tokens2 == ("haus",)
         assert reason2 is None
 

@@ -21,6 +21,9 @@ from corpusaug.cli import (
     parse_config_file,
     resolve_config,
 )
+from corpusaug import pipeline
+from corpusaug.corpus_io import load_parallel_corpus
+from corpusaug.embeddings import WordIndex
 from corpusaug.pipeline import ConfigError
 
 
@@ -167,6 +170,40 @@ class TestPrepare:
         assert any("embeddings_src: building" in m for m in messages)
         assert sum("up to date" in m for m in messages) == 3
 
+    def test_stale_cache_entries_removed(self, toy, tmp_path, caplog):
+        cfg, out = prepare_run(toy, tmp_path)
+        cache = out / "cache"
+        fp_path = cache / "fingerprints.json"
+        stored = json.loads(fp_path.read_text())
+        stored["embeddings_tgt"] = dict(stored["embeddings_src"], output="embeddings.tgt.vec")
+        fp_path.write_text(json.dumps(stored))
+        for name in ("lm.src.tsv", "embeddings.tgt.vec"):
+            (cache / name).write_text("left by an older version\n")
+        (cache / "subdir").mkdir()
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("removing stale cache file" in m for m in messages) == 2
+        assert sum("up to date" in m for m in messages) == 4
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "aligner.tsv", "embeddings.src.vec", "fingerprints.json",
+            "lm.src.bin", "lm.tgt.bin", "subdir",
+        ]
+        artifacts = {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
+        assert set(json.loads(fp_path.read_text())) == artifacts
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["fingerprints"]) == artifacts
+
+    def test_workers_accepted_and_ignored(self, toy, tmp_path, caplog):
+        cfg, out = prepare_run(toy, tmp_path, workers=1)
+        with caplog.at_level(logging.WARNING, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        assert not any("no effect" in r.getMessage() for r in caplog.records)
+        with caplog.at_level(logging.WARNING, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg), "--workers", "4"]) == EXIT_OK
+        assert sum("workers = 4 has no effect" in r.getMessage() for r in caplog.records) == 1
+
 
 class TestAugment:
     def test_requires_fresh_cache(self, toy, tmp_path, capsys):
@@ -189,6 +226,28 @@ class TestAugment:
             assert rc == EXIT_STALE_CACHE
         finally:
             toy.src_corpus.write_text(original, encoding="utf-8")
+
+    def test_both_modes_align_and_index_once(self, toy, tmp_path, monkeypatch):
+        cfg, out = prepare_run(toy, tmp_path)
+        aligned, built = [], []
+        viterbi_align, build = pipeline.viterbi_align, WordIndex.build
+
+        def counting_align(pair, table):
+            aligned.append(pair[0].id)
+            return viterbi_align(pair, table)
+
+        def counting_build(cls, *args):
+            built.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr(pipeline, "viterbi_align", counting_align)
+        monkeypatch.setattr(WordIndex, "build", classmethod(counting_build))
+        assert main(
+            ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "wordSim_pos_morph"]
+        ) == EXIT_OK
+        corpus = load_parallel_corpus(toy.src_corpus, toy.tgt_corpus)
+        assert aligned == list(range(len(corpus)))
+        assert built == ["pos_morph"]
 
     def test_outputs_and_manifest_shape(self, toy, tmp_path):
         cfg, out = prepare_run(toy, tmp_path)
@@ -379,6 +438,33 @@ class TestCorruptCache:
         assert sum("up to date" in m for m in messages) == 3
         assert path.read_bytes() == original
         assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"aligner": ', b"[]", b'{"aligner": 3}', b"\xff\xfe"],
+    ids=["truncated", "not_an_object", "entry_not_an_object", "not_utf8"],
+)
+class TestCorruptFingerprints:
+    def test_prepare_rebuilds_every_artifact(self, toy, tmp_path, caplog, content):
+        cfg, out = prepare_run(toy, tmp_path)
+        fp_path = out / "cache" / "fingerprints.json"
+        fp_path.write_bytes(content)
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(str(fp_path) in m and "rebuilding every artifact" in m for m in messages)
+        assert sum(m.endswith(": building") for m in messages) == 4
+        assert set(json.loads(fp_path.read_text())) == {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+
+    def test_augment_exit_4_names_file(self, toy, tmp_path, capsys, content):
+        cfg, out = prepare_run(toy, tmp_path)
+        fp_path = out / "cache" / "fingerprints.json"
+        fp_path.write_bytes(content)
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_STALE_CACHE
+        err = capsys.readouterr().err
+        assert str(fp_path) in err
+        assert "Traceback" not in err
 
 
 class TestChildProcess:

@@ -22,14 +22,14 @@ from corpusaug.pipeline import (
     write_provenance,
 )
 
-from micro import corpus_of, ledger_fixture, mono_of
+from micro import corpus_of, inputs_of, ledger_fixture, mono_of
 
 
-def run_rare(fx, config, workers=1):
-    return augment_rare_words(
-        fx.corpus, fx.rare_words, fx.embeddings, fx.alignment,
-        fx.lm_src, fx.lm_tgt, fx.lexicon, config, workers,
+def run_rare(fx, config):
+    inputs = inputs_of(
+        fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config
     )
+    return augment_rare_words(inputs, fx.rare_words, config)
 
 
 class TestAugmentRareWords:
@@ -73,8 +73,8 @@ class TestAugmentRareWords:
         )
         config = AugmentationConfig(use_word_sim=True, use_pos=True, use_morph=True)
         accepted, rejected = augment_rare_words(
-            fx.corpus, fx.rare_words, fx.embeddings, fx.alignment,
-            fx.lm_src, fx.lm_tgt, lexicon, config,
+            inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, lexicon, config),
+            fx.rare_words, config,
         )
         assert accepted == []
         reasons = {r.base_sentence_id: r.reason for r in rejected}
@@ -110,9 +110,10 @@ class TestAugmentRareWords:
         lm_tgt = train_lm(
             mono_of(["das buch fiel", "das kassenbuch fiel", "der stift fiel"]), 1
         )
+        config = AugmentationConfig(use_word_sim=False)
         accepted, rejected = augment_rare_words(
-            corpus, fx.rare_words, fx.embeddings, train_ibm1(corpus, 10),
-            fx.lm_src, lm_tgt, fx.lexicon, AugmentationConfig(use_word_sim=False),
+            inputs_of(corpus, fx.embeddings, train_ibm1(corpus, 10), fx.lm_src, lm_tgt, fx.lexicon, config),
+            fx.rare_words, config,
         )
         assert [p.record.base_sentence_id for p in accepted] == [0]
         assert [(r.base_sentence_id, r.reason) for r in rejected] == [(1, "lm_tgt")]
@@ -136,8 +137,8 @@ class TestAugmentRareWords:
         )
         config = AugmentationConfig(use_pos=True)
         accepted, rejected = augment_rare_words(
-            fx.corpus, fx.rare_words, fx.embeddings, fx.alignment,
-            fx.lm_src, fx.lm_tgt, lexicon, config,
+            inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, lexicon, config),
+            fx.rare_words, config,
         )
         assert accepted == []
         assert [r.reason for r in rejected] == ["unannotated"]
@@ -154,9 +155,10 @@ class TestAugmentRareWords:
                 NULL_TOKEN: {"kassenbuch": 0.9, "das": 0.01, "fiel": 0.01},
             }
         )
+        config = AugmentationConfig()
         accepted, rejected = augment_rare_words(
-            fx.corpus, fx.rare_words, fx.embeddings, table,
-            fx.lm_src, fx.lm_tgt, fx.lexicon, AugmentationConfig(),
+            inputs_of(fx.corpus, fx.embeddings, table, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
+            fx.rare_words, config,
         )
         assert accepted == []
         assert [(r.reason, r.base_sentence_id) for r in rejected] == [("unaligned", 2)]
@@ -164,9 +166,10 @@ class TestAugmentRareWords:
     def test_missing_query_vector_is_coverage(self):
         fx = ledger_fixture()
         embeddings = EmbeddingTable(2, {"book": np.array([1.0, 0.0])})
+        config = AugmentationConfig()
         accepted, rejected = augment_rare_words(
-            fx.corpus, fx.rare_words, embeddings, fx.alignment,
-            fx.lm_src, fx.lm_tgt, fx.lexicon, AugmentationConfig(),
+            inputs_of(fx.corpus, embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
+            fx.rare_words, config,
         )
         assert accepted == []
         assert [r.reason for r in rejected] == ["coverage"]
@@ -186,14 +189,24 @@ class TestAugmentRareWords:
         considered = (accepted + [])[0].record if accepted else rejected[0]
         assert considered.sent_sim is not None
 
-    def test_worker_count_identical_output(self):
+    def test_inputs_indexed_for_another_mode_refused(self):
+        fx = ledger_fixture()
+        inputs = inputs_of(
+            fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon,
+            AugmentationConfig(),
+        )
+        with pytest.raises(ConfigError, match="syntactic mode"):
+            augment_rare_words(inputs, fx.rare_words, AugmentationConfig(use_pos=True))
+
+    def test_repeat_runs_identical_output(self):
         fx = ledger_fixture()
         config = AugmentationConfig(use_word_sim=False)
-        a1, r1 = run_rare(fx, config, workers=1)
-        a4, r4 = run_rare(fx, config, workers=4)
-        assert [p.record for p in a1] == [p.record for p in a4]
-        assert r1 == r4
-        assert [p.source_tokens for p in a1] == [p.source_tokens for p in a4]
+        a1, r1 = run_rare(fx, config)
+        a2, r2 = run_rare(fx, config)
+        assert [p.record for p in a1] == [p.record for p in a2]
+        assert r1 == r2
+        assert [p.source_tokens for p in a1] == [p.source_tokens for p in a2]
+        assert [p.target_tokens for p in a1] == [p.target_tokens for p in a2]
 
 
 def dict_fixture():
@@ -244,7 +257,7 @@ class TestAugmentDictionary:
         corpus, entries, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         config = AugmentationConfig(use_word_sim=True, use_pos=True)
         accepted, rejected = augment_dictionary(
-            corpus, entries, emb, table, lm_src, lm_tgt, lex, config
+            inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert len(accepted) == 1
         pair = accepted[0]
@@ -259,8 +272,9 @@ class TestAugmentDictionary:
     def test_term_embedding_coverage_required(self):
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("unknowntok", "report"), ("x",))]
+        config = AugmentationConfig()
         accepted, rejected = augment_dictionary(
-            corpus, entries, emb, table, lm_src, lm_tgt, lex, AugmentationConfig()
+            inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert accepted == []
         assert [r.reason for r in rejected] == ["coverage"]
@@ -268,8 +282,9 @@ class TestAugmentDictionary:
     def test_scope_oov_only_skips_in_vocabulary_terms(self):
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("statement",), ("erklaerung",))]
+        config = AugmentationConfig()
         accepted, rejected = augment_dictionary(
-            corpus, entries, emb, table, lm_src, lm_tgt, lex, AugmentationConfig()
+            inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert accepted == []
         assert [r.reason for r in rejected] == ["in_vocabulary"]
@@ -277,9 +292,10 @@ class TestAugmentDictionary:
     def test_scope_all_processes_in_vocabulary_terms(self):
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("statement",), ("erklaerung",))]
+        config = AugmentationConfig()
         accepted, rejected = augment_dictionary(
-            corpus, entries, emb, table, lm_src, lm_tgt, lex,
-            AugmentationConfig(), scope="all",
+            inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config,
+            scope="all",
         )
         # own token is excluded from candidate positions, so the statement
         # sentence offers nothing similar enough
@@ -291,14 +307,14 @@ class TestAugmentDictionary:
         config = AugmentationConfig(use_sent_sim=True)
         with pytest.raises(ConfigError, match="sentence-similarity"):
             augment_dictionary(
-                corpus, entries, emb, table, lm_src, lm_tgt, lex, config
+                inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
             )
 
     def test_all_sentences_are_candidates(self):
         corpus, entries, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         config = AugmentationConfig(use_word_sim=False)
         accepted, rejected = augment_dictionary(
-            corpus, entries, emb, table, lm_src, lm_tgt, lex, config
+            inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         touched = {p.record.base_sentence_id for p in accepted}
         touched.update(r.base_sentence_id for r in rejected)

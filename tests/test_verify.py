@@ -6,15 +6,15 @@ from corpusaug.cli import EXIT_INPUT, EXIT_OK, main
 from corpusaug.pipeline import AugmentationConfig, augment_rare_words
 from corpusaug.verify import verify_records
 
-from micro import ledger_fixture
+from micro import inputs_of, ledger_fixture
 
 
 def run(config=None):
     fx = ledger_fixture()
     config = config or AugmentationConfig(use_word_sim=True, use_pos=True, use_morph=True)
     accepted, rejected = augment_rare_words(
-        fx.corpus, fx.rare_words, fx.embeddings, fx.alignment,
-        fx.lm_src, fx.lm_tgt, fx.lexicon, config,
+        inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
+        fx.rare_words, config,
     )
     records = [p.record for p in accepted] + list(rejected)
     return fx, config, records
