@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,18 +90,6 @@ ABLATION_PRESETS: Dict[str, Dict[str, bool]] = {
     "wordSim_sentSim_pos_morph": dict(use_sent_sim=True, use_word_sim=True, use_pos=True, use_morph=True),
 }
 
-_PATH_KEYS = (
-    "src_corpus",
-    "tgt_corpus",
-    "mono_src",
-    "mono_tgt",
-    "embeddings_src",
-    "embeddings_tgt",
-    "annotations_src",
-    "dictionary",
-)
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs: input paths, training knobs, gate config."""
@@ -129,15 +117,10 @@ class RunConfig:
         Execution-only knobs (out_dir, workers, log_level) are excluded so
         that equal resolved configs imply byte-identical outputs.
         """
-        out: Dict[str, object] = {}
-        for key in _PATH_KEYS:
-            out[key] = getattr(self, key)
-        out["em_iterations"] = self.em_iterations
-        out["lm_min_count"] = self.lm_min_count
-        out["lm_discount"] = self.lm_discount
-        out["dict_scope"] = self.dict_scope
-        for f in fields(self.augmentation):
-            out[f.name] = getattr(self.augmentation, f.name)
+        out: Dict[str, object] = asdict(self)
+        out.update(out.pop("augmentation"))
+        for key in ("out_dir", "workers", "log_level"):
+            del out[key]
         return out
 
     def validate(self) -> None:
@@ -165,6 +148,10 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"not a boolean: {value!r}")
 
 
+# Field annotations are strings (postponed evaluation); other types stay text.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+
 def parse_config_file(path: str | Path) -> Dict[str, str]:
     """Read a flat ``key = value`` file; ``#`` starts a comment."""
     p = Path(path)
@@ -189,29 +176,20 @@ def resolve_config(
     merged = dict(file_values)
     merged.update(overrides or {})
     config = RunConfig()
-    aug_fields = {f.name: f for f in fields(AugmentationConfig)}
-    run_fields = {f.name: f for f in fields(RunConfig) if f.name != "augmentation"}
+    aug_fields = {f.name: f.type for f in fields(AugmentationConfig)}
+    run_fields = {f.name: f.type for f in fields(RunConfig) if f.name != "augmentation"}
     for key, raw in merged.items():
         if key in aug_fields:
-            target, name = config.augmentation, key
-            ftype = aug_fields[key].type
+            target, ftype = config.augmentation, aug_fields[key]
         elif key in run_fields:
-            target, name = config, key
-            ftype = run_fields[key].type
+            target, ftype = config, run_fields[key]
         else:
             raise ConfigError(f"unknown config key: {key!r}")
         try:
-            if ftype in ("int", int):
-                value: object = int(raw)
-            elif ftype in ("float", float):
-                value = float(raw)
-            elif ftype in ("bool", bool):
-                value = _parse_bool(raw)
-            else:
-                value = raw
+            value = _PARSERS.get(ftype, str)(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {ftype}") from exc
-        setattr(target, name, value)
+        setattr(target, key, value)
     config.validate()
     return config
 
@@ -392,19 +370,19 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     if mode not in (MODE_RARE, MODE_DICT, MODE_BOTH):
         raise ConfigError(f"unknown augment mode: {mode!r}")
     aug = config.augmentation
-    aug.validate(dict_mode=mode in (MODE_DICT, MODE_BOTH))
+    dict_mode = mode in (MODE_DICT, MODE_BOTH)
+    aug.validate(dict_mode=dict_mode)
+    if dict_mode and not config.dictionary:
+        raise ConfigError("dictionary path required for dictionary augmentation")
     cache_dir = _check_cache(config)
 
     corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
+    dictionary = load_dictionary(config.dictionary) if dict_mode else None
     embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
     alignment_table = load_translation_table(cache_dir / ALIGNER_FILE)
     lm_src = load_lm(cache_dir / LM_SRC_FILE)
     lm_tgt = load_lm(cache_dir / LM_TGT_FILE)
-    lexicon = (
-        agreement.load_annotations(config.annotations_src)
-        if config.annotations_src
-        else None
-    )
+    lexicon = agreement.load_annotations(config.annotations_src) if config.annotations_src else None
 
     inputs = pipeline.RunInputs.build(
         corpus, embeddings, alignment_table, lm_src, lm_tgt, lexicon, aug.syntactic_mode()
@@ -412,18 +390,12 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.ReplacementRecord]]] = {}
     if mode in (MODE_RARE, MODE_BOTH):
         vocab = build_vocabulary(corpus.source)
-        validity = RareWordValidityConfig(
-            embedding_vocab=embeddings,
-            annotation_vocab=lexicon if lexicon is not None else None,
-        )
+        validity = RareWordValidityConfig(embedding_vocab=embeddings, annotation_vocab=lexicon)
         rare_words = extract_rare_words(vocab, corpus.source, aug.t_r, validity)
         log.info("extracted %d rare word(s) at threshold %d", len(rare_words), aug.t_r)
         runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
 
-    if mode in (MODE_DICT, MODE_BOTH):
-        if not config.dictionary:
-            raise ConfigError("dictionary path required for dictionary augmentation")
-        dictionary = load_dictionary(config.dictionary)
+    if dictionary is not None:
         runs[pipeline.ITEM_DICTIONARY] = augment_dictionary(
             inputs, dictionary, aug, config.dict_scope
         )
@@ -483,32 +455,30 @@ def cmd_verify(run_dir: str | Path) -> int:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         resolved = manifest["resolved_config"]
-        src_corpus, tgt_corpus = resolved["src_corpus"], resolved["tgt_corpus"]
+        # The settings augment ran with go through augment's own parser.
+        values = {key: resolved[key] for key in RunConfig().resolved()}
+        mode = manifest["mode"]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{manifest_path}: not valid JSON ({exc})") from exc
     except KeyError as exc:
         raise ConfigError(f"{manifest_path}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{manifest_path}: not a JSON object of run settings") from exc
+    try:
+        config = resolve_config({key: str(value) for key, value in values.items()})
+        config.augmentation.validate(dict_mode=mode in (MODE_DICT, MODE_BOTH))
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from exc
 
-    aug = AugmentationConfig(
-        **{
-            f.name: resolved[f.name]
-            for f in fields(AugmentationConfig)
-            if f.name in resolved
-        }
-    )
-    corpus = load_parallel_corpus(src_corpus, tgt_corpus)
+    corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
     cache_dir = run_path / "cache"
     embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
     lm_src = load_lm(cache_dir / LM_SRC_FILE)
     lm_tgt = load_lm(cache_dir / LM_TGT_FILE)
-    lexicon = (
-        agreement.load_annotations(resolved["annotations_src"])
-        if resolved.get("annotations_src")
-        else None
-    )
+    lexicon = agreement.load_annotations(config.annotations_src) if config.annotations_src else None
     records = read_provenance(run_path / "provenance.jsonl")
     violations = verify_records(
-        records, corpus, embeddings, lexicon, lm_src, lm_tgt, aug
+        records, corpus, embeddings, lexicon, lm_src, lm_tgt, config.augmentation
     )
     accepted = sum(1 for r in records if r.accepted)
     if violations:

@@ -311,13 +311,13 @@ class ContextWindow:
         padded = (BOS, BOS) + tuple(tokens) + (EOS, EOS)
         return cls(padded, start + 2, end + 2)
 
-    def trigram_positions(self) -> List[int]:
-        """Indices of every padded trigram whose 3-token window overlaps the span."""
-        return [
-            i
-            for i in range(len(self.padded) - 2)
-            if i <= self.span_end and i + 2 >= self.span_start
-        ]
+    def trigram_positions(self) -> range:
+        """Indices of every padded trigram whose 3-token window overlaps the span.
+
+        The two pads on each side keep ``span_start - 2`` and ``span_end``
+        inside the padded sentence's trigram indices.
+        """
+        return range(self.span_start - 2, self.span_end + 1)
 
     def trigrams(self) -> List[Tuple[str, str, str]]:
         return [

@@ -10,6 +10,10 @@ Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
 with the Viterbi alignment of every pair and the word index built once;
 ``augment_rare_words`` and ``augment_dictionary`` only turn their items into
 ``_Item``s, and ``_run_items`` runs the gate loop over them in item order.
+``verify`` shares this module's definition of a replacement: an item inserts
+its own surface, ``query_vector`` and ``annotation_token`` derive the rest
+from it, and ``synthetic_window`` gives the spliced sentence and the span
+the LM gate scores.
 
 The in-sentence word is searched once per item over all its candidates: one
 matvec over the eligible corpus types pre-ranks every position, each
@@ -41,6 +45,7 @@ from .aligner import (
     viterbi_align,
 )
 from .corpus_io import (
+    CorpusFormatError,
     DictionaryEntry,
     ParallelCorpus,
     RareWord,
@@ -56,7 +61,7 @@ from .embeddings import (
     term_embedding,
     top_k_sentences,
 )
-from .lm import TrigramModel, lm_ratio_accept
+from .lm import Span, TrigramModel, lm_ratio_accept
 
 log = logging.getLogger(__name__)
 
@@ -210,11 +215,33 @@ class SyntheticPair:
     record: ReplacementRecord
 
 
-def _splice(tokens: Tuple[str, ...], span: Tuple[int, int], insert: Tuple[str, ...]) -> Tuple[str, ...]:
+def query_vector(surface: Sequence[str], embeddings: EmbeddingTable) -> Optional[np.ndarray]:
+    """The item's query vector: the mean of its token vectors, or None when
+    some token has no vector. A one-token surface gets its token's own
+    vector, which is what the one-row mean gives, without the numpy calls."""
+    if len(surface) == 1:
+        return embeddings.get(surface[0])
+    term = term_embedding(surface, embeddings)
+    return term.vector if term.covered_tokens == len(surface) else None
+
+
+def annotation_token(surface: Sequence[str]) -> str:
+    """The token that stands in for the item in the syntactic gate: its head,
+    the last token under the head-final convention."""
+    return surface[-1]
+
+
+def synthetic_window(tokens: Tuple[str, ...], span: Span,
+                     insert: Sequence[str]) -> Tuple[Tuple[str, ...], Span]:
+    """``tokens`` with ``span`` replaced by ``insert``, and the span the
+    insertion covers in the result (both inclusive)."""
     start, end = span
     if not (0 <= start <= end < len(tokens)):
         raise ValueError(f"span {span} out of range for {len(tokens)} tokens")
-    return tokens[:start] + tuple(insert) + tokens[end + 1 :]
+    if not insert:
+        raise ValueError("insertion must be non-empty")
+    insert = tuple(insert)
+    return tokens[:start] + insert + tokens[end + 1 :], (start, start + len(insert) - 1)
 
 
 def apply_replacement(
@@ -240,23 +267,20 @@ def apply_replacement(
         target_inserted=tuple(tgt_insert),
     )
     return SyntheticPair(
-        source_tokens=_splice(source_sentence.tokens, src_span, tuple(src_insert)),
-        target_tokens=_splice(target_sentence.tokens, tgt_span, tuple(tgt_insert)),
+        source_tokens=synthetic_window(source_sentence.tokens, src_span, src_insert)[0],
+        target_tokens=synthetic_window(target_sentence.tokens, tgt_span, tgt_insert)[0],
         record=record,
     )
 
 
 @dataclass(frozen=True)
 class _Item:
-    """One resolved augmentation item, ready for candidate processing."""
+    """One resolved augmentation item; its ``surface`` is the source-side insertion."""
 
     kind: str
     surface: Tuple[str, ...]
     query_vec: np.ndarray
-    source_insert: Tuple[str, ...]
     target_insert: Tuple[str, ...]
-    annotation_token: str
-    identity_token: Optional[str]
     candidates: Tuple[Tuple[int, Optional[float]], ...]
 
 
@@ -303,14 +327,15 @@ def _process_item(
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
     mode = config.syntactic_mode()
     corpus, lexicon = inputs.corpus, inputs.lexicon
-    item_annotation = lexicon.get(item.annotation_token) if lexicon is not None else None
+    item_annotation = lexicon.get(annotation_token(item.surface)) if lexicon is not None else None
     pairs: List[SyntheticPair] = []
     records: List[ReplacementRecord] = []
     best_words = best_word_in_sentence(
         inputs.word_index,
         item.query_vec,
         [candidate_id for candidate_id, _ in item.candidates],
-        item.identity_token,
+        # A one-token item never replaces its own token.
+        item.surface[0] if len(item.surface) == 1 else None,
     )
 
     for (candidate_id, sent_sim), best in zip(item.candidates, best_words):
@@ -363,21 +388,14 @@ def _process_item(
             record.reason = REASON_SPAN_TOO_LONG
             continue
         record.target_span = (span.start, span.end)
-
-        synthetic = apply_replacement(
-            (source_sentence, target_sentence),
-            (position, position),
-            item.source_insert,
-            (span.start, span.end),
-            item.target_insert,
-        )
-        record.source_inserted = item.source_insert
+        record.source_inserted = item.surface
         record.target_inserted = item.target_insert
+        source_window = synthetic_window(source_sentence.tokens, record.source_span, item.surface)
 
         src_ok, src_ratio = lm_ratio_accept(
             inputs.lm_src,
-            (source_sentence.tokens, (position, position)),
-            (synthetic.source_tokens, (position, position + len(item.source_insert) - 1)),
+            (source_sentence.tokens, record.source_span),
+            source_window,
             config.lm_threshold,
         )
         record.lm_ratio_src = src_ratio
@@ -385,10 +403,13 @@ def _process_item(
             record.reason = REASON_LM_SRC
             continue
 
+        target_window = synthetic_window(
+            target_sentence.tokens, record.target_span, item.target_insert
+        )
         tgt_ok, tgt_ratio = lm_ratio_accept(
             inputs.lm_tgt,
-            (target_sentence.tokens, (span.start, span.end)),
-            (synthetic.target_tokens, (span.start, span.start + len(item.target_insert) - 1)),
+            (target_sentence.tokens, record.target_span),
+            target_window,
             config.lm_threshold,
         )
         record.lm_ratio_tgt = tgt_ratio
@@ -397,8 +418,7 @@ def _process_item(
             continue
 
         record.accepted = True
-        synthetic.record = record
-        pairs.append(synthetic)
+        pairs.append(SyntheticPair(source_window[0], target_window[0], record))
 
     return pairs, records
 
@@ -428,7 +448,7 @@ def _run_items(
         if isinstance(entry, ReplacementRecord):
             rejected.append(entry)
         elif mode != agreement.MODE_OFF and (
-            lexicon is None or entry.annotation_token not in lexicon
+            lexicon is None or annotation_token(entry.surface) not in lexicon
         ):
             rejected.append(
                 ReplacementRecord(entry.kind, entry.surface, reason=REASON_UNANNOTATED)
@@ -464,7 +484,7 @@ def augment_rare_words(
         host_id = min(rare.host_sentence_ids)
         if translation is None:
             return ReplacementRecord(ITEM_RARE_WORD, surface, host_id, reason=reason)
-        query_vec = embeddings.get(rare.surface)
+        query_vec = query_vector(surface, embeddings)
         if query_vec is None:
             return ReplacementRecord(ITEM_RARE_WORD, surface, reason=REASON_COVERAGE)
         hosts = set(rare.host_sentence_ids)
@@ -474,16 +494,7 @@ def augment_rare_words(
             candidates = tuple((hit.sentence_id, hit.score) for hit in hits)
         else:
             candidates = _all_candidates(len(corpus), hosts)
-        return _Item(
-            kind=ITEM_RARE_WORD,
-            surface=surface,
-            query_vec=query_vec,
-            source_insert=surface,
-            target_insert=translation,
-            annotation_token=rare.surface,
-            identity_token=rare.surface,
-            candidates=candidates,
-        )
+        return _Item(ITEM_RARE_WORD, surface, query_vec, translation, candidates)
 
     resolved = [resolve(rare) for rare in sorted(rare_words, key=lambda r: r.surface)]
     return _run_items(resolved, inputs, config)
@@ -514,21 +525,10 @@ def augment_dictionary(
         surface = entry.source_term
         if scope == SCOPE_OOV_ONLY and all(token in vocab for token in surface):
             return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_IN_VOCABULARY)
-        term_vector = term_embedding(surface, inputs.embeddings)
-        if term_vector.covered_tokens < len(surface):
+        query_vec = query_vector(surface, inputs.embeddings)
+        if query_vec is None:
             return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_COVERAGE)
-        return _Item(
-            kind=ITEM_DICTIONARY,
-            surface=surface,
-            query_vec=term_vector.vector,
-            source_insert=surface,
-            target_insert=entry.target_term,
-            # The term's head token (last token, head-final convention)
-            # stands in for the whole term in the syntactic gate.
-            annotation_token=surface[-1],
-            identity_token=surface[0] if len(surface) == 1 else None,
-            candidates=all_candidates,
-        )
+        return _Item(ITEM_DICTIONARY, surface, query_vec, entry.target_term, all_candidates)
 
     return _run_items([resolve(entry) for entry in dictionary], inputs, config)
 
@@ -608,12 +608,22 @@ def write_provenance(
 
 
 def read_provenance(path: str | Path) -> List[ReplacementRecord]:
+    """Records in file order; CorpusFormatError naming ``<path>:<line>`` for a
+    line that is not a JSON object of record fields, or naming ``<path>`` for
+    bytes that are not UTF-8."""
     records: List[ReplacementRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(ReplacementRecord.from_dict(json.loads(line)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(ReplacementRecord.from_dict(json.loads(line)))
+                except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                    raise CorpusFormatError(f"{path}:{lineno}: not a record ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 ({exc})") from exc
     return records
 
 

@@ -1,31 +1,35 @@
-"""Independent re-verification of accepted augmentation records.
+"""Re-verification of accepted augmentation records.
 
-This walks the provenance file with fresh resource lookups, recomputing
-each enabled gate from scratch: the similarity score from the embedding
-table, the agreement verdict from the annotation lexicon, and both
-language-model ratios from rebuilt synthetic sentences. Recorded values
-must match the recomputation and satisfy their thresholds.
+This walks the provenance file and recomputes each enabled gate from the
+run's resources with the pipeline's own definitions of a replacement: the
+item's query vector and annotation token (``pipeline.query_vector``,
+``pipeline.annotation_token``) and the spliced sentence with the span it
+scores (``pipeline.synthetic_window``). The similarity score comes from the
+embedding table, the agreement verdict from the annotation lexicon, and both
+language-model ratios from ``lm.lm_ratio_accept``. Recorded values must match
+the recomputation and satisfy their thresholds. A record whose fields do not
+have the shape the pipeline writes is a violation, not an error.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from . import agreement
 from .agreement import AnnotatedLexicon
 from .corpus_io import ParallelCorpus
-from .embeddings import EmbeddingTable, cosine, term_embedding
-from .lm import TrigramModel, window_score
+from .embeddings import EmbeddingTable, cosine
+from .lm import TrigramModel, lm_ratio_accept
 from .pipeline import (
     ITEM_DICTIONARY,
     ITEM_RARE_WORD,
     AugmentationConfig,
     ReplacementRecord,
+    annotation_token,
+    query_vector,
+    synthetic_window,
 )
-
-log = logging.getLogger(__name__)
 
 SCORE_TOLERANCE = 1e-9
 
@@ -40,8 +44,29 @@ class Violation:
         return f"record {self.record_index}: {self.field}: {self.detail}"
 
 
-def _splice(tokens, span, insert):
-    return tokens[: span[0]] + tuple(insert) + tokens[span[1] + 1 :]
+def _is_span(value: object) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and all(type(i) is int for i in value)
+
+
+def _is_tokens(value: object) -> bool:
+    return isinstance(value, tuple) and len(value) > 0 and all(isinstance(t, str) for t in value)
+
+
+def _is_score(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The shape the pipeline writes, per field an accepted record must carry.
+_EVIDENCE = (
+    ("item_surface", _is_tokens),
+    ("source_span", _is_span),
+    ("source_inserted", _is_tokens),
+    ("target_span", _is_span),
+    ("target_inserted", _is_tokens),
+    ("word_sim", _is_score),
+    ("lm_ratio_src", _is_score),
+    ("lm_ratio_tgt", _is_score),
+)
 
 
 def verify_records(
@@ -63,32 +88,31 @@ def verify_records(
     def bad(index: int, field: str, detail: str) -> None:
         violations.append(Violation(index, field, detail))
 
+    def check_score(index: int, field: str, recorded: float, recomputed: float) -> None:
+        if abs(recomputed - recorded) > SCORE_TOLERANCE:
+            bad(index, field, f"recorded {recorded!r} != recomputed {recomputed!r}")
+
+    mode = config.syntactic_mode()
     for index, record in enumerate(records):
         if not record.accepted:
             continue
         if record.item_kind not in (ITEM_RARE_WORD, ITEM_DICTIONARY):
             bad(index, "item_kind", f"unknown kind {record.item_kind!r}")
             continue
-        if (
-            record.base_sentence_id is None
-            or not 0 <= record.base_sentence_id < len(corpus)
-        ):
-            bad(index, "base_sentence_id", f"out of range: {record.base_sentence_id}")
+        sentence_id = record.base_sentence_id
+        if type(sentence_id) is not int or not 0 <= sentence_id < len(corpus):
+            bad(index, "base_sentence_id", f"out of range: {sentence_id}")
             continue
-        if None in (
-            record.source_span,
-            record.source_inserted,
-            record.target_span,
-            record.target_inserted,
-            record.word_sim,
-            record.lm_ratio_src,
-            record.lm_ratio_tgt,
-        ):
+        malformed = [name for name, shaped in _EVIDENCE if not shaped(getattr(record, name))]
+        if any(getattr(record, name) is None for name in malformed):
             bad(index, "fields", "accepted record with missing gate evidence")
             continue
+        for name in malformed:
+            bad(index, name, f"malformed: {getattr(record, name)!r}")
+        if malformed:
+            continue
 
-        source = corpus.source[record.base_sentence_id]
-        target = corpus.target[record.base_sentence_id]
+        source, target = corpus.source[sentence_id], corpus.target[sentence_id]
         s_start, s_end = record.source_span
         t_start, t_end = record.target_span
         if not (0 <= s_start <= s_end < len(source.tokens)):
@@ -99,37 +123,20 @@ def verify_records(
             continue
 
         # Word-similarity gate: recompute the cosine from the raw resources.
-        if record.item_kind == ITEM_RARE_WORD:
-            query_vec = embeddings.get(record.item_surface[0])
-        else:
-            query_vec = term_embedding(record.item_surface, embeddings).vector
+        query_vec = query_vector(record.item_surface, embeddings)
         candidate_token = source.tokens[s_start]
         candidate_vec = embeddings.get(candidate_token)
         if query_vec is None or candidate_vec is None:
             bad(index, "word_sim", "embedding missing for recomputation")
             continue
         recomputed_sim = cosine(query_vec, candidate_vec)
-        if abs(recomputed_sim - record.word_sim) > SCORE_TOLERANCE:
-            bad(
-                index,
-                "word_sim",
-                f"recorded {record.word_sim!r} != recomputed {recomputed_sim!r}",
-            )
+        check_score(index, "word_sim", record.word_sim, recomputed_sim)
         if config.use_word_sim and recomputed_sim < config.word_sim_min:
-            bad(
-                index,
-                "word_sim",
-                f"{recomputed_sim!r} below threshold {config.word_sim_min!r}",
-            )
+            bad(index, "word_sim", f"{recomputed_sim!r} below threshold {config.word_sim_min!r}")
 
         # Syntactic gate.
-        mode = config.syntactic_mode()
         if mode != agreement.MODE_OFF:
-            item_token = (
-                record.item_surface[0]
-                if record.item_kind == ITEM_RARE_WORD
-                else record.item_surface[-1]
-            )
+            item_token = annotation_token(record.item_surface)
             item_annotation = lexicon.get(item_token) if lexicon else None
             candidate_annotation = lexicon.get(candidate_token) if lexicon else None
             if item_annotation is None or candidate_annotation is None:
@@ -139,39 +146,17 @@ def verify_records(
             ):
                 bad(index, "syntactic", "agreement check fails on recomputation")
 
-        # Language-model gates: rebuild the synthetic sides and re-score.
-        synthetic_src = _splice(source.tokens, record.source_span, record.source_inserted)
-        synthetic_tgt = _splice(target.tokens, record.target_span, record.target_inserted)
-        src_original = window_score(lm_src, source.tokens, record.source_span)
-        src_synthetic = window_score(
-            lm_src,
-            synthetic_src,
-            (s_start, s_start + len(record.source_inserted) - 1),
-        )
-        ratio_src = src_synthetic / src_original
-        if abs(ratio_src - record.lm_ratio_src) > SCORE_TOLERANCE:
-            bad(
-                index,
-                "lm_ratio_src",
-                f"recorded {record.lm_ratio_src!r} != recomputed {ratio_src!r}",
-            )
-        if ratio_src < config.lm_threshold:
-            bad(index, "lm_ratio_src", f"{ratio_src!r} below threshold {config.lm_threshold!r}")
-
-        tgt_original = window_score(lm_tgt, target.tokens, record.target_span)
-        tgt_synthetic = window_score(
-            lm_tgt,
-            synthetic_tgt,
-            (t_start, t_start + len(record.target_inserted) - 1),
-        )
-        ratio_tgt = tgt_synthetic / tgt_original
-        if abs(ratio_tgt - record.lm_ratio_tgt) > SCORE_TOLERANCE:
-            bad(
-                index,
-                "lm_ratio_tgt",
-                f"recorded {record.lm_ratio_tgt!r} != recomputed {ratio_tgt!r}",
-            )
-        if ratio_tgt < config.lm_threshold:
-            bad(index, "lm_ratio_tgt", f"{ratio_tgt!r} below threshold {config.lm_threshold!r}")
+        # Language-model gates: rebuild each synthetic side and re-score it.
+        for field, model, tokens, span, inserted, recorded in (
+            ("lm_ratio_src", lm_src, source.tokens, record.source_span,
+             record.source_inserted, record.lm_ratio_src),
+            ("lm_ratio_tgt", lm_tgt, target.tokens, record.target_span,
+             record.target_inserted, record.lm_ratio_tgt),
+        ):
+            synthetic = synthetic_window(tokens, span, inserted)
+            ok, ratio = lm_ratio_accept(model, (tokens, span), synthetic, config.lm_threshold)
+            check_score(index, field, recorded, ratio)
+            if not ok:
+                bad(index, field, f"{ratio!r} below threshold {config.lm_threshold!r}")
 
     return violations

@@ -352,6 +352,18 @@ class TestAugment:
         assert f"aligner.tsv:{lineno}:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dictionary", ["", "missing.tsv"])
+    def test_bad_dictionary_exits_before_rare_pass(self, toy, tmp_path, monkeypatch, dictionary):
+        from corpusaug import cli
+
+        cfg, out = prepare_run(toy, tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "augment_rare_words", lambda *args: calls.append(args))
+        argv = ["augment", "--config", str(cfg), "--mode", "both"]
+        path = str(tmp_path / dictionary) if dictionary else ""
+        assert main(argv + ["--set", f"dictionary={path}"]) == EXIT_INPUT
+        assert calls == []
+
     def test_dict_mode_refuses_sentence_similarity(self, toy, tmp_path, capsys):
         cfg, out = prepare_run(toy, tmp_path, use_sent_sim="true")
         rc = main(["augment", "--config", str(cfg), "--mode", "dict"])

@@ -155,13 +155,17 @@ class TestWindowScore:
         assert len(window.trigram_positions()) == 4
 
     def test_window_positions_are_exactly_overlaps(self):
-        tokens = tuple("abcdefg")
-        for start in range(len(tokens)):
-            for end in range(start, len(tokens)):
-                window = ContextWindow.build(tokens, (start, end))
-                for i in range(len(window.padded) - 2):
-                    overlaps = i <= window.span_end and i + 2 >= window.span_start
-                    assert (i in window.trigram_positions()) == overlaps
+        for n in range(1, 15):
+            tokens = tuple(f"t{i}" for i in range(n))
+            for start in range(n):
+                for end in range(start, n):
+                    window = ContextWindow.build(tokens, (start, end))
+                    overlaps = [
+                        i
+                        for i in range(len(window.padded) - 2)
+                        if i <= window.span_end and i + 2 >= window.span_start
+                    ]
+                    assert list(window.trigram_positions()) == overlaps
 
     def test_disjoint_spans_score_differently_shaped_sets(self):
         window_a = ContextWindow.build(tuple("abcdef"), (1, 1))

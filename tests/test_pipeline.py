@@ -17,8 +17,10 @@ from corpusaug.pipeline import (
     augment_dictionary,
     augment_rare_words,
     merge_and_dedup,
+    query_vector,
     read_provenance,
     rejection_counts,
+    synthetic_window,
     write_provenance,
 )
 
@@ -364,6 +366,35 @@ class TestApplyReplacement:
             out = pair.source_tokens
             restored = out[:start] + tokens[start : end + 1] + out[start + len(insert):]
             assert restored == tokens
+
+
+class TestReplacementDefinitions:
+    def table(self):
+        return EmbeddingTable(
+            2, {"a": np.array([0.1, 0.7]), "b": np.array([0.3, -0.2])}
+        )
+
+    def test_one_token_query_vector_is_the_token_vector(self):
+        table = self.table()
+        assert query_vector(("a",), table).tobytes() == table.get("a").tobytes()
+
+    def test_term_query_vector_is_the_mean(self):
+        assert np.allclose(query_vector(("a", "b"), self.table()), [0.2, 0.25])
+
+    def test_uncovered_token_has_no_query_vector(self):
+        assert query_vector(("a", "zz"), self.table()) is None
+        assert query_vector(("zz",), self.table()) is None
+
+    def test_synthetic_window_covers_the_insertion(self):
+        tokens, span = synthetic_window(("a", "b", "c"), (1, 1), ("p", "q"))
+        assert tokens == ("a", "p", "q", "c")
+        assert span == (1, 2)
+        tokens, span = synthetic_window(("a", "b", "c"), (0, 2), ("x",))
+        assert (tokens, span) == (("x",), (0, 0))
+
+    def test_synthetic_window_refuses_empty_insertion(self):
+        with pytest.raises(ValueError):
+            synthetic_window(("a", "b"), (0, 0), ())
 
 
 class TestMergeAndDedup:

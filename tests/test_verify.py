@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from corpusaug.cli import EXIT_INPUT, EXIT_OK, main
+from corpusaug import pipeline, verify as verify_module
+from corpusaug.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from corpusaug.pipeline import AugmentationConfig, augment_rare_words
 from corpusaug.verify import verify_records
 
@@ -77,17 +78,43 @@ class TestVerifyRecords:
         fx, config, _ = run()
         assert verify(fx, config, []) == []
 
+    def test_lm_gates_use_verifys_own_import(self, monkeypatch):
+        # The traced benchmark counts pipeline.lm_ratio_accept as LM-gate
+        # work; verify's re-scoring must not show up there.
+        fx, config, records = run()
+        calls = {"pipeline": 0, "verify": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "lm_ratio_accept", counting("pipeline", pipeline.lm_ratio_accept))
+        monkeypatch.setattr(
+            verify_module, "lm_ratio_accept", counting("verify", verify_module.lm_ratio_accept)
+        )
+        assert verify(fx, config, records) == []
+        assert calls == {"pipeline": 0, "verify": 2 * sum(r.accepted for r in records)}
+
+
+def finished_run(toy, tmp_path, mode):
+    out = tmp_path / "run"
+    cfg = toy.write_config(tmp_path / "run.cfg", out)
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    assert main(["augment", "--config", str(cfg), "--mode", mode]) == EXIT_OK
+    return out
+
+
+DELETE = object()
+
 
 class TestVerifyBadManifest:
     """A damaged manifest is an input error (exit 2), not a traceback."""
 
     @pytest.fixture
     def run_dir(self, toy, tmp_path):
-        out = tmp_path / "run"
-        cfg = toy.write_config(tmp_path / "run.cfg", out)
-        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
-        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
-        return out
+        return finished_run(toy, tmp_path, "rare")
 
     def test_missing_src_corpus_exit_2(self, run_dir, capsys):
         path = run_dir / "manifest.json"
@@ -107,3 +134,73 @@ class TestVerifyBadManifest:
         err = capsys.readouterr().err
         assert "not valid JSON" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("word_sim_min", "abc"), ("lm_threshold", 0), ("max_span", DELETE)],
+        ids=["unparseable", "out_of_range", "missing"],
+    )
+    def test_bad_setting_exit_2(self, run_dir, capsys, key, value):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if value is DELETE:
+            del manifest["resolved_config"][key]
+        else:
+            manifest["resolved_config"][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+
+class TestVerifyBadProvenance:
+    """An unreadable line is an input error (exit 2) naming ``<path>:<line>``;
+    an accepted record of the wrong shape is a violation (exit 5)."""
+
+    @pytest.fixture
+    def run_dir(self, toy, tmp_path):
+        return finished_run(toy, tmp_path, "both")
+
+    def edit_line(self, run_dir, edit):
+        """Replace the first accepted record's line by ``edit(record)``; its line number."""
+        path = run_dir / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["accepted"])
+        lines[index] = edit(json.loads(lines[index]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return index + 1
+
+    def test_unparseable_line_exit_2(self, run_dir, capsys):
+        lineno = self.edit_line(run_dir, lambda record: json.dumps(record)[:-5])
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"provenance.jsonl:{lineno}:" in err
+        assert "Traceback" not in err
+
+    def test_unknown_key_exit_2(self, run_dir, capsys):
+        lineno = self.edit_line(run_dir, lambda record: json.dumps(dict(record, bogus=1)))
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"provenance.jsonl:{lineno}:" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_provenance_exit_2(self, run_dir, capsys):
+        with open(run_dir / "provenance.jsonl", "ab") as fh:
+            fh.write(b"\xff\n")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "provenance.jsonl: not UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("source_inserted", []), ("target_inserted", []), ("source_span", "11")],
+    )
+    def test_malformed_accepted_record_is_violation(self, run_dir, capsys, key, value):
+        self.edit_line(run_dir, lambda record: json.dumps(dict(record, **{key: value})))
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert f"{key}: malformed" in captured.err
+        assert "Traceback" not in captured.err
+        assert "1 violation(s)" in captured.out
