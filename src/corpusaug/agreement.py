@@ -74,7 +74,7 @@ def load_annotations(path: str | Path) -> AnnotatedLexicon:
     """
     p = Path(path)
     entries: Dict[str, TokenAnnotation] = {}
-    for lineno, line in enumerate(iter_lines(p, CorpusFormatError)):
+    for lineno, line in enumerate(iter_lines(p, CorpusFormatError), start=1):
         if not line:
             continue
         columns = line.split("\t")

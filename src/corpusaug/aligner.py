@@ -4,6 +4,12 @@ The model learns t(target | source) probabilities by expectation-
 maximization over the parallel corpus, with a NULL token on the
 conditioning side absorbing unexplained words. It is used to locate the
 target-side word or phrase corresponding to a source position.
+
+The trained table is cached in a binary file: both vocabularies, sorted,
+then one (conditioning id, generated id, probability) row per entry in
+sorted order. Each probability is stored as the value its 12-significant-
+digit text form parses back to, so the loaded table holds the values, and
+the key order, of a table read back from sorted text rows.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
 from .corpus_io import ParallelCorpus, RareWord, Sentence
 
 log = logging.getLogger(__name__)
@@ -33,9 +40,12 @@ DEFAULT_MAX_SPAN = 5
 REASON_UNALIGNED = "unaligned"
 REASON_SPAN_TOO_LONG = "span_too_long"
 
+# First bytes of a cached table; the format number changes with the layout.
+ALIGNER_MAGIC = b"\x93corpusaug-aligner 1\n"
+
 
 class PharaohFormatError(ValueError):
-    """Malformed alignment interchange text."""
+    """Malformed alignment interchange text or cached translation table."""
 
 
 @dataclass
@@ -279,43 +289,76 @@ def import_pharaoh(line: str) -> SentenceAlignment:
 
 
 def save_translation_table(table: TranslationTable, path: str | Path) -> None:
-    """Persist as ``target<TAB>source<TAB>probability`` rows.
+    """Cache the table as ``ALIGNER_MAGIC`` followed by six ``.npy`` arrays.
 
-    Rows are sorted by (source, target) and probabilities printed with 12
-    significant digits for stable diffs.
+    In order: the direction, the sorted conditioning and generated
+    vocabularies (each as newline-ended UTF-8), then the conditioning id,
+    generated id and probability of every entry, sorted by (conditioning,
+    generated) token. Each probability is stored as ``float(f"{p:.12g}")``.
+    Equal tables give equal bytes.
     """
-    rows = []
-    for e, row in table.t.items():
-        for f, p in row.items():
-            rows.append((e, f, p))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#direction\t{table.direction}\n")
-        for e, f, p in rows:
-            fh.write(f"{f}\t{e}\t{p:.12g}\n")
+    cond = sorted(e for e, row in table.t.items() if row)
+    gen = sorted({f for row in table.t.values() for f in row})
+    gen_ids = {f: i for i, f in enumerate(gen)}
+    e_ids: List[int] = []
+    f_ids: List[int] = []
+    probs: List[float] = []
+    for e_id, e in enumerate(cond):
+        row = table.t[e]
+        for f in sorted(row):
+            e_ids.append(e_id)
+            f_ids.append(gen_ids[f])
+            probs.append(float(f"{row[f]:.12g}"))
+    write_arrays(path, ALIGNER_MAGIC, (
+        encode_tokens([table.direction]),
+        encode_tokens(cond),
+        encode_tokens(gen),
+        narrow(np.array(e_ids, dtype=np.int64)),
+        narrow(np.array(f_ids, dtype=np.int64)),
+        np.array(probs, dtype="<f8"),
+    ))
+
+
+def _read_table(path: Path) -> TranslationTable:
+    direction, cond, gen, e_ids, f_ids, probs = read_arrays(path, ALIGNER_MAGIC, 6)
+    direction = decode_tokens(direction)
+    if len(direction) != 1 or direction[0] not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    cond, gen = decode_tokens(cond), decode_tokens(gen)
+    if any(a.ndim != 1 or a.dtype.kind != "u" for a in (e_ids, f_ids)):
+        raise ValueError("bad id array type or shape")
+    if probs.ndim != 1 or probs.dtype != np.float64:
+        raise ValueError("bad probability array type or shape")
+    if not len(e_ids) == len(f_ids) == len(probs):
+        raise ValueError(f"array lengths differ: {len(e_ids)}, {len(f_ids)}, {len(probs)}")
+    if len(e_ids) and (int(e_ids.max()) >= len(cond) or int(f_ids.max()) >= len(gen)):
+        raise ValueError("token id out of range")
+    keys = e_ids.astype(np.int64) * len(gen) + f_ids.astype(np.int64)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("entries not strictly increasing by (conditioning, generated) id")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("non-finite probability")
+    gen_names = [gen[i] for i in f_ids.tolist()]
+    values = probs.tolist()
+    bounds = np.searchsorted(e_ids, np.arange(len(cond) + 1)).tolist()
+    t = {
+        e: dict(zip(gen_names[lo:hi], values[lo:hi]))
+        for e, lo, hi in zip(cond, bounds, bounds[1:])
+        if hi > lo
+    }
+    return TranslationTable(t=t, direction=direction[0])
 
 
 def load_translation_table(path: str | Path) -> TranslationTable:
-    t: Dict[str, Dict[str, float]] = {}
-    direction = DIRECTION_TGT_GIVEN_SRC
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#direction\t"):
-                direction = line.split("\t", 1)[1]
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3:
-                raise PharaohFormatError(
-                    f"{path}:{lineno}: expected 3 columns, got {len(columns)}"
-                )
-            f, e, p = columns
-            try:
-                t.setdefault(e, {})[f] = float(p)
-            except ValueError:
-                raise PharaohFormatError(
-                    f"{path}:{lineno}: probability is not a number: {p!r}"
-                ) from None
-    return TranslationTable(t=t, direction=direction)
+    """Read a table written by :func:`save_translation_table`.
+
+    A truncated or malformed file raises :class:`PharaohFormatError` naming
+    the path: wrong magic, a missing array, trailing bytes, a wrong dtype or
+    shape, arrays of different lengths, ids out of range or out of order,
+    non-finite probabilities, or a vocabulary that is not UTF-8.
+    """
+    p = Path(path)
+    try:
+        return _read_table(p)
+    except ValueError as exc:
+        raise PharaohFormatError(f"{p}: {exc}") from exc

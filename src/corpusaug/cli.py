@@ -67,10 +67,10 @@ EXIT_STALE_CACHE = 4
 EXIT_VERIFY = 5
 
 # Cache file names under <out_dir>/cache.
-ALIGNER_FILE = "aligner.tsv"
+ALIGNER_FILE = "aligner.bin"
 LM_SRC_FILE = "lm.src.bin"
 LM_TGT_FILE = "lm.tgt.bin"
-EMBEDDINGS_FILE = "embeddings.src.vec"
+EMBEDDINGS_FILE = "embeddings.src.bin"
 FINGERPRINTS_FILE = "fingerprints.json"
 
 MODE_RARE = "rare"

@@ -153,12 +153,13 @@ def load_parallel_corpus(source_path: str | Path, target_path: str | Path) -> Pa
     source: List[Sentence] = []
     target: List[Sentence] = []
     dropped = 0
-    for lineno, (s_line, t_line) in enumerate(zip(src_lines, tgt_lines)):
+    for lineno, (s_line, t_line) in enumerate(zip(src_lines, tgt_lines), start=1):
         s_tokens = tuple(s_line.split())
         t_tokens = tuple(t_line.split())
         if not s_tokens or not t_tokens:
             dropped += 1
-            log.warning("dropping blank pair at line %d", lineno)
+            blank = source_path if not s_tokens else target_path
+            log.warning("%s:%d: blank line; pair dropped from both sides", blank, lineno)
             continue
         idx = len(source)
         source.append(Sentence(idx, s_tokens))
@@ -253,7 +254,7 @@ def load_dictionary(path: str | Path) -> List[DictionaryEntry]:
         raise CorpusFormatError(f"dictionary file not found: {p}")
     entries: List[DictionaryEntry] = []
     seen: set[Tuple[Tuple[str, ...], Tuple[str, ...]]] = set()
-    for lineno, line in enumerate(iter_lines(p, CorpusFormatError)):
+    for lineno, line in enumerate(iter_lines(p, CorpusFormatError), start=1):
         if not line:
             continue
         columns = line.split("\t")

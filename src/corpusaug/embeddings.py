@@ -1,7 +1,11 @@
 """Word-vector table, similarity-order post-processing, and cosine retrieval.
 
 Vectors are read from the common textual format (optional ``count dim``
-header, then one ``token v1 .. vd`` row per line). The post-processing step
+header, then one ``token v1 .. vd`` row per line), which :func:`export_vec`
+writes. The cache that ``prepare`` writes with :func:`save_embeddings` is
+binary: each component is stored as the value its 6-decimal text form
+parses back to, so loading it gives the table a text round trip gives, bit
+for bit, without formatting or parsing any text. The post-processing step
 re-expresses the table in its gram-matrix eigenbasis and raises the spectrum
 to a configurable power, shifting the similarity captured by cosine between
 more-syntactic and more-semantic regimes.
@@ -23,12 +27,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .agreement import MODE_OFF, AnnotatedLexicon
+from .cachefile import decode_tokens, encode_tokens, has_magic, read_arrays, write_arrays
 from .corpus_io import Sentence, has_digit, is_punctuation, iter_lines
 
 log = logging.getLogger(__name__)
 
 EIGENVALUE_FLOOR = 1e-10
 EXPORT_DECIMALS = 6
+# First bytes of a cached table. The first byte is not valid UTF-8, so no
+# textual vector file starts with it; the format number changes with the layout.
+EMBEDDINGS_MAGIC = b"\x93corpusaug-embeddings 1\n"
+# Rows rounded per block when saving, which bounds the temporaries.
+SAVE_BLOCK_ROWS = 1024
 # A vectorized cosine differs from the scalar one by a few ulps times the
 # dimension, far less than this window, so re-scoring every row inside it
 # exactly cannot miss the row the scalar loop would pick.
@@ -36,7 +46,7 @@ PRERANK_WINDOW = 1e-9
 
 
 class EmbeddingFormatError(ValueError):
-    """The vector file contains no parseable rows."""
+    """The vector file has no parseable rows, or a cached table is malformed."""
 
 
 class NumericError(ArithmeticError):
@@ -80,23 +90,30 @@ class SimilarityHit:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Parse a textual word-vector file.
+    """Read a cached table written by :func:`save_embeddings`, or a textual file.
 
-    The dimension comes from the header when present, otherwise from the
-    first data row. Rows with the wrong component count or unparseable /
-    non-finite values are skipped with a warning; for duplicate tokens the
-    first row wins.
+    A file that starts with ``EMBEDDINGS_MAGIC`` is a cached table; a
+    malformed one raises :class:`EmbeddingFormatError` naming the path.
+    Otherwise the file is parsed as text: the dimension comes from the
+    header when present, otherwise from the first data row. Rows with the
+    wrong component count or unparseable / non-finite values are skipped
+    with a warning; for duplicate tokens the first row wins.
     """
     p = Path(path)
     if not p.is_file():
         raise EmbeddingFormatError(f"embedding file not found: {p}")
+    if has_magic(p, EMBEDDINGS_MAGIC):
+        try:
+            return _read_cache(p)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{p}: {exc}") from exc
     vectors: Dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    for lineno, line in enumerate(iter_lines(p, EmbeddingFormatError)):
+    for lineno, line in enumerate(iter_lines(p, EmbeddingFormatError), start=1):
         parts = line.split()
         if not parts:
             continue
-        if lineno == 0 and len(parts) == 2:
+        if lineno == 1 and len(parts) == 2:
             try:
                 int(parts[0]), int(parts[1])
             except ValueError:
@@ -133,7 +150,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
-def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
+def export_vec(table: EmbeddingTable, path: str | Path) -> None:
     """Write the table in the textual format with a ``count dim`` header.
 
     Components are rounded to 6 decimal places, so write -> read -> write
@@ -144,6 +161,69 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
         for token, vec in table.vectors.items():
             comps = " ".join(f"{v:.{EXPORT_DECIMALS}f}" for v in vec)
             fh.write(f"{token} {comps}\n")
+
+
+def _round_as_text(block: np.ndarray) -> None:
+    """Replace each value in place by ``float(f"{x:.6f}")``.
+
+    ``n = rint(x * 1e6)`` is the 6-decimal rounding of ``x`` unless ``x * 1e6``
+    lies within its own rounding error of a half-integer, or is too large to
+    carry a fraction; those values are rounded by the text formatter instead.
+    ``n / 1e6`` is then the correctly rounded quotient of two exact values,
+    which is what parsing the text gives. ``rint`` keeps the sign of a value
+    rounded to zero, as the text ``-0.000000`` does.
+    """
+    scale = 10.0**EXPORT_DECIMALS
+    # x * 1e6 overflows for |x| > 1.8e302; such values compare as not clear.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = block * scale
+        rounded = np.rint(scaled)
+        clear = 0.5 - np.abs(scaled - rounded) >= np.maximum(1e-6, np.abs(scaled) * 2.0**-50)
+    near_tie = ~clear
+    exact = [float(f"{x:.{EXPORT_DECIMALS}f}") for x in block[near_tie].tolist()]
+    np.divide(rounded, scale, out=block)
+    block[near_tie] = exact
+
+
+def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
+    """Cache the table as ``EMBEDDINGS_MAGIC`` followed by three ``.npy`` arrays.
+
+    In order: the dimension, the tokens in row order as UTF-8 with each
+    token ended by a newline, and the float64 matrix of rows. Each value is
+    stored as it would read back from :func:`export_vec`'s text, so a
+    loaded cache equals a loaded export bit for bit. Equal tables give
+    equal bytes.
+    """
+    tokens = table.tokens()
+    matrix = np.empty((len(tokens), table.dim), dtype="<f8")
+    for lo in range(0, len(tokens), SAVE_BLOCK_ROWS):
+        block = matrix[lo : lo + SAVE_BLOCK_ROWS]
+        for row, token in enumerate(tokens[lo : lo + SAVE_BLOCK_ROWS]):
+            block[row] = table.vectors[token]
+        _round_as_text(block)
+    write_arrays(
+        path, EMBEDDINGS_MAGIC, (np.array([table.dim], dtype="<i8"), encode_tokens(tokens), matrix)
+    )
+
+
+def _read_cache(path: Path) -> EmbeddingTable:
+    dim, vocab, matrix = read_arrays(path, EMBEDDINGS_MAGIC, 3)
+    if dim.shape != (1,) or dim.dtype.kind not in "iu" or dim[0] < 1:
+        raise ValueError("bad dimension array")
+    tokens = decode_tokens(vocab)
+    if not tokens:
+        raise ValueError("no embedding rows")
+    if matrix.dtype != np.float64 or matrix.shape != (len(tokens), int(dim[0])):
+        raise ValueError(
+            f"expected a float64 matrix of shape ({len(tokens)}, {int(dim[0])}), "
+            f"got {matrix.dtype} {matrix.shape}"
+        )
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("non-finite vector component")
+    vectors = dict(zip(tokens, matrix))
+    if len(vectors) != len(tokens):
+        raise ValueError("duplicate token")
+    return EmbeddingTable(dim=int(dim[0]), vectors=vectors)
 
 
 def postprocess_alpha(table: EmbeddingTable, alpha: float) -> EmbeddingTable:

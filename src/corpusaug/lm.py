@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
 from .corpus_io import Sentence
 
 log = logging.getLogger(__name__)
@@ -526,12 +527,6 @@ def import_arpa(path: str | Path) -> ArpaScorer:
 # -- internal persistence ---------------------------------------------------
 
 
-def _narrow(array: np.ndarray) -> np.ndarray:
-    """The array in the narrowest unsigned type that holds its largest value."""
-    top = int(array.max()) if array.size else 0
-    return array.astype(np.min_scalar_type(top).newbyteorder("<"))
-
-
 def save_lm(model: TrigramModel, path: str | Path) -> None:
     """Write the model as ``LM_MAGIC`` followed by eight ``.npy`` arrays.
 
@@ -540,44 +535,28 @@ def save_lm(model: TrigramModel, path: str | Path) -> None:
     of the bigrams and of the trigrams. Integer arrays are stored unsigned in
     the narrowest type that holds them. Equal models give equal bytes.
     """
-    vocab = model.tokens[len(RESERVED):]
-    if any("\n" in token for token in vocab):
-        raise ValueError("a token containing a newline cannot be saved")
-    arrays = (
+    write_arrays(path, LM_MAGIC, (
         np.array([model.discount], dtype="<f8"),
         np.array([model.min_count], dtype="<i8"),
-        np.frombuffer("".join(t + "\n" for t in vocab).encode("utf-8"), dtype=np.uint8),
-        _narrow(model.unigram_counts),
-        _narrow(model.bigram_keys),
-        _narrow(model.bigram_counts),
-        _narrow(model.trigram_keys),
-        _narrow(model.trigram_counts),
-    )
-    with open(path, "wb") as fh:
-        fh.write(LM_MAGIC)
-        for array in arrays:
-            np.lib.format.write_array(fh, array, allow_pickle=False)
+        encode_tokens(model.tokens[len(RESERVED):]),
+        narrow(model.unigram_counts),
+        narrow(model.bigram_keys),
+        narrow(model.bigram_counts),
+        narrow(model.trigram_keys),
+        narrow(model.trigram_counts),
+    ))
 
 
-def _read_lm(fh) -> TrigramModel:
-    if fh.read(len(LM_MAGIC)) != LM_MAGIC:
-        raise ValueError("not a cached language model (bad magic)")
-    discount, min_count, vocab, *tables = (
-        np.lib.format.read_array(fh, allow_pickle=False) for _ in range(8)
-    )
-    if fh.read(1):
-        raise ValueError("trailing bytes after the last array")
+def _read_lm(path: Path) -> TrigramModel:
+    discount, min_count, vocab, *tables = read_arrays(path, LM_MAGIC, 8)
     if discount.shape != (1,) or discount.dtype.kind != "f":
         raise ValueError("bad discount array")
     if min_count.shape != (1,) or min_count.dtype.kind not in "iu":
         raise ValueError("bad min_count array")
-    if vocab.dtype != np.uint8 or any(a.ndim != 1 or a.dtype.kind not in "iu" for a in tables):
+    if any(a.ndim != 1 or a.dtype.kind not in "iu" for a in tables):
         raise ValueError("bad array type or shape")
-    tokens = vocab.tobytes().decode("utf-8").split("\n")
-    if tokens.pop() != "":
-        raise ValueError("vocabulary does not end with a newline")
     return TrigramModel(
-        tokens, *tables, discount=float(discount[0]), min_count=int(min_count[0])
+        decode_tokens(vocab), *tables, discount=float(discount[0]), min_count=int(min_count[0])
     )
 
 
@@ -590,7 +569,6 @@ def load_lm(path: str | Path) -> TrigramModel:
     """
     p = Path(path)
     try:
-        with open(p, "rb") as fh:
-            return _read_lm(fh)
+        return _read_lm(p)
     except ValueError as exc:
         raise LmFormatError(f"{p}: {exc}") from exc

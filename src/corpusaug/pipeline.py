@@ -244,35 +244,6 @@ def synthetic_window(tokens: Tuple[str, ...], span: Span,
     return tokens[:start] + insert + tokens[end + 1 :], (start, start + len(insert) - 1)
 
 
-def apply_replacement(
-    base: Tuple[Sentence, Sentence],
-    src_span: Tuple[int, int],
-    src_insert: Sequence[str],
-    tgt_span: Tuple[int, int],
-    tgt_insert: Sequence[str],
-) -> SyntheticPair:
-    """Splice both sides of a sentence pair; the base pair is untouched.
-
-    The returned record has the span/insertion fields filled; scores are
-    left for the caller. Out-of-range spans are a caller bug.
-    """
-    source_sentence, target_sentence = base
-    record = ReplacementRecord(
-        item_kind="",
-        item_surface=(),
-        base_sentence_id=source_sentence.id,
-        source_span=src_span,
-        source_inserted=tuple(src_insert),
-        target_span=tgt_span,
-        target_inserted=tuple(tgt_insert),
-    )
-    return SyntheticPair(
-        source_tokens=synthetic_window(source_sentence.tokens, src_span, src_insert)[0],
-        target_tokens=synthetic_window(target_sentence.tokens, tgt_span, tgt_insert)[0],
-        record=record,
-    )
-
-
 @dataclass(frozen=True)
 class _Item:
     """One resolved augmentation item; its ``surface`` is the source-side insertion."""

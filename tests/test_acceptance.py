@@ -15,9 +15,9 @@ from corpusaug.corpus_io import ParallelCorpus, Sentence
 from corpusaug.embeddings import (
     EmbeddingTable,
     cosine,
+    export_vec,
     load_embeddings,
     postprocess_alpha,
-    save_embeddings,
 )
 from corpusaug.lm import export_arpa, import_arpa, train_lm
 
@@ -253,11 +253,11 @@ def test_format_round_trips(tmp_path):
     # embedding write -> read identity at export precision
     nprng = np.random.default_rng(9)
     table = EmbeddingTable(5, {f"t{i}": nprng.normal(size=5) for i in range(12)})
-    save_embeddings(table, tmp_path / "e.vec")
+    export_vec(table, tmp_path / "e.vec")
     again = load_embeddings(tmp_path / "e.vec")
     ok &= again.tokens() == table.tokens()
     for token in table.tokens():
         ok &= bool(np.all(np.abs(again.vectors[token] - table.vectors[token]) < 5e-7))
-    save_embeddings(again, tmp_path / "e2.vec")
+    export_vec(again, tmp_path / "e2.vec")
     ok &= (tmp_path / "e.vec").read_bytes() == (tmp_path / "e2.vec").read_bytes()
     report("format round trips", ok)

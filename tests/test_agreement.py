@@ -61,6 +61,12 @@ class TestLoadAnnotations:
         assert "loner" not in lex
         assert "ok" in lex
 
+    def test_bad_second_line_reported_as_line_2(self, tmp_path, caplog):
+        (tmp_path / "a.tsv").write_text("ok\tNOUN\nloner\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            load_annotations(tmp_path / "a.tsv")
+        assert [r.getMessage().split(" ")[0] for r in caplog.records] == [f"{tmp_path / 'a.tsv'}:2:"]
+
     def test_multi_feature_morph(self):
         assert parse_morph("Number=Plur|Case=Nom") == {"Number": "Plur", "Case": "Nom"}
 

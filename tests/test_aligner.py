@@ -1,11 +1,14 @@
 import logging
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusaug.aligner import (
+    ALIGNER_MAGIC,
     DIRECTION_SRC_GIVEN_TGT,
     DIRECTION_TGT_GIVEN_SRC,
     DIRECTIONS,
@@ -25,6 +28,7 @@ from corpusaug.aligner import (
 )
 from corpusaug.corpus_io import ParallelCorpus, RareWord, Sentence
 
+from cachecases import ALIGNER_CASES, read_cache
 from oracles import ibm1_dict_reference, ibm1_reference
 
 
@@ -265,26 +269,75 @@ class TestPharaoh:
             assert import_pharaoh(export_pharaoh(alignment)) == alignment
 
 
+def text_round_trip(table):
+    """The table as sorted ``%.12g`` text rows would read back."""
+    return {
+        e: {f: float(f"{table.t[e][f]:.12g}") for f in sorted(table.t[e])}
+        for e in sorted(table.t)
+        if table.t[e]
+    }
+
+
+def ordered(t):
+    return [(e, list(row.items())) for e, row in t.items()]
+
+
+_tokens = st.text(st.characters(exclude_characters="\n"), min_size=1, max_size=3)
+_tables = st.builds(
+    TranslationTable,
+    st.dictionaries(
+        _tokens,
+        st.dictionaries(_tokens, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+        max_size=5,
+    ),
+    st.sampled_from(DIRECTIONS),
+)
+
+
 class TestTablePersistence:
-    def test_tsv_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         table = train_ibm1(make_corpus(CLASSIC), 12)
-        save_translation_table(table, tmp_path / "t.tsv")
-        again = load_translation_table(tmp_path / "t.tsv")
+        save_translation_table(table, tmp_path / "t.bin")
+        again = load_translation_table(tmp_path / "t.bin")
         assert again.direction == table.direction
-        assert set(again.t) == set(table.t)
+        assert ordered(again.t) == ordered(text_round_trip(table))
         for e, row in table.t.items():
             for f, p in row.items():
                 assert again.t[e][f] == pytest.approx(p, rel=1e-11)
 
-    def test_non_numeric_probability_names_line(self, tmp_path):
-        path = tmp_path / "t.tsv"
-        path.write_text("#direction\ttgt_given_src\nx\ty\t0.5\nx\ty\tnotafloat\n", encoding="utf-8")
-        with pytest.raises(PharaohFormatError, match=r"t\.tsv:3: .*'notafloat'"):
-            load_translation_table(path)
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_tables, em_cases().map(
+        lambda case: train_ibm1(make_corpus([(" ".join(s), " ".join(t)) for s, t in case[0]]),
+                                case[1], case[2])
+    )))
+    @example(TranslationTable({"é": {"b": 0.1 + 0.2, "a": 1 / 3}, NULL_TOKEN: {"b": 0.0}, "z": {}}))
+    def test_loaded_table_equals_text_round_trip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_translation_table(table, Path(tmp) / "t.bin")
+            again = load_translation_table(Path(tmp) / "t.bin")
+        assert again.direction == table.direction
+        assert ordered(again.t) == ordered(text_round_trip(table))
 
-    def test_rows_sorted_for_stable_diffs(self, tmp_path):
+    def test_equal_tables_save_equal_bytes(self, tmp_path):
         table = train_ibm1(make_corpus(CLASSIC), 3)
-        save_translation_table(table, tmp_path / "t.tsv")
-        lines = (tmp_path / "t.tsv").read_text(encoding="utf-8").splitlines()[1:]
-        keys = [(line.split("\t")[1], line.split("\t")[0]) for line in lines]
-        assert keys == sorted(keys)
+        reversed_rows = TranslationTable(
+            {e: dict(reversed(row.items())) for e, row in reversed(table.t.items())}
+        )
+        save_translation_table(table, tmp_path / "one.bin")
+        save_translation_table(reversed_rows, tmp_path / "two.bin")
+        save_translation_table(load_translation_table(tmp_path / "one.bin"), tmp_path / "three.bin")
+        first = (tmp_path / "one.bin").read_bytes()
+        assert first.startswith(ALIGNER_MAGIC)
+        assert (tmp_path / "two.bin").read_bytes() == first
+        assert (tmp_path / "three.bin").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "damage, message", [c[1:] for c in ALIGNER_CASES], ids=[c[0] for c in ALIGNER_CASES]
+    )
+    def test_malformed_cache_names_path(self, tmp_path, damage, message):
+        path = tmp_path / "t.bin"
+        save_translation_table(train_ibm1(make_corpus(CLASSIC), 3), path)
+        path.write_bytes(damage(ALIGNER_MAGIC, read_cache(path, ALIGNER_MAGIC, 6)))
+        with pytest.raises(PharaohFormatError, match=message) as info:
+            load_translation_table(path)
+        assert str(info.value).startswith(f"{path}: ")

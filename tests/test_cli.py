@@ -1,7 +1,9 @@
+import hashlib
 import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +24,12 @@ from corpusaug.cli import (
     resolve_config,
 )
 from corpusaug import pipeline
+from corpusaug.aligner import ALIGNER_MAGIC, load_translation_table
 from corpusaug.corpus_io import load_parallel_corpus
-from corpusaug.embeddings import WordIndex
+from corpusaug.embeddings import EMBEDDINGS_MAGIC, WordIndex, export_vec, load_embeddings
 from corpusaug.pipeline import ConfigError
+
+from cachecases import ALIGNER_CASES, EMBEDDING_CASES, read_cache
 
 
 def prepare_run(toy, tmp_path, name="run", **extra):
@@ -144,7 +149,7 @@ class TestPrepare:
     def test_cache_files_and_fingerprints(self, toy, tmp_path):
         _, out = prepare_run(toy, tmp_path)
         cache = out / "cache"
-        for name in ("aligner.tsv", "lm.src.bin", "lm.tgt.bin", "embeddings.src.vec"):
+        for name in ("aligner.bin", "lm.src.bin", "lm.tgt.bin", "embeddings.src.bin"):
             assert (cache / name).is_file()
         fingerprints = json.loads((cache / "fingerprints.json").read_text())
         assert set(fingerprints) == {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
@@ -186,7 +191,7 @@ class TestPrepare:
         assert sum("removing stale cache file" in m for m in messages) == 2
         assert sum("up to date" in m for m in messages) == 4
         assert sorted(p.name for p in cache.iterdir()) == [
-            "aligner.tsv", "embeddings.src.vec", "fingerprints.json",
+            "aligner.bin", "embeddings.src.bin", "fingerprints.json",
             "lm.src.bin", "lm.tgt.bin", "subdir",
         ]
         artifacts = {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
@@ -341,17 +346,6 @@ class TestAugment:
         cfg = toy.write_config(tmp_path / "c.cfg", out)
         assert main(["prepare", "--config", str(cfg)]) == 3
 
-    def test_corrupt_cached_table_exit_2_names_line(self, toy, tmp_path, capsys):
-        cfg, out = prepare_run(toy, tmp_path)
-        table = out / "cache" / "aligner.tsv"
-        with open(table, "a", encoding="utf-8") as fh:
-            fh.write("x\ty\tnotafloat\n")
-        lineno = len(table.read_text(encoding="utf-8").splitlines())
-        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert f"aligner.tsv:{lineno}:" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("dictionary", ["", "missing.tsv"])
     def test_bad_dictionary_exits_before_rare_pass(self, toy, tmp_path, monkeypatch, dictionary):
         from corpusaug import cli
@@ -417,6 +411,29 @@ def _truncate(path):
     return data
 
 
+@pytest.fixture(scope="module")
+def prepared(toy, tmp_path_factory):
+    """One prepared run whose cache the corrupt-cache cases copy."""
+    return prepare_run(toy, tmp_path_factory.mktemp("prepared"))
+
+
+# (cache file, magic, array count, case) for every damaged-table case.
+MALFORMED_TABLES = [
+    pytest.param("aligner.bin", ALIGNER_MAGIC, 6, damage, id=f"aligner-{name}")
+    for name, damage, _ in ALIGNER_CASES
+] + [
+    pytest.param("embeddings.src.bin", EMBEDDINGS_MAGIC, 3, damage, id=f"embeddings-{name}")
+    for name, damage, _ in EMBEDDING_CASES
+]
+
+
+def _one_error_line(err, path):
+    """The single stderr line naming ``path``; no traceback anywhere."""
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if str(path) in line]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 class TestCorruptCache:
     def test_truncated_lm_augment_exit_2(self, toy, tmp_path, capsys):
         cfg, out = prepare_run(toy, tmp_path)
@@ -452,6 +469,82 @@ class TestCorruptCache:
         assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
 
 
+    @pytest.mark.parametrize("name, magic, count, damage", MALFORMED_TABLES)
+    def test_malformed_table_exit_2_names_path(
+        self, prepared, tmp_path, capsys, name, magic, count, damage
+    ):
+        cfg, source = prepared
+        out = tmp_path / "run"
+        shutil.copytree(source, out)
+        path = out / "cache" / name
+        path.write_bytes(damage(magic, read_cache(path, magic, count)))
+        argv = ["augment", "--config", str(cfg), "--out-dir", str(out), "--mode", "rare"]
+        assert main(argv) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, path)
+
+    def test_malformed_embeddings_verify_exit_2(self, prepared, tmp_path, capsys):
+        cfg, source = prepared
+        out = tmp_path / "run"
+        shutil.copytree(source, out)
+        argv = ["augment", "--config", str(cfg), "--out-dir", str(out), "--mode", "rare"]
+        assert main(argv) == EXIT_OK
+        path = out / "cache" / "embeddings.src.bin"
+        _truncate(path)
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, path)
+
+    @pytest.mark.parametrize("name, artifact", [
+        ("aligner.bin", "aligner"), ("embeddings.src.bin", "embeddings_src"),
+    ])
+    def test_prepare_rebuilds_damaged_table(self, toy, tmp_path, caplog, name, artifact):
+        cfg, out = prepare_run(toy, tmp_path)
+        path = out / "cache" / name
+        original = path.read_bytes()
+        path.write_bytes(original + b"\0")
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"{artifact}: building" in messages
+        assert sum("up to date" in m for m in messages) == 3
+        assert path.read_bytes() == original
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+
+    def test_text_cache_of_earlier_versions_is_replaced(self, toy, tmp_path, capsys, caplog):
+        # The layout earlier versions wrote: the translation table as TSV rows
+        # and the embeddings as text, under their own names and fingerprints.
+        cfg, out = prepare_run(toy, tmp_path)
+        cache = out / "cache"
+        fp_path = cache / "fingerprints.json"
+        stored = json.loads(fp_path.read_text())
+        table = load_translation_table(cache / "aligner.bin")
+        rows = sorted((e, f, p) for e, row in table.t.items() for f, p in row.items())
+        (cache / "aligner.tsv").write_text(
+            f"#direction\t{table.direction}\n" + "".join(f"{f}\t{e}\t{p:.12g}\n" for e, f, p in rows),
+            encoding="utf-8",
+        )
+        export_vec(load_embeddings(cache / "embeddings.src.bin"), cache / "embeddings.src.vec")
+        for artifact, old_name, new_name in (
+            ("aligner", "aligner.tsv", "aligner.bin"),
+            ("embeddings_src", "embeddings.src.vec", "embeddings.src.bin"),
+        ):
+            (cache / new_name).unlink()
+            stored[artifact]["output"] = old_name
+            stored[artifact]["output_sha256"] = hashlib.sha256((cache / old_name).read_bytes()).hexdigest()
+        fp_path.write_text(json.dumps(stored, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_STALE_CACHE
+        assert "rerun prepare" in capsys.readouterr().err
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert {"aligner: building", "embeddings_src: building"} <= set(messages)
+        assert sum("removing stale cache file" in m for m in messages) == 2
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "aligner.bin", "embeddings.src.bin", "fingerprints.json", "lm.src.bin", "lm.tgt.bin",
+        ]
+        assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "content", [b'{"aligner": ', b"[]", b'{"aligner": 3}', b"\xff\xfe"],
     ids=["truncated", "not_an_object", "entry_not_an_object", "not_utf8"],
@@ -479,17 +572,21 @@ class TestCorruptFingerprints:
         assert "Traceback" not in err
 
 
+def _child_env():
+    """The environment with this package first on the import path."""
+    package_root = str(Path(corpusaug.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestChildProcess:
     """The commands as separate processes, read the way an outside caller reads them."""
 
     def test_prepare_augment_verify(self, toy, tmp_path):
         out = tmp_path / "run"
         cfg = toy.write_config(tmp_path / "run.cfg", out)
-        package_root = str(Path(corpusaug.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
+        env = _child_env()
         stdout = {}
         for name, argv in (
             ("prepare", ["prepare", "--config", str(cfg)]),
@@ -517,3 +614,22 @@ class TestChildProcess:
         with open(out / "provenance.jsonl", encoding="utf-8") as fh:
             lines = sum(1 for _ in fh)
         assert accepted + sum(tallies) == lines
+
+    def test_cache_bytes_independent_of_hash_seed(self, toy, tmp_path):
+        # The vocabularies pass through sets and dicts of strings, whose
+        # order follows the per-process hash seed.
+        digests = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"run{seed}"
+            cfg = toy.write_config(tmp_path / f"run{seed}.cfg", out)
+            env = dict(_child_env(), PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "corpusaug.cli", "prepare", "--config", str(cfg)],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+            digests.append({
+                name: hashlib.sha256((out / "cache" / name).read_bytes()).hexdigest()
+                for name in ("aligner.bin", "embeddings.src.bin")
+            })
+        assert digests[0] == digests[1]

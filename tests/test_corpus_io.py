@@ -56,6 +56,13 @@ class TestLoadParallelCorpus:
         # ids stay dense after the drop
         assert [s.id for s in corpus.source] == [0]
 
+    def test_blank_pair_reported_as_line_2(self, tmp_path, caplog):
+        write(tmp_path / "s", ["a", "b"])
+        write(tmp_path / "t", ["x", " "])
+        with caplog.at_level(logging.WARNING):
+            load_parallel_corpus(tmp_path / "s", tmp_path / "t")
+        assert caplog.records[0].getMessage().startswith(f"{tmp_path / 't'}:2: blank line")
+
     def test_undecodable_bytes_fatal_with_offset(self, tmp_path):
         (tmp_path / "s").write_bytes(b"ok\n\xff\xfe bad\n")
         write(tmp_path / "t", ["x", "y"])
@@ -194,6 +201,12 @@ class TestLoadDictionary:
             entries = load_dictionary(tmp_path / "d.tsv")
         assert len(entries) == 1
         assert sum("skipped" in rec.message for rec in caplog.records) == 1
+
+    def test_bad_second_line_reported_as_line_2(self, tmp_path, caplog):
+        (tmp_path / "d.tsv").write_text("a\tb\nonlyonecolumn\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            load_dictionary(tmp_path / "d.tsv")
+        assert [r.getMessage().split(" ")[0] for r in caplog.records] == [f"{tmp_path / 'd.tsv'}:2:"]
 
     def test_empty_column_skipped(self, tmp_path, caplog):
         (tmp_path / "d.tsv").write_text("a\t\nc\td\n", encoding="utf-8")

@@ -1,6 +1,8 @@
 import logging
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from corpusaug.agreement import MODE_OFF, MODE_POS, AnnotatedLexicon, TokenAnnotation
 from corpusaug.corpus_io import Sentence
 from corpusaug.embeddings import (
+    EMBEDDINGS_MAGIC,
     EmbeddingFormatError,
     EmbeddingTable,
     SentenceVector,
@@ -17,6 +20,7 @@ from corpusaug.embeddings import (
     WordIndex,
     best_word_in_sentence,
     cosine,
+    export_vec,
     load_embeddings,
     postprocess_alpha,
     save_embeddings,
@@ -25,6 +29,7 @@ from corpusaug.embeddings import (
     top_k_sentences,
 )
 
+from cachecases import EMBEDDING_CASES, pack, read_cache
 from oracles import (
     best_word_reference,
     eligible_reference,
@@ -78,16 +83,120 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError):
             load_embeddings(tmp_path / "e.vec")
 
+    def test_bad_second_line_reported_as_line_2(self, tmp_path, caplog):
+        (tmp_path / "e.vec").write_text("a 1 0 0\nc 1 2\nb 0 1 0\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            table = load_embeddings(tmp_path / "e.vec")
+        assert table.tokens() == ["a", "b"]
+        assert [r.getMessage().split(" ")[0] for r in caplog.records] == [f"{tmp_path / 'e.vec'}:2:"]
+
+    def test_count_dim_pair_is_a_header_only_on_line_1(self, tmp_path):
+        (tmp_path / "e.vec").write_text("a 1\n2 3\n", encoding="utf-8")
+        table = load_embeddings(tmp_path / "e.vec")
+        assert table.dim == 1
+        assert list(table.vectors["2"]) == [3.0]
+
     def test_export_round_trip_is_stable(self, tmp_path):
         rng = np.random.default_rng(11)
         table = random_table(rng, 9, 4)
-        save_embeddings(table, tmp_path / "a.vec")
+        export_vec(table, tmp_path / "a.vec")
         again = load_embeddings(tmp_path / "a.vec")
         assert again.tokens() == table.tokens()
-        save_embeddings(again, tmp_path / "b.vec")
+        export_vec(again, tmp_path / "b.vec")
         assert (tmp_path / "a.vec").read_bytes() == (tmp_path / "b.vec").read_bytes()
         for token in table.tokens():
             assert np.allclose(again.vectors[token], table.vectors[token], atol=5e-7)
+
+
+# Components whose 6-decimal rounding is hard to get right without text.
+_TIES = st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) / 1e6)
+_cache_components = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 5e-7, -5e-7, 4.9999999e-7]),
+    # a 7th decimal digit of 5 or more
+    st.tuples(st.integers(-(10**8), 10**8), st.integers(5, 9)).map(
+        lambda kd: (kd[0] * 10 + kd[1] if kd[0] >= 0 else kd[0] * 10 - kd[1]) / 1e7
+    ),
+    _TIES,
+    _TIES.map(lambda x: math.nextafter(x, math.inf)),
+    _TIES.map(lambda x: math.nextafter(x, -math.inf)),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=1e8),
+    st.floats(allow_nan=False, allow_infinity=False, max_value=-1e8),
+)
+
+
+@st.composite
+def cache_tables(draw):
+    dim = draw(st.integers(1, 5))
+    tokens = draw(st.lists(
+        st.text(st.characters(exclude_categories=("Z", "C")), min_size=1, max_size=4),
+        min_size=1, max_size=6, unique=True,
+    ))
+    rows = draw(st.lists(
+        st.lists(_cache_components, min_size=dim, max_size=dim),
+        min_size=len(tokens), max_size=len(tokens),
+    ))
+    return EmbeddingTable(dim, {t: np.array(r) for t, r in zip(tokens, rows)})
+
+
+def _table_bits(table):
+    return table.dim, [(t, v.tobytes()) for t, v in table.vectors.items()]
+
+
+class TestCache:
+    @settings(max_examples=300, deadline=None)
+    @given(cache_tables())
+    def test_cache_equals_text_round_trip_bit_for_bit(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embeddings(table, Path(tmp) / "e.bin")
+            export_vec(table, Path(tmp) / "e.vec")
+            cached = load_embeddings(Path(tmp) / "e.bin")
+            text = load_embeddings(Path(tmp) / "e.vec")
+        assert _table_bits(cached) == _table_bits(text)
+
+    def test_rounding_is_done_in_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        table = random_table(rng, 7, 3)
+        save_embeddings(table, tmp_path / "whole.bin")
+        monkeypatch.setattr("corpusaug.embeddings.SAVE_BLOCK_ROWS", 2)
+        save_embeddings(table, tmp_path / "blocks.bin")
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    def test_equal_tables_save_equal_bytes(self, tmp_path):
+        table = random_table(np.random.default_rng(8), 5, 4)
+        save_embeddings(table, tmp_path / "one.bin")
+        save_embeddings(load_embeddings(tmp_path / "one.bin"), tmp_path / "two.bin")
+        first = (tmp_path / "one.bin").read_bytes()
+        assert first.startswith(EMBEDDINGS_MAGIC)
+        assert (tmp_path / "two.bin").read_bytes() == first
+
+    def test_magic_is_not_utf8(self):
+        with pytest.raises(UnicodeDecodeError):
+            EMBEDDINGS_MAGIC.decode("utf-8")
+
+    def test_newline_in_token_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="newline"):
+            save_embeddings(make_table({"a\nb": [1.0]}), tmp_path / "e.bin")
+
+    @pytest.mark.parametrize(
+        "damage, message", [c[1:] for c in EMBEDDING_CASES], ids=[c[0] for c in EMBEDDING_CASES]
+    )
+    def test_malformed_cache_names_path(self, tmp_path, damage, message):
+        path = tmp_path / "e.bin"
+        save_embeddings(make_table({"a": [0.5, -1.0], "b": [0.25, 2.0]}), path)
+        path.write_bytes(damage(EMBEDDINGS_MAGIC, read_cache(path, EMBEDDINGS_MAGIC, 3)))
+        with pytest.raises(EmbeddingFormatError, match=message) as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_hand_written_arrays_load(self, tmp_path):
+        path = tmp_path / "e.bin"
+        matrix = np.array([[0.5, -0.0], [1.25, 3.0]])
+        path.write_bytes(pack(EMBEDDINGS_MAGIC, [
+            np.array([2]), np.frombuffer("é\nb\n".encode("utf-8"), dtype=np.uint8), matrix
+        ]))
+        table = load_embeddings(path)
+        assert _table_bits(table) == (2, [("é", matrix[0].tobytes()), ("b", matrix[1].tobytes())])
 
 
 class TestCosine:

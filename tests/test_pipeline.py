@@ -13,7 +13,6 @@ from corpusaug.pipeline import (
     ConfigError,
     ReplacementRecord,
     SyntheticPair,
-    apply_replacement,
     augment_dictionary,
     augment_rare_words,
     merge_and_dedup,
@@ -324,30 +323,28 @@ class TestAugmentDictionary:
 
 
 class TestApplyReplacement:
-    def base(self, src, tgt):
-        return (Sentence(0, tuple(src.split())), Sentence(0, tuple(tgt.split())))
+    """A replacement splices each side of the pair with ``synthetic_window``."""
 
     def test_splice(self):
-        pair = apply_replacement(self.base("a b c", "x y"), (1, 1), ["X"], (0, 0), ["Z"])
-        assert pair.source_tokens == ("a", "X", "c")
-        assert pair.target_tokens == ("Z", "y")
+        assert synthetic_window(("a", "b", "c"), (1, 1), ["X"]) == (("a", "X", "c"), (1, 1))
+        assert synthetic_window(("x", "y"), (0, 0), ["Z"]) == (("Z", "y"), (0, 0))
 
     def test_growing_splice(self):
-        pair = apply_replacement(self.base("a b c", "x"), (1, 1), ["p", "q"], (0, 0), ["x"])
-        assert pair.source_tokens == ("a", "p", "q", "c")
+        tokens, span = synthetic_window(("a", "b", "c"), (1, 1), ["p", "q"])
+        assert tokens == ("a", "p", "q", "c")
+        assert span == (1, 2)
 
     def test_full_replacement(self):
-        pair = apply_replacement(self.base("a b c", "x"), (0, 2), ["Y"], (0, 0), ["x"])
-        assert pair.source_tokens == ("Y",)
+        assert synthetic_window(("a", "b", "c"), (0, 2), ["Y"]) == (("Y",), (0, 0))
 
     def test_out_of_range_is_error(self):
         with pytest.raises(ValueError):
-            apply_replacement(self.base("a b", "x"), (0, 2), ["Y"], (0, 0), ["x"])
+            synthetic_window(("a", "b"), (0, 2), ["Y"])
 
     def test_base_unmodified(self):
-        base = self.base("a b c", "x y")
-        apply_replacement(base, (1, 1), ["X"], (0, 0), ["Z"])
-        assert base[0].tokens == ("a", "b", "c")
+        base = Sentence(0, ("a", "b", "c"))
+        synthetic_window(base.tokens, (1, 1), ["X"])
+        assert base.tokens == ("a", "b", "c")
 
     def test_splice_round_trip_random(self):
         # removing the inserted tokens and restoring the span reproduces the
@@ -359,11 +356,9 @@ class TestApplyReplacement:
             start = rng.randint(0, n - 1)
             end = rng.randint(start, n - 1)
             insert = tuple(f"i{k}" for k in range(rng.randint(1, 4)))
-            pair = apply_replacement(
-                (Sentence(0, tokens), Sentence(0, tokens)),
-                (start, end), insert, (start, end), insert,
-            )
-            out = pair.source_tokens
+            out, span = synthetic_window(tokens, (start, end), insert)
+            assert span == (start, start + len(insert) - 1)
+            assert out[span[0] : span[1] + 1] == insert
             restored = out[:start] + tokens[start : end + 1] + out[start + len(insert):]
             assert restored == tokens
 
