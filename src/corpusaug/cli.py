@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -480,13 +481,15 @@ def cmd_verify(run_dir: str | Path) -> int:
     violations = verify_records(
         records, corpus, embeddings, lexicon, lm_src, lm_tgt, config.augmentation
     )
-    accepted = sum(1 for r in records if r.accepted)
     if violations:
         for violation in violations:
             print(violation, file=sys.stderr)
-        print(f"{len(violations)} violation(s) across {accepted} accepted record(s)")
+        by_field = Counter(violation.field for violation in violations)
+        tally = ", ".join(f"{field}={by_field[field]}" for field in sorted(by_field))
+        print(f"violations by field: {tally}", file=sys.stderr)
+        print(f"{len(violations)} violation(s) across {len(records)} accepted record(s)")
         return EXIT_VERIFY
-    print(f"0 violations across {accepted} accepted record(s)")
+    print(f"0 violations across {len(records)} accepted record(s)")
     return EXIT_OK
 
 

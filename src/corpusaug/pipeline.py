@@ -6,6 +6,14 @@ order, picks the most similar in-sentence word, applies the enabled
 similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
 
+This module is the one that knows the ``provenance.jsonl`` line format.
+``write_provenance`` formats each record's line directly with json's own
+primitives, byte for byte what ``json.JSONEncoder(sort_keys=True,
+ensure_ascii=False)`` gives for its fields. ``read_provenance`` returns only
+the accepted records: a line that ``_REJECTED_LINE`` fully matches is a
+rejected record as the writer formats it and is skipped unparsed, and every
+other line is parsed in full.
+
 Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
 with the Viterbi alignment of every pair and the word index built once;
 ``augment_rare_words`` and ``augment_dictionary`` only turn their items into
@@ -27,7 +35,11 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
+import re
+import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -187,13 +199,6 @@ class ReplacementRecord:
     lm_ratio_src: Optional[float] = None
     lm_ratio_tgt: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {name: getattr(self, name) for name in _RECORD_FIELDS}
-        for name in _TUPLE_FIELDS:
-            if out[name] is not None:
-                out[name] = list(out[name])
-        return out
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ReplacementRecord":
         kwargs = dict(data)
@@ -203,7 +208,6 @@ class ReplacementRecord:
         return cls(**kwargs)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(ReplacementRecord))
 # Stored as tuples, written to JSON as lists.
 _TUPLE_FIELDS = ("item_surface", "source_span", "source_inserted", "target_span", "target_inserted")
 
@@ -562,37 +566,140 @@ def merge_and_dedup(
     return merged, manifest
 
 
+# -- provenance.jsonl ---------------------------------------------------------
+
+_FIELD_NAMES = tuple(sorted(f.name for f in fields(ReplacementRecord)))
+_FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
+_LINE_TEMPLATE = "{" + ", ".join(encode_basestring(name) + ": %s" for name in _FIELD_NAMES) + "}\n"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_array(values: Sequence[object]) -> str:
+    return "[" + ", ".join([_JSON_BY_TYPE[type(v)](v) for v in values]) + "]"
+
+
+class _JsonByType(dict):
+    """How json's encoder writes a non-None value of each type. A subclass
+    (``np.float64``) takes the path of its first json base type, in the
+    encoder's order of checks."""
+
+    def __missing__(self, kind: type) -> Callable[[object], str]:
+        for base in (str, int, float, list, tuple):
+            if issubclass(kind, base):
+                return self[base]
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_JSON_BY_TYPE = _JsonByType({
+    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: _json_float,
+    str: encode_basestring,
+    tuple: _json_array,
+    list: _json_array,
+})
+
+
+def _provenance_line(record: ReplacementRecord) -> str:
+    """The record's line in ``provenance.jsonl``, newline included: byte for
+    byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` writes
+    for its fields, tuples as lists, without building a dict to encode."""
+    return _LINE_TEMPLATE % tuple(
+        ["null" if v is None else _JSON_BY_TYPE[type(v)](v) for v in _FIELD_VALUES(record)]
+    )
+
+
 def write_provenance(
     path: str | Path,
     accepted: Sequence[SyntheticPair],
     rejected: Sequence[ReplacementRecord],
 ) -> None:
-    """Write one JSON object per record (accepted first, then rejected)."""
-    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+    """Write one JSON object per record (accepted first, then rejected).
+
+    Lines are written one by one, so the file is never held in memory.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in accepted:
-            fh.write(encode(pair.record.to_dict()))
-            fh.write("\n")
-        for record in rejected:
-            fh.write(encode(record.to_dict()))
-            fh.write("\n")
+        fh.writelines(_provenance_line(pair.record) for pair in accepted)
+        fh.writelines(_provenance_line(record) for record in rejected)
+
+
+def _rejected_line_pattern() -> "re.Pattern[str]":
+    """Exactly the lines ``_provenance_line`` writes for a rejected record.
+
+    Every field in sorted order with its writer's separators, ``accepted``
+    false, and each value of a shape the record can hold: a JSON string by
+    RFC 8259 (no raw control character, only json's escapes), a number
+    (``NaN`` and ``±Infinity`` included), a list of strings, ``[int, int]``,
+    ``true``/``false`` or ``null``. A line that fully matches is a JSON
+    object that ``json.loads`` and ``ReplacementRecord.from_dict`` accept, so
+    skipping it hides no line the full parse would refuse. Integers without
+    fraction or exponent are held to the digit count that ``json.loads``
+    converts (``sys.get_int_max_str_digits``).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = f"[0-9]{{0,{limit - 1}}}" if limit else "[0-9]*"
+    integer = rf"-?(?:0|[1-9]{digits})"
+    number = (
+        r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+        rf"|{integer}|NaN|-?Infinity"
+    )
+    string = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+    strings = rf"\[(?:{string}(?:, {string})*)?\]"
+    value = {
+        "accepted": "false",
+        "base_sentence_id": f"null|{integer}",
+        "item_kind": string,
+        "item_surface": strings,
+        "lm_ratio_src": f"null|{number}",
+        "lm_ratio_tgt": f"null|{number}",
+        "reason": f"null|{string}",
+        "sent_sim": f"null|{number}",
+        "source_inserted": f"null|{strings}",
+        "source_span": rf"null|\[{integer}, {integer}\]",
+        "syntactic_ok": "null|true|false",
+        "target_inserted": f"null|{strings}",
+        "target_span": rf"null|\[{integer}, {integer}\]",
+        "word_sim": f"null|{number}",
+    }
+    body = ", ".join(f'"{name}": (?:{value[name]})' for name in _FIELD_NAMES)
+    return re.compile("\\{" + body + "\\}\n?")
+
+
+_REJECTED_LINE = _rejected_line_pattern()
 
 
 def read_provenance(path: str | Path) -> List[ReplacementRecord]:
-    """Records in file order; CorpusFormatError naming ``<path>:<line>`` for a
-    line that is not a JSON object of record fields, or naming ``<path>`` for
-    bytes that are not UTF-8."""
+    """The accepted records, in file order.
+
+    A line that ``_REJECTED_LINE`` fully matches is a rejected record as
+    the writer formats it, and is skipped unparsed. Every other non-blank
+    line is parsed with ``json.loads`` and ``ReplacementRecord.from_dict``
+    and kept when its ``accepted`` is true. Raises CorpusFormatError naming
+    ``<path>:<line>`` for a line that is not a JSON object of record fields,
+    or naming ``<path>`` for bytes that are not UTF-8.
+    """
     records: List[ReplacementRecord] = []
+    skip = _REJECTED_LINE.fullmatch
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if skip(line):
+                    continue
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    records.append(ReplacementRecord.from_dict(json.loads(line)))
+                    record = ReplacementRecord.from_dict(json.loads(line))
                 except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                     raise CorpusFormatError(f"{path}:{lineno}: not a record ({exc})") from exc
+                if record.accepted:
+                    records.append(record)
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not UTF-8 ({exc})") from exc
     return records

@@ -1,13 +1,14 @@
 """Re-verification of accepted augmentation records.
 
-This walks the provenance file and recomputes each enabled gate from the
-run's resources with the pipeline's own definitions of a replacement: the
-item's query vector and annotation token (``pipeline.query_vector``,
-``pipeline.annotation_token``) and the spliced sentence with the span it
-scores (``pipeline.synthetic_window``). The similarity score comes from the
-embedding table, the agreement verdict from the annotation lexicon, and both
-language-model ratios from ``lm.lm_ratio_accept``. Recorded values must match
-the recomputation and satisfy their thresholds. A record whose fields do not
+This walks the accepted records of a provenance file and recomputes each
+enabled gate from the run's resources with the pipeline's own definitions
+of a replacement: the item's query vector and annotation token
+(``pipeline.query_vector``, ``pipeline.annotation_token``) and the spliced
+sentence with the span it scores (``pipeline.synthetic_window``). The
+similarity score comes from the embedding table, the agreement verdict from
+the annotation lexicon, and both language-model ratios from
+``lm.lm_ratio_accept``. Recorded values must match the recomputation and
+satisfy their thresholds. A record whose fields do not
 have the shape the pipeline writes is a violation, not an error.
 """
 
@@ -36,6 +37,9 @@ SCORE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed check; ``record_index`` is the record's position among the
+    records checked, which ``verify`` reads as the accepted records only."""
+
     record_index: int
     field: str
     detail: str

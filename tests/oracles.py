@@ -8,11 +8,14 @@ bit. The retrieval
 references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit. The dict trigram model is the
 string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
-same ``trigram_prob`` floats.
+same ``trigram_prob`` floats. ``provenance_line_reference`` is a record's
+``provenance.jsonl`` line as json's generic encoder writes it, which the
+pipeline's direct formatter must equal byte for byte.
 """
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -410,3 +413,21 @@ def train_lm_dict_reference(
         discount=discount,
         min_count=min_count,
     )
+
+
+# Stored as tuples, written to JSON as lists.
+_TUPLE_FIELDS = ("item_surface", "source_span", "source_inserted", "target_span", "target_inserted")
+
+
+def to_dict(record):
+    """Every field of a ``ReplacementRecord``, its tuples as lists."""
+    out = {f.name: getattr(record, f.name) for f in fields(record)}
+    for name in _TUPLE_FIELDS:
+        if out[name] is not None:
+            out[name] = list(out[name])
+    return out
+
+
+def provenance_line_reference(record):
+    encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+    return encoder.encode(to_dict(record)) + "\n"

@@ -385,7 +385,7 @@ class TestVerifyCommand:
         assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
         assert "0 violations" in capsys.readouterr().out
 
-    def test_tampered_provenance_exit_5(self, toy, tmp_path):
+    def test_tampered_provenance_exit_5(self, toy, tmp_path, capsys):
         out = self.run_and_verify(toy, tmp_path)
         path = out / "provenance.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -394,7 +394,11 @@ class TestVerifyCommand:
         record["lm_ratio_src"] = 0.01
         lines[0] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
         assert main(["verify", "--run-dir", str(out)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "violations by field: lm_ratio_src=1\n" in captured.err
+        assert "1 violation(s) across" in captured.out
 
     def test_empty_provenance_vacuously_ok(self, toy, tmp_path):
         out = self.run_and_verify(toy, tmp_path)

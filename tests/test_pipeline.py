@@ -1,11 +1,17 @@
+import dataclasses
+import json
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusaug.agreement import AnnotatedLexicon, TokenAnnotation
 from corpusaug.aligner import NULL_TOKEN, TranslationTable
-from corpusaug.corpus_io import DictionaryEntry, Sentence
+from corpusaug.corpus_io import CorpusFormatError, DictionaryEntry, Sentence
 from corpusaug.embeddings import EmbeddingTable
 from corpusaug.lm import train_lm
 from corpusaug.pipeline import (
@@ -13,6 +19,8 @@ from corpusaug.pipeline import (
     ConfigError,
     ReplacementRecord,
     SyntheticPair,
+    _REJECTED_LINE,
+    _provenance_line,
     augment_dictionary,
     augment_rare_words,
     merge_and_dedup,
@@ -24,6 +32,7 @@ from corpusaug.pipeline import (
 )
 
 from micro import corpus_of, inputs_of, ledger_fixture, mono_of
+from oracles import provenance_line_reference, to_dict
 
 
 def run_rare(fx, config):
@@ -437,15 +446,159 @@ class TestProvenance:
     def test_round_trip(self, tmp_path):
         fx = ledger_fixture()
         accepted, rejected = run_rare(fx, AugmentationConfig())
+        assert accepted and rejected
         path = tmp_path / "prov.jsonl"
         write_provenance(path, accepted, rejected)
-        records = read_provenance(path)
-        assert records == [p.record for p in accepted] + list(rejected)
+        records = [p.record for p in accepted] + list(rejected)
+        assert path.read_text(encoding="utf-8") == "".join(map(provenance_line_reference, records))
+        assert read_provenance(path) == [p.record for p in accepted]
+
+    def test_other_layouts_are_parsed_in_full(self, tmp_path):
+        fx = ledger_fixture()
+        accepted, rejected = run_rare(fx, AugmentationConfig())
+        path = tmp_path / "prov.jsonl"
+        # Unsorted keys and compact separators: valid records the writer never gives.
+        lines = [json.dumps(to_dict(r), separators=(",", ":")) for r in rejected]
+        lines += ["", json.dumps(to_dict(accepted[0].record))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert not any(_REJECTED_LINE.fullmatch(line) for line in lines)
+        assert read_provenance(path) == [accepted[0].record]
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on integer digits")
+    def test_integer_json_cannot_convert_is_not_skipped(self, tmp_path):
+        line = _provenance_line(ReplacementRecord("rare_word", ("w",), base_sentence_id=7))
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        line = line.replace('"base_sentence_id": 7', f'"base_sentence_id": {huge}')
+        assert not _REJECTED_LINE.fullmatch(line)
+        path = tmp_path / "prov.jsonl"
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"prov\.jsonl:1: not a record"):
+            read_provenance(path)
 
     def test_rejection_counts(self):
         fx = ledger_fixture()
         _, rejected = run_rare(fx, AugmentationConfig())
         assert rejection_counts(rejected) == {"word_sim": 1}
+
+
+_FIELD_ORDER = sorted(f.name for f in dataclasses.fields(ReplacementRecord))
+_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀", "\\u0041", ""]),
+)
+_INTS = st.one_of(st.integers(), st.integers(min_value=-10**400, max_value=10**400))
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e16]),
+)
+
+
+def _records(accepted=st.booleans()):
+    tokens = st.lists(_STRINGS, max_size=3).map(tuple)
+    span = st.tuples(_INTS, _INTS)
+    number = st.one_of(_FLOATS, _INTS)
+    return st.builds(
+        ReplacementRecord,
+        item_kind=_STRINGS,
+        item_surface=tokens,
+        base_sentence_id=st.none() | _INTS,
+        accepted=accepted,
+        reason=st.none() | _STRINGS,
+        source_span=st.none() | span,
+        source_inserted=st.none() | tokens,
+        target_span=st.none() | span,
+        target_inserted=st.none() | tokens,
+        word_sim=st.none() | number,
+        sent_sim=st.none() | number,
+        syntactic_ok=st.none() | st.booleans(),
+        lm_ratio_src=st.none() | number,
+        lm_ratio_tgt=st.none() | number,
+    )
+
+
+# Values, valid and not, that a mutant puts in place of a field's value, and
+# fragments that it splices in anywhere.
+_VALUES = ["null", "true", "false", "0", "-0", "01", "1.", ".5", "1e5", "-1.5E-3", "1e", "+1",
+           "NaN", "-NaN", "Infinity", "-Infinity", "nul", "{}", '"accepted": false', '"a"', '"a',
+           '"a\\"b"', '"\\/"', '"\\u00e9"', '"\\ud800"', '"\\x"', '"\\a"', '"\\u12"', '"\x01"',
+           '"\x1f"', '"\x7f"', "[]", "[1, 2]", "[1,2]", "[1, 2, 3]", "[-1, 0]", "[1.5, 2]",
+           "[1, 2e0]", "[true, 1]", "[1]", '["a"]', '["a", 1]', '["a",  "b"]', '["a",]',
+           '["\x01"]', "[[]]", "[null, null]", "[1, null]"]
+_PIECES = ['"', "\\", ",", ", ", ":", "[", "]", "{", "}", " ", "0", "-", "1", ".", "e", "\x01",
+           "\\u12", "é", "\n", ', "accepted": true', ', "bogus": 1', ""]
+
+
+def _line_of(values):
+    return "{" + ", ".join(f'"{key}": {values[key]}' for key in _FIELD_ORDER) + "}\n"
+
+
+def _check_skippable(line):
+    """A line the pattern matches must be a rejected record that the full
+    parse accepts, with exactly the record's keys."""
+    if not _REJECTED_LINE.fullmatch(line):
+        return False
+    pairs = json.loads(line, object_pairs_hook=list)
+    assert [key for key, _ in pairs] == _FIELD_ORDER
+    fields_ = dict(pairs)
+    assert fields_["accepted"] is False
+    ReplacementRecord.from_dict(fields_)
+    return True
+
+
+class TestProvenanceFormat:
+    """The direct line formatter and the pattern of the lines ``verify`` skips."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records())
+    def test_line_equals_generic_encoder(self, record):
+        assert _provenance_line(record) == provenance_line_reference(record)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_records())
+    def test_pattern_matches_exactly_the_rejected_lines(self, record):
+        assert bool(_REJECTED_LINE.fullmatch(_provenance_line(record))) == (not record.accepted)
+
+    def test_every_field_value_swap_keeps_the_pattern_sound(self):
+        record = ReplacementRecord(
+            "rare_word", ("a", "b"), 3, False, "lm_src", (1, 1), ("a",), (2, 3), ("x", "y"),
+            0.5, None, True, 1.25, None,
+        )
+        values = {key: json.dumps(value) for key, value in to_dict(record).items()}
+        assert _check_skippable(_line_of(values))
+        matched = 0
+        for key in _FIELD_ORDER:
+            for value in _VALUES:
+                matched += _check_skippable(_line_of(dict(values, **{key: value})))
+        assert matched > len(_FIELD_ORDER)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_records(accepted=st.just(False)), st.data())
+    def test_a_matching_mutant_is_a_rejected_record(self, record, data):
+        values = {key: json.dumps(v, ensure_ascii=False) for key, v in to_dict(record).items()}
+        for _ in range(data.draw(st.integers(0, 3))):
+            values[data.draw(st.sampled_from(_FIELD_ORDER))] = data.draw(st.sampled_from(_VALUES))
+        line = _line_of(values)
+        for _ in range(data.draw(st.integers(0, 2))):
+            start = data.draw(st.integers(0, len(line)))
+            end = data.draw(st.integers(start, min(len(line), start + 4)))
+            line = line[:start] + data.draw(st.sampled_from(_PIECES)) + line[end:]
+        _check_skippable(line)
+
+    def test_writer_refuses_what_json_refuses(self):
+        for value in (np.int64(3), object()):
+            record = ReplacementRecord("rare_word", ("w",), word_sim=value)
+            with pytest.raises(TypeError):
+                provenance_line_reference(record)
+            with pytest.raises(TypeError):
+                _provenance_line(record)
+
+    def test_float_subclass_takes_the_float_path(self):
+        record = ReplacementRecord(
+            "rare_word", ("w",), word_sim=np.float64(0.1), sent_sim=np.float64("nan")
+        )
+        assert _provenance_line(record) == provenance_line_reference(record)
+        assert '"word_sim": 0.1}' in _provenance_line(record)
 
 
 class TestConfigValidation:

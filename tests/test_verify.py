@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -156,34 +157,78 @@ class TestVerifyBadManifest:
 
 class TestVerifyBadProvenance:
     """An unreadable line is an input error (exit 2) naming ``<path>:<line>``;
-    an accepted record of the wrong shape is a violation (exit 5)."""
+    an accepted record of the wrong shape is a violation (exit 5). Rejected
+    lines are skipped unparsed only when they are exactly what the writer
+    gives; any other rejected line is parsed like an accepted one."""
 
     @pytest.fixture
     def run_dir(self, toy, tmp_path):
         return finished_run(toy, tmp_path, "both")
 
-    def edit_line(self, run_dir, edit):
-        """Replace the first accepted record's line by ``edit(record)``; its line number."""
+    def edit_line(self, run_dir, edit, accepted=True):
+        """Replace the first line whose record has this ``accepted`` by
+        ``edit(line)``; its line number."""
         path = run_dir / "provenance.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
-        index = next(i for i, line in enumerate(lines) if json.loads(line)["accepted"])
-        lines[index] = edit(json.loads(lines[index]))
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["accepted"] is accepted)
+        lines[index] = edit(lines[index])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return index + 1
 
+    @staticmethod
+    def with_fields(**changes):
+        return lambda line: json.dumps(dict(json.loads(line), **changes))
+
     def test_unparseable_line_exit_2(self, run_dir, capsys):
-        lineno = self.edit_line(run_dir, lambda record: json.dumps(record)[:-5])
+        lineno = self.edit_line(run_dir, lambda line: line[:-5])
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"provenance.jsonl:{lineno}:" in err
+        assert "Traceback" not in err
+
+    def test_truncated_rejected_line_exit_2(self, run_dir, capsys):
+        lineno = self.edit_line(run_dir, lambda line: line[:-5], accepted=False)
         assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"provenance.jsonl:{lineno}:" in err
         assert "Traceback" not in err
 
     def test_unknown_key_exit_2(self, run_dir, capsys):
-        lineno = self.edit_line(run_dir, lambda record: json.dumps(dict(record, bogus=1)))
+        lineno = self.edit_line(run_dir, self.with_fields(bogus=1))
         assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"provenance.jsonl:{lineno}:" in err
         assert "Traceback" not in err
+
+    def test_unknown_key_in_rejected_line_exit_2(self, run_dir, capsys):
+        # The writer's own formatting, one key more.
+        lineno = self.edit_line(run_dir, lambda line: line[:-1] + ', "bogus": 1}', accepted=False)
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"provenance.jsonl:{lineno}:" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_accepted_key_is_verified(self, run_dir, capsys):
+        # An accepted record whose line opens like a rejected one: json.loads
+        # keeps the last "accepted", so the line must be parsed and checked.
+        def disguise(line):
+            line = line.replace('"accepted": true', '"accepted": false', 1)
+            line = re.sub(r'"lm_ratio_src": [^,]+', '"lm_ratio_src": 0.01', line)
+            return line[:-1] + ', "accepted": true}'
+
+        self.edit_line(run_dir, disguise)
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "lm_ratio_src: recorded 0.01" in captured.err
+        assert "violations by field: lm_ratio_src=1" in captured.err
+
+    def test_writer_rejected_lines_take_the_fast_path(self, run_dir):
+        # A writer change that pushed these lines onto the full parse fails here.
+        with open(run_dir / "provenance.jsonl", encoding="utf-8") as fh:
+            lines = list(fh)
+        rejected = [json.loads(line)["accepted"] is False for line in lines]
+        assert rejected.count(True) > 100
+        assert [bool(pipeline._REJECTED_LINE.fullmatch(line)) for line in lines] == rejected
 
     def test_non_utf8_provenance_exit_2(self, run_dir, capsys):
         with open(run_dir / "provenance.jsonl", "ab") as fh:
@@ -198,7 +243,7 @@ class TestVerifyBadProvenance:
         [("source_inserted", []), ("target_inserted", []), ("source_span", "11")],
     )
     def test_malformed_accepted_record_is_violation(self, run_dir, capsys, key, value):
-        self.edit_line(run_dir, lambda record: json.dumps(dict(record, **{key: value})))
+        self.edit_line(run_dir, self.with_fields(**{key: value}))
         assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
         captured = capsys.readouterr()
         assert f"{key}: malformed" in captured.err
