@@ -30,6 +30,8 @@ from .aligner import (
 )
 from .corpus_io import (
     CorpusFormatError,
+    DictionaryEntry,
+    RareWord,
     RareWordValidityConfig,
     build_vocabulary,
     corpus_stats,
@@ -367,18 +369,25 @@ def _check_cache(config: RunConfig) -> Path:
     return cache_dir
 
 
-def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
+def _check_mode(config: RunConfig, mode: str) -> None:
+    """Refuse an unknown mode, or settings that the mode cannot run with."""
     if mode not in (MODE_RARE, MODE_DICT, MODE_BOTH):
         raise ConfigError(f"unknown augment mode: {mode!r}")
-    aug = config.augmentation
     dict_mode = mode in (MODE_DICT, MODE_BOTH)
-    aug.validate(dict_mode=dict_mode)
+    config.augmentation.validate(dict_mode=dict_mode)
     if dict_mode and not config.dictionary:
         raise ConfigError("dictionary path required for dictionary augmentation")
-    cache_dir = _check_cache(config)
 
+
+def _load_run(
+    config: RunConfig, cache_dir: Path, mode: str
+) -> Tuple[pipeline.RunInputs, Optional[List[RareWord]], Optional[List[DictionaryEntry]]]:
+    """What ``augment`` and ``verify`` read: the run inputs, the rare words
+    in rare and both modes, and the dictionary in dict and both modes (None
+    in a mode that does not use them)."""
+    aug = config.augmentation
     corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
-    dictionary = load_dictionary(config.dictionary) if dict_mode else None
+    dictionary = load_dictionary(config.dictionary) if mode in (MODE_DICT, MODE_BOTH) else None
     embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
     alignment_table = load_translation_table(cache_dir / ALIGNER_FILE)
     lm_src = load_lm(cache_dir / LM_SRC_FILE)
@@ -388,14 +397,24 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     inputs = pipeline.RunInputs.build(
         corpus, embeddings, alignment_table, lm_src, lm_tgt, lexicon, aug.syntactic_mode()
     )
-    runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.ReplacementRecord]]] = {}
+    rare_words = None
     if mode in (MODE_RARE, MODE_BOTH):
         vocab = build_vocabulary(corpus.source)
         validity = RareWordValidityConfig(embedding_vocab=embeddings, annotation_vocab=lexicon)
         rare_words = extract_rare_words(vocab, corpus.source, aug.t_r, validity)
         log.info("extracted %d rare word(s) at threshold %d", len(rare_words), aug.t_r)
-        runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
+    return inputs, rare_words, dictionary
 
+
+def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
+    _check_mode(config, mode)
+    cache_dir = _check_cache(config)
+    inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
+    aug, corpus = config.augmentation, inputs.corpus
+
+    runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.ReplacementRecord]]] = {}
+    if rare_words is not None:
+        runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
     if dictionary is not None:
         runs[pipeline.ITEM_DICTIONARY] = augment_dictionary(
             inputs, dictionary, aug, config.dict_scope
@@ -467,29 +486,25 @@ def cmd_verify(run_dir: str | Path) -> int:
         raise ConfigError(f"{manifest_path}: not a JSON object of run settings") from exc
     try:
         config = resolve_config({key: str(value) for key, value in values.items()})
-        config.augmentation.validate(dict_mode=mode in (MODE_DICT, MODE_BOTH))
+        _check_mode(config, mode)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
 
-    corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
-    cache_dir = run_path / "cache"
-    embeddings = load_embeddings(cache_dir / EMBEDDINGS_FILE)
-    lm_src = load_lm(cache_dir / LM_SRC_FILE)
-    lm_tgt = load_lm(cache_dir / LM_TGT_FILE)
-    lexicon = agreement.load_annotations(config.annotations_src) if config.annotations_src else None
+    inputs, rare_words, dictionary = _load_run(config, run_path / "cache", mode)
     records = read_provenance(run_path / "provenance.jsonl")
     violations = verify_records(
-        records, corpus, embeddings, lexicon, lm_src, lm_tgt, config.augmentation
+        records, inputs, rare_words or (), dictionary or (), config.augmentation, config.dict_scope
     )
+    checked = f"{len(records)} accepted record(s), each recomputed by the pipeline"
     if violations:
         for violation in violations:
             print(violation, file=sys.stderr)
         by_field = Counter(violation.field for violation in violations)
         tally = ", ".join(f"{field}={by_field[field]}" for field in sorted(by_field))
         print(f"violations by field: {tally}", file=sys.stderr)
-        print(f"{len(violations)} violation(s) across {len(records)} accepted record(s)")
+        print(f"{len(violations)} violation(s) across {checked}")
         return EXIT_VERIFY
-    print(f"0 violations across {len(records)} accepted record(s)")
+    print(f"0 violations across {checked}")
     return EXIT_OK
 
 

@@ -15,13 +15,13 @@ rejected record as the writer formats it and is skipped unparsed, and every
 other line is parsed in full.
 
 Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
-with the Viterbi alignment of every pair and the word index built once;
-``augment_rare_words`` and ``augment_dictionary`` only turn their items into
-``_Item``s, and ``_run_items`` runs the gate loop over them in item order.
-``verify`` shares this module's definition of a replacement: an item inserts
-its own surface, ``query_vector`` and ``annotation_token`` derive the rest
-from it, and ``synthetic_window`` gives the spliced sentence and the span
-the LM gate scores.
+with the Viterbi alignment of every pair and the word index built once.
+``resolve_rare_word`` and ``resolve_dictionary_entry`` turn an item into an
+``_Item``, what it inserts on each side, or into the record of its
+item-level rejection; ``augment_rare_words`` and ``augment_dictionary`` add
+each item's candidate sentences, and ``_run_items`` runs ``_process_item``,
+the one place that evaluates the gates, over them in item order. ``verify``
+re-runs the same two steps on each accepted record's item and sentence.
 
 The in-sentence word is searched once per item over all its candidates: one
 matvec over the eligible corpus types pre-ranks every position, each
@@ -62,6 +62,7 @@ from .corpus_io import (
     ParallelCorpus,
     RareWord,
     Sentence,
+    Vocabulary,
     build_vocabulary,
 )
 from .embeddings import (
@@ -250,13 +251,17 @@ def synthetic_window(tokens: Tuple[str, ...], span: Span,
 
 @dataclass(frozen=True)
 class _Item:
-    """One resolved augmentation item; its ``surface`` is the source-side insertion."""
+    """What one item inserts: ``surface`` on the source side and
+    ``target_insert`` on the target side."""
 
     kind: str
     surface: Tuple[str, ...]
     query_vec: np.ndarray
     target_insert: Tuple[str, ...]
-    candidates: Tuple[Tuple[int, Optional[float]], ...]
+
+
+# (sentence id, sentence similarity or None), in the order they are tried.
+Candidates = Sequence[Tuple[int, Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -298,8 +303,11 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
 
 
 def _process_item(
-    item: _Item, inputs: RunInputs, config: AugmentationConfig
+    item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+    """Run ``item`` through every enabled gate in each candidate sentence, in
+    order, until ``max_per_item`` are accepted: the accepted pairs and one
+    record per candidate tried. No outcome depends on another candidate."""
     mode = config.syntactic_mode()
     corpus, lexicon = inputs.corpus, inputs.lexicon
     item_annotation = lexicon.get(annotation_token(item.surface)) if lexicon is not None else None
@@ -308,12 +316,12 @@ def _process_item(
     best_words = best_word_in_sentence(
         inputs.word_index,
         item.query_vec,
-        [candidate_id for candidate_id, _ in item.candidates],
+        [candidate_id for candidate_id, _ in candidates],
         # A one-token item never replaces its own token.
         item.surface[0] if len(item.surface) == 1 else None,
     )
 
-    for (candidate_id, sent_sim), best in zip(item.candidates, best_words):
+    for (candidate_id, sent_sim), best in zip(candidates, best_words):
         if len(pairs) >= config.max_per_item:
             break
         source_sentence = corpus.source[candidate_id]
@@ -402,36 +410,66 @@ def _all_candidates(n: int, exclude: Set[int]) -> Tuple[Tuple[int, Optional[floa
     return tuple((i, None) for i in range(n) if i not in exclude)
 
 
+def _make_item(
+    kind: str, surface: Tuple[str, ...], target_insert: Tuple[str, ...], inputs: RunInputs
+) -> Union[_Item, ReplacementRecord]:
+    """The item, or the record of its rejection when some token of its
+    surface has no vector or, under a syntactic gate, its head has no
+    annotation."""
+    query_vec = query_vector(surface, inputs.embeddings)
+    if query_vec is None:
+        return ReplacementRecord(kind, surface, reason=REASON_COVERAGE)
+    lexicon = inputs.lexicon
+    if inputs.mode != agreement.MODE_OFF and (
+        lexicon is None or annotation_token(surface) not in lexicon
+    ):
+        return ReplacementRecord(kind, surface, reason=REASON_UNANNOTATED)
+    return _Item(kind, surface, query_vec, target_insert)
+
+
+def resolve_rare_word(
+    rare: RareWord, inputs: RunInputs, max_span: int
+) -> Union[_Item, ReplacementRecord]:
+    """A rare word inserts itself and the translation of its first host,
+    when that translation exists."""
+    surface = (rare.surface,)
+    translation, reason = translate_rare_word(rare, inputs.corpus, inputs.alignments, max_span)
+    if translation is None:
+        return ReplacementRecord(
+            ITEM_RARE_WORD, surface, min(rare.host_sentence_ids), reason=reason
+        )
+    return _make_item(ITEM_RARE_WORD, surface, translation, inputs)
+
+
+def resolve_dictionary_entry(
+    entry: DictionaryEntry, inputs: RunInputs, vocab: Vocabulary, scope: str
+) -> Union[_Item, ReplacementRecord]:
+    """A dictionary entry inserts its two terms, unless ``scope`` excludes
+    a source term all of whose tokens are in the corpus vocabulary ``vocab``."""
+    surface = entry.source_term
+    if scope == SCOPE_OOV_ONLY and all(token in vocab for token in surface):
+        return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_IN_VOCABULARY)
+    return _make_item(ITEM_DICTIONARY, surface, entry.target_term, inputs)
+
+
 def _run_items(
-    resolved: Sequence[Union[_Item, ReplacementRecord]],
+    resolved: Sequence[Tuple[Union[_Item, ReplacementRecord], Candidates]],
     inputs: RunInputs,
     config: AugmentationConfig,
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
-    """The path both modes share: the annotation check, then the gate loop.
+    """The gate loop both modes share.
 
-    ``resolved`` holds, in item order, each item or the record of its
-    item-level rejection. Returns the accepted pairs and the rejected
-    records, item-level rejections first, in item order.
+    ``resolved`` holds, in item order, each item with its candidates or the
+    record of its item-level rejection. Returns the accepted pairs and the
+    rejected records, item-level rejections first, in item order.
     """
     mode = config.syntactic_mode()
     if mode != inputs.mode:
         raise ConfigError(f"inputs indexed for syntactic mode {inputs.mode!r}, not {mode!r}")
-    lexicon = inputs.lexicon
-    items: List[_Item] = []
-    rejected: List[ReplacementRecord] = []
-    for entry in resolved:
-        if isinstance(entry, ReplacementRecord):
-            rejected.append(entry)
-        elif mode != agreement.MODE_OFF and (
-            lexicon is None or annotation_token(entry.surface) not in lexicon
-        ):
-            rejected.append(
-                ReplacementRecord(entry.kind, entry.surface, reason=REASON_UNANNOTATED)
-            )
-        else:
-            items.append(entry)
+    rejected = [entry for entry, _ in resolved if isinstance(entry, ReplacementRecord)]
+    items = [(entry, candidates) for entry, candidates in resolved if isinstance(entry, _Item)]
     accepted: List[SyntheticPair] = []
-    for pairs, records in ordered_map(lambda item: _process_item(item, inputs, config), items):
+    for pairs, records in ordered_map(lambda item: _process_item(*item, inputs, config), items):
         accepted.extend(pairs)
         rejected.extend(r for r in records if not r.accepted)
     return accepted, rejected
@@ -453,25 +491,18 @@ def augment_rare_words(
         corpus_vectors = [sentence_embedding(s, embeddings) for s in corpus.source]
         corpus_rows = VectorRows.stack([sv.vector for sv in corpus_vectors], embeddings.dim)
 
-    def resolve(rare: RareWord) -> Union[_Item, ReplacementRecord]:
-        surface = (rare.surface,)
-        translation, reason = translate_rare_word(rare, corpus, inputs.alignments, config.max_span)
-        host_id = min(rare.host_sentence_ids)
-        if translation is None:
-            return ReplacementRecord(ITEM_RARE_WORD, surface, host_id, reason=reason)
-        query_vec = query_vector(surface, embeddings)
-        if query_vec is None:
-            return ReplacementRecord(ITEM_RARE_WORD, surface, reason=REASON_COVERAGE)
+    def candidates(rare: RareWord) -> Candidates:
         hosts = set(rare.host_sentence_ids)
-        if config.use_sent_sim:
-            host_vector = corpus_vectors[host_id]
-            hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
-            candidates = tuple((hit.sentence_id, hit.score) for hit in hits)
-        else:
-            candidates = _all_candidates(len(corpus), hosts)
-        return _Item(ITEM_RARE_WORD, surface, query_vec, translation, candidates)
+        if not config.use_sent_sim:
+            return _all_candidates(len(corpus), hosts)
+        host_vector = corpus_vectors[min(hosts)]
+        hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
+        return tuple((hit.sentence_id, hit.score) for hit in hits)
 
-    resolved = [resolve(rare) for rare in sorted(rare_words, key=lambda r: r.surface)]
+    resolved = []
+    for rare in sorted(rare_words, key=lambda r: r.surface):
+        item = resolve_rare_word(rare, inputs, config.max_span)
+        resolved.append((item, candidates(rare) if isinstance(item, _Item) else ()))
     return _run_items(resolved, inputs, config)
 
 
@@ -495,17 +526,11 @@ def augment_dictionary(
     config.validate(dict_mode=True)
     vocab = build_vocabulary(inputs.corpus.source)
     all_candidates = _all_candidates(len(inputs.corpus), set())
-
-    def resolve(entry: DictionaryEntry) -> Union[_Item, ReplacementRecord]:
-        surface = entry.source_term
-        if scope == SCOPE_OOV_ONLY and all(token in vocab for token in surface):
-            return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_IN_VOCABULARY)
-        query_vec = query_vector(surface, inputs.embeddings)
-        if query_vec is None:
-            return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_COVERAGE)
-        return _Item(ITEM_DICTIONARY, surface, query_vec, entry.target_term, all_candidates)
-
-    return _run_items([resolve(entry) for entry in dictionary], inputs, config)
+    resolved = [
+        (resolve_dictionary_entry(entry, inputs, vocab, scope), all_candidates)
+        for entry in dictionary
+    ]
+    return _run_items(resolved, inputs, config)
 
 
 def merge_and_dedup(

@@ -1,35 +1,37 @@
 """Re-verification of accepted augmentation records.
 
-This walks the accepted records of a provenance file and recomputes each
-enabled gate from the run's resources with the pipeline's own definitions
-of a replacement: the item's query vector and annotation token
-(``pipeline.query_vector``, ``pipeline.annotation_token``) and the spliced
-sentence with the span it scores (``pipeline.synthetic_window``). The
-similarity score comes from the embedding table, the agreement verdict from
-the annotation lexicon, and both language-model ratios from
-``lm.lm_ratio_accept``. Recorded values must match the recomputation and
-satisfy their thresholds. A record whose fields do not
-have the shape the pipeline writes is a violation, not an error.
+``verify_records`` re-runs the pipeline's own item step: it rebuilds the
+item of each group of accepted records with ``pipeline.resolve_rare_word``
+or ``pipeline.resolve_dictionary_entry`` and passes the recorded sentences
+to ``pipeline._process_item``. A candidate's outcome does not depend on the
+other candidates of its item, so each recomputed record must equal the
+recorded one: spans, inserted tokens, the syntactic verdict and acceptance
+exactly, the gate scores within ``SCORE_TOLERANCE``. ``sent_sim`` is passed
+through unchecked, and so is whether the run would have tried the recorded
+sentence. A record whose fields do not have the shape the pipeline writes is
+a violation, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import zip_longest
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from . import agreement
-from .agreement import AnnotatedLexicon
-from .corpus_io import ParallelCorpus
-from .embeddings import EmbeddingTable, cosine
-from .lm import TrigramModel, lm_ratio_accept
+from .corpus_io import DictionaryEntry, RareWord, build_vocabulary
 from .pipeline import (
     ITEM_DICTIONARY,
     ITEM_RARE_WORD,
+    REASON_LM_SRC,
+    REASON_LM_TGT,
+    REASON_WORD_SIM,
+    SCOPE_OOV_ONLY,
     AugmentationConfig,
     ReplacementRecord,
-    annotation_token,
-    query_vector,
-    synthetic_window,
+    RunInputs,
+    _process_item,
+    resolve_dictionary_entry,
+    resolve_rare_word,
 )
 
 SCORE_TOLERANCE = 1e-9
@@ -72,36 +74,61 @@ _EVIDENCE = (
     ("lm_ratio_tgt", _is_score),
 )
 
+_SCORES = ("word_sim", "lm_ratio_src", "lm_ratio_tgt")
+_COMPARED = ("source_span", "source_inserted", "target_span", "target_inserted",
+             "syntactic_ok") + _SCORES
+
+# The score and the setting it fell below, per rejection reason that has one.
+_THRESHOLDS = {
+    REASON_WORD_SIM: ("word_sim", "word_sim_min"),
+    REASON_LM_SRC: ("lm_ratio_src", "lm_threshold"),
+    REASON_LM_TGT: ("lm_ratio_tgt", "lm_threshold"),
+}
+
+
+def _differences(
+    record: ReplacementRecord, again: ReplacementRecord, config: AugmentationConfig
+) -> Iterator[Tuple[str, str]]:
+    """(field, detail) for each way an accepted record differs from its
+    recomputation ``again``."""
+    if not again.accepted:
+        name, setting = _THRESHOLDS.get(again.reason, ("accepted", None))
+        if setting is None:
+            yield name, f"rejected on recomputation ({again.reason})"
+        else:
+            yield name, f"{getattr(again, name)!r} below threshold {getattr(config, setting)!r}"
+        return
+    for name in _COMPARED:
+        recorded, recomputed = getattr(record, name), getattr(again, name)
+        differs = abs(recomputed - recorded) > SCORE_TOLERANCE if name in _SCORES else (
+            recorded != recomputed)
+        if differs:
+            yield name, f"recorded {recorded!r} != recomputed {recomputed!r}"
+
 
 def verify_records(
     records: Sequence[ReplacementRecord],
-    corpus: ParallelCorpus,
-    embeddings: EmbeddingTable,
-    lexicon: Optional[AnnotatedLexicon],
-    lm_src: TrigramModel,
-    lm_tgt: TrigramModel,
+    inputs: RunInputs,
+    rare_words: Sequence[RareWord],
+    dictionary: Sequence[DictionaryEntry],
     config: AugmentationConfig,
+    scope: str = SCOPE_OOV_ONLY,
 ) -> List[Violation]:
-    """Check every accepted record against each enabled constraint.
+    """Check every accepted record against the pipeline's recomputation.
 
-    Returns an empty list when the provenance is sound. Rejected records
-    are ignored (they assert nothing).
+    ``rare_words`` and ``dictionary`` are the items the run could use.
+    Returns the violations in record order, none when the provenance is
+    sound. Rejected records are ignored (they assert nothing).
     """
     violations: List[Violation] = []
 
     def bad(index: int, field: str, detail: str) -> None:
         violations.append(Violation(index, field, detail))
 
-    def check_score(index: int, field: str, recorded: float, recomputed: float) -> None:
-        if abs(recomputed - recorded) > SCORE_TOLERANCE:
-            bad(index, field, f"recorded {recorded!r} != recomputed {recomputed!r}")
-
-    mode = config.syntactic_mode()
+    corpus = inputs.corpus
+    groups: Dict[Tuple, List[Tuple[int, ReplacementRecord]]] = {}
     for index, record in enumerate(records):
         if not record.accepted:
-            continue
-        if record.item_kind not in (ITEM_RARE_WORD, ITEM_DICTIONARY):
-            bad(index, "item_kind", f"unknown kind {record.item_kind!r}")
             continue
         sentence_id = record.base_sentence_id
         if type(sentence_id) is not int or not 0 <= sentence_id < len(corpus):
@@ -115,7 +142,6 @@ def verify_records(
             bad(index, name, f"malformed: {getattr(record, name)!r}")
         if malformed:
             continue
-
         source, target = corpus.source[sentence_id], corpus.target[sentence_id]
         s_start, s_end = record.source_span
         t_start, t_end = record.target_span
@@ -125,42 +151,40 @@ def verify_records(
         if not (0 <= t_start <= t_end < len(target.tokens)):
             bad(index, "target_span", f"out of range: {record.target_span}")
             continue
+        # One source term may have several translations, each its own item.
+        key = (record.item_kind, record.item_surface)
+        if record.item_kind == ITEM_DICTIONARY:
+            key += (record.target_inserted,)
+        groups.setdefault(key, []).append((index, record))
 
-        # Word-similarity gate: recompute the cosine from the raw resources.
-        query_vec = query_vector(record.item_surface, embeddings)
-        candidate_token = source.tokens[s_start]
-        candidate_vec = embeddings.get(candidate_token)
-        if query_vec is None or candidate_vec is None:
-            bad(index, "word_sim", "embedding missing for recomputation")
+    vocab = build_vocabulary(corpus.source) if dictionary else None
+    items = {
+        (ITEM_RARE_WORD, (rare.surface,)): resolve_rare_word(rare, inputs, config.max_span)
+        for rare in rare_words
+    }
+    items.update({
+        (ITEM_DICTIONARY, entry.source_term, entry.target_term):
+            resolve_dictionary_entry(entry, inputs, vocab, scope)
+        for entry in dictionary
+    })
+    for key, group in groups.items():
+        item = items.get(key)
+        if item is None:
+            detail = "not an item of the run"
+        elif isinstance(item, ReplacementRecord):
+            detail = f"rejected on recomputation ({item.reason})"
+        else:
+            candidates = [(record.base_sentence_id, record.sent_sim) for _, record in group]
+            _, recomputed = _process_item(item, candidates, inputs, config)
+            for (index, record), again in zip_longest(group, recomputed):
+                if again is None:
+                    bad(index, "max_per_item", f"more than {config.max_per_item} for the item")
+                    continue
+                for field, detail in _differences(record, again, config):
+                    bad(index, field, detail)
             continue
-        recomputed_sim = cosine(query_vec, candidate_vec)
-        check_score(index, "word_sim", record.word_sim, recomputed_sim)
-        if config.use_word_sim and recomputed_sim < config.word_sim_min:
-            bad(index, "word_sim", f"{recomputed_sim!r} below threshold {config.word_sim_min!r}")
+        for index, _ in group:
+            bad(index, "item", detail)
 
-        # Syntactic gate.
-        if mode != agreement.MODE_OFF:
-            item_token = annotation_token(record.item_surface)
-            item_annotation = lexicon.get(item_token) if lexicon else None
-            candidate_annotation = lexicon.get(candidate_token) if lexicon else None
-            if item_annotation is None or candidate_annotation is None:
-                bad(index, "syntactic", "annotation missing for recomputation")
-            elif not agreement.syntactic_ok(
-                config.src_lang_role, item_annotation, candidate_annotation, mode
-            ):
-                bad(index, "syntactic", "agreement check fails on recomputation")
-
-        # Language-model gates: rebuild each synthetic side and re-score it.
-        for field, model, tokens, span, inserted, recorded in (
-            ("lm_ratio_src", lm_src, source.tokens, record.source_span,
-             record.source_inserted, record.lm_ratio_src),
-            ("lm_ratio_tgt", lm_tgt, target.tokens, record.target_span,
-             record.target_inserted, record.lm_ratio_tgt),
-        ):
-            synthetic = synthetic_window(tokens, span, inserted)
-            ok, ratio = lm_ratio_accept(model, (tokens, span), synthetic, config.lm_threshold)
-            check_score(index, field, recorded, ratio)
-            if not ok:
-                bad(index, field, f"{ratio!r} below threshold {config.lm_threshold!r}")
-
+    violations.sort(key=lambda violation: violation.record_index)
     return violations

@@ -458,6 +458,31 @@ class TestCorruptCache:
         assert str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_bad_aligner_verify_exit_2(self, prepared, tmp_path, capsys, damage):
+        cfg, source = prepared
+        out = tmp_path / "run"
+        shutil.copytree(source, out)
+        argv = ["augment", "--config", str(cfg), "--out-dir", str(out), "--mode", "rare"]
+        assert main(argv) == EXIT_OK
+        path = out / "cache" / "aligner.bin"
+        if damage == "missing":
+            path.unlink()
+        else:
+            _truncate(path)
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, path)
+
+    @pytest.mark.parametrize("mode", ["dict", "both"])
+    def test_missing_dictionary_verify_exit_2(self, toy, tmp_path, capsys, mode):
+        dictionary = tmp_path / "dictionary.tsv"
+        shutil.copyfile(toy.dictionary, dictionary)
+        cfg, out = prepare_run(toy, tmp_path, dictionary=dictionary)
+        assert main(["augment", "--config", str(cfg), "--mode", mode]) == EXIT_OK
+        dictionary.unlink()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, dictionary)
+
     def test_prepare_rebuilds_damaged_artifact(self, toy, tmp_path, caplog):
         cfg, out = prepare_run(toy, tmp_path)
         path = out / "cache" / "lm.src.bin"

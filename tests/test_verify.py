@@ -1,11 +1,17 @@
 import json
 import re
+import shutil
 
 import pytest
 
-from corpusaug import pipeline, verify as verify_module
+from corpusaug import pipeline
 from corpusaug.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
-from corpusaug.pipeline import AugmentationConfig, augment_rare_words
+from corpusaug.corpus_io import load_parallel_corpus
+from corpusaug.embeddings import cosine, load_embeddings
+from corpusaug.lm import lm_ratio_accept, load_lm
+from corpusaug.pipeline import (
+    AugmentationConfig, augment_rare_words, query_vector, synthetic_window,
+)
 from corpusaug.verify import verify_records
 
 from micro import inputs_of, ledger_fixture
@@ -23,9 +29,10 @@ def run(config=None):
 
 
 def verify(fx, config, records):
-    return verify_records(
-        records, fx.corpus, fx.embeddings, fx.lexicon, fx.lm_src, fx.lm_tgt, config
+    inputs = inputs_of(
+        fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config
     )
+    return verify_records(records, inputs, fx.rare_words, [], config)
 
 
 class TestVerifyRecords:
@@ -79,24 +86,20 @@ class TestVerifyRecords:
         fx, config, _ = run()
         assert verify(fx, config, []) == []
 
-    def test_lm_gates_use_verifys_own_import(self, monkeypatch):
-        # The traced benchmark counts pipeline.lm_ratio_accept as LM-gate
-        # work; verify's re-scoring must not show up there.
+    def test_lm_gates_score_through_pipeline(self, monkeypatch):
+        # verify re-runs the pipeline's item step, so the traced benchmark's
+        # pipeline.lm_ratio_accept counts verify's LM-gate work too.
         fx, config, records = run()
-        calls = {"pipeline": 0, "verify": 0}
+        models = []
+        score = pipeline.lm_ratio_accept
 
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
+        def counting(model, *args):
+            models.append(model)
+            return score(model, *args)
 
-        monkeypatch.setattr(pipeline, "lm_ratio_accept", counting("pipeline", pipeline.lm_ratio_accept))
-        monkeypatch.setattr(
-            verify_module, "lm_ratio_accept", counting("verify", verify_module.lm_ratio_accept)
-        )
+        monkeypatch.setattr(pipeline, "lm_ratio_accept", counting)
         assert verify(fx, config, records) == []
-        assert calls == {"pipeline": 0, "verify": 2 * sum(r.accepted for r in records)}
+        assert models == [fx.lm_src, fx.lm_tgt] * sum(r.accepted for r in records)
 
 
 def finished_run(toy, tmp_path, mode):
@@ -136,6 +139,16 @@ class TestVerifyBadManifest:
         assert "not valid JSON" in err
         assert "Traceback" not in err
 
+    def test_unknown_mode_exit_2(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["mode"] = "bogus"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'bogus'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "key, value",
         [("word_sim_min", "abc"), ("lm_threshold", 0), ("max_span", DELETE)],
@@ -153,6 +166,102 @@ class TestVerifyBadManifest:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+
+class TestVerifyTamper:
+    """An accepted record edited so that every score still matches its other
+    fields. Checking the scores alone passes each of these; re-running the
+    pipeline's item step catches the field it derives."""
+
+    THRESHOLD = 1e-30  # low enough that every rewritten LM ratio passes
+
+    @pytest.fixture(scope="class")
+    def finished(self, toy, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tamper") / "run"
+        cfg = toy.write_config(out.parent / "run.cfg", out, lm_threshold=str(self.THRESHOLD))
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        argv = ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "off"]
+        assert main(argv) == EXIT_OK
+        return out, load_parallel_corpus(toy.src_corpus, toy.tgt_corpus)
+
+    @pytest.fixture
+    def run_dir(self, finished, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(finished[0], out)
+        return out
+
+    def tamper(self, run_dir, corpus, kind, edit):
+        """Apply ``edit(record, source tokens, target tokens)`` to the first
+        accepted record of this ``kind``."""
+        path = run_dir / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        index = next(i for i, r in enumerate(records) if r["accepted"] and r["item_kind"] == kind)
+        record = records[index]
+        sentence_id = record["base_sentence_id"]
+        edit(record, corpus.source[sentence_id].tokens, corpus.target[sentence_id].tokens)
+        lines[index] = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def lm_ratio(self, run_dir, side, tokens, span, inserted):
+        model = load_lm(run_dir / "cache" / f"lm.{side}.bin")
+        window = synthetic_window(tokens, tuple(span), inserted)
+        return lm_ratio_accept(model, (tokens, tuple(span)), window, self.THRESHOLD)[1]
+
+    def verify_fails_with(self, run_dir, capsys, text):
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, violation", [
+        ("rare_word", "target_inserted: recorded ('forged',)"),
+        ("dictionary", "item: not an item of the run"),
+    ])
+    def test_forged_target_inserted(self, finished, run_dir, capsys, kind, violation):
+        def forge(record, source, target):
+            record["target_inserted"] = ["forged"]
+            record["lm_ratio_tgt"] = self.lm_ratio(
+                run_dir, "tgt", target, record["target_span"], ["forged"]
+            )
+
+        self.tamper(run_dir, finished[1], kind, forge)
+        self.verify_fails_with(run_dir, capsys, violation)
+
+    def test_moved_source_span(self, finished, run_dir, capsys):
+        embeddings = load_embeddings(run_dir / "cache" / "embeddings.src.bin")
+
+        def move(record, source, target):
+            query = query_vector(record["item_surface"], embeddings)
+            position = next(
+                i for i, token in enumerate(source)
+                if i != record["source_span"][0] and embeddings.get(token) is not None
+            )
+            record["source_span"] = [position, position]
+            record["word_sim"] = cosine(query, embeddings.get(source[position]))
+            record["lm_ratio_src"] = self.lm_ratio(
+                run_dir, "src", source, record["source_span"], record["source_inserted"]
+            )
+
+        self.tamper(run_dir, finished[1], "rare_word", move)
+        self.verify_fails_with(run_dir, capsys, "source_span: recorded")
+
+    def test_edited_target_span(self, finished, run_dir, capsys):
+        def edit(record, source, target):
+            record["target_span"] = [0, 0] if record["target_span"] != [0, 0] else [1, 1]
+            record["lm_ratio_tgt"] = self.lm_ratio(
+                run_dir, "tgt", target, record["target_span"], record["target_inserted"]
+            )
+
+        self.tamper(run_dir, finished[1], "rare_word", edit)
+        self.verify_fails_with(run_dir, capsys, "target_span: recorded")
+
+    def test_more_records_than_max_per_item(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["resolved_config"]["max_per_item"] > 1
+        manifest["resolved_config"]["max_per_item"] = 1
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        self.verify_fails_with(run_dir, capsys, "max_per_item: more than 1 for the item")
 
 
 class TestVerifyBadProvenance:
