@@ -127,7 +127,8 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        """Reject training knobs the trainers would refuse, naming the key."""
+        """Reject training knobs the trainers would refuse, and a dictionary
+        scope that is not one of the two, naming the key."""
         if self.em_iterations < 1:
             raise ConfigError(
                 f"config key 'em_iterations': must be >= 1, got {self.em_iterations}"
@@ -139,6 +140,11 @@ class RunConfig:
         if not 0.0 < self.lm_discount < 1.0:
             raise ConfigError(
                 f"config key 'lm_discount': must be in (0, 1), got {self.lm_discount}"
+            )
+        if self.dict_scope not in (pipeline.SCOPE_OOV_ONLY, pipeline.SCOPE_ALL):
+            raise ConfigError(
+                f"config key 'dict_scope': must be {pipeline.SCOPE_OOV_ONLY!r} or "
+                f"{pipeline.SCOPE_ALL!r}, got {self.dict_scope!r}"
             )
 
 

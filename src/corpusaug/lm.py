@@ -13,9 +13,17 @@ trigram windows.
 The model is held as integer token ids: ``BOS``, ``EOS``, ``UNK``, then the
 sorted vocabulary. With ``V`` ids, bigram keys are ``h*V + w`` and trigram
 keys ``(h1*V + h2)*V + w``, stored as sorted int64 arrays beside their
-counts. The probabilities are computed from the same Python integers, with
-the same float operations in the same order, as a model keyed by token
-strings, so they are equal to it bit for bit.
+counts. For orders 2 and 3 the model also keeps three arrays per history
+(``_Histories``): the sorted histories, their summed continuation counts and
+their numbers of distinct continuations. Building a model, trained or
+loaded, makes no dict of n-grams.
+
+``window_scores`` scores many windows in one pass over these arrays: counts
+are found with ``np.searchsorted``, each level of the interpolation runs the
+scalar formula's float operations in its order, and each window's product
+is taken left to right. The scalar ``trigram_prob``, for ``window_score``,
+the ARPA export and other callers, reads dicts that it builds on first use.
+Both equal a model keyed by token strings bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,9 +86,16 @@ def _check_ngrams(order: int, keys: np.ndarray, counts: np.ndarray, size: int) -
         raise ValueError(f"{name} count not positive")
 
 
-def _continuations(
-    keys: np.ndarray, counts: np.ndarray, size: int
-) -> Tuple[Dict[int, int], Dict[int, int]]:
+class _Histories(NamedTuple):
+    """The histories of one order that predict something, sorted, with the
+    summed count of their continuations and the number of distinct ones."""
+
+    keys: np.ndarray
+    follow: np.ndarray
+    n1plus: np.ndarray
+
+
+def _continuations(keys: np.ndarray, counts: np.ndarray, size: int) -> _Histories:
     """Per history: summed count and number of distinct continuations.
 
     Begin markers are contexts only: n-grams whose final token is BOS carry
@@ -89,13 +104,20 @@ def _continuations(
     keep = keys % size != BOS_ID
     keys, counts = keys[keep], counts[keep]
     if keys.size == 0:
-        return {}, {}
+        return _Histories(keys, counts, counts)
     history = keys // size  # sorted, because the keys are
     starts = np.flatnonzero(np.concatenate(([True], history[1:] != history[:-1])))
     follow = np.add.reduceat(counts, starts)
-    types = np.diff(np.append(starts, keys.size))
-    histories = history[starts].tolist()
-    return dict(zip(histories, follow.tolist())), dict(zip(histories, types.tolist()))
+    n1plus = np.diff(np.append(starts, keys.size))
+    return _Histories(history[starts], follow, n1plus)
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Per query, the value of the equal key in the sorted ``keys``, else 0."""
+    if keys.size == 0:
+        return np.zeros_like(query)
+    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return np.where(keys[pos] == query, values[pos], 0)
 
 
 class TrigramModel:
@@ -104,8 +126,11 @@ class TrigramModel:
     ``unigram_counts`` has one entry per id; the bigram and trigram tables are
     sorted key arrays with parallel count arrays. Counts are positional over
     padded sentences, so every n-gram count is bounded by its prefix's count.
-    The string-keyed ``unigrams``/``bigrams``/``trigrams``/``vocab`` views are
-    built on first use; scoring never needs them.
+    For orders 2 and 3 the model keeps the ``_Histories`` arrays that the
+    probabilities interpolate with. No table is a dict: ``window_scores``
+    looks counts up with ``np.searchsorted``. The scalar ``trigram_prob``
+    and the string-keyed ``unigrams``/``bigrams``/``trigrams``/``vocab``
+    views build their dicts on first use; scoring never needs them.
     """
 
     def __init__(
@@ -150,18 +175,16 @@ class TrigramModel:
         self.bigram_keys, self.bigram_counts = bigram_keys, bigram_counts
         self.trigram_keys, self.trigram_counts = trigram_keys, trigram_counts
 
-        self._bigram = dict(zip(bigram_keys.tolist(), bigram_counts.tolist()))
-        self._trigram = dict(zip(trigram_keys.tolist(), trigram_counts.tolist()))
-        self._follow2, self._n1plus2 = _continuations(bigram_keys, bigram_counts, size)
-        self._follow3, self._n1plus3 = _continuations(trigram_keys, trigram_counts, size)
+        self._histories2 = _continuations(bigram_keys, bigram_counts, size)
+        self._histories3 = _continuations(trigram_keys, trigram_counts, size)
         # Unigram backoff distribution over the predictable alphabet
         # (vocab + EOS + UNK; BOS is never predicted). UNK gets a floor
         # count of 1 so unknown words keep positive probability.
-        uni_pred = unigram_counts.tolist()
+        uni_pred = unigram_counts.copy()
         uni_pred[BOS_ID] = 0
         uni_pred[UNK_ID] = max(uni_pred[UNK_ID], 1)
         self._uni_pred = uni_pred
-        self._uni_total = sum(uni_pred)
+        self._uni_total = int(uni_pred.sum())
 
     # -- string views -------------------------------------------------------
 
@@ -201,29 +224,73 @@ class TrigramModel:
     def map_predicted(self, token: str) -> str:
         return token if token in self.ids and token != BOS else UNK
 
-    # -- probabilities over ids ---------------------------------------------
+    # -- probabilities over id arrays ---------------------------------------
+
+    def _interpolate(self, histories: _Histories, keys: np.ndarray, counts: np.ndarray,
+                     history: np.ndarray, w: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """One level of the discounted interpolation, per element, with the
+        scalar level's operations in its order. A history with no
+        continuation backs off to ``lower``; dividing its unused branch by 1
+        keeps it finite."""
+        follow = _lookup(histories.keys, histories.follow, history)
+        seen = follow != 0
+        follow = np.where(seen, follow, 1)
+        count = _lookup(keys, counts, history * len(self.tokens) + w)
+        discounted = np.maximum(count - self.discount, 0.0) / follow
+        interp = self.discount * _lookup(histories.keys, histories.n1plus, history) / follow
+        return np.where(seen, discounted + interp * lower, lower)
+
+    def _probs(self, h1: np.ndarray, h2: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """P(w | h1, h2) per element of three id arrays; ``w`` is never BOS.
+        Equal bit for bit to ``_p3`` of each element."""
+        p1 = self._uni_pred[w] / self._uni_total
+        p2 = self._interpolate(self._histories2, self.bigram_keys, self.bigram_counts, h2, w, p1)
+        history = h1 * len(self.tokens) + h2
+        return self._interpolate(
+            self._histories3, self.trigram_keys, self.trigram_counts, history, w, p2
+        )
+
+    # -- scalar probabilities over ids, from dicts built on first use --------
+
+    @cached_property
+    def _bigram(self) -> Dict[int, int]:
+        return dict(zip(self.bigram_keys.tolist(), self.bigram_counts.tolist()))
+
+    @cached_property
+    def _trigram(self) -> Dict[int, int]:
+        return dict(zip(self.trigram_keys.tolist(), self.trigram_counts.tolist()))
+
+    @cached_property
+    def _continued2(self) -> Dict[int, Tuple[int, int]]:
+        """Per bigram history: (follow, n1plus)."""
+        keys, follow, n1plus = (a.tolist() for a in self._histories2)
+        return dict(zip(keys, zip(follow, n1plus)))
+
+    @cached_property
+    def _continued3(self) -> Dict[int, Tuple[int, int]]:
+        """Per trigram history ``h1*V + h2``: (follow, n1plus)."""
+        keys, follow, n1plus = (a.tolist() for a in self._histories3)
+        return dict(zip(keys, zip(follow, n1plus)))
+
+    def _interpolate_one(self, continued: Dict[int, Tuple[int, int]], counts: Dict[int, int],
+                         history: int, w: int, lower: float) -> float:
+        follow, n1plus = continued.get(history, (0, 0))
+        if follow == 0:
+            return lower
+        count = counts.get(history * len(self.tokens) + w, 0)
+        discounted = max(count - self.discount, 0.0) / follow
+        interp = self.discount * n1plus / follow
+        return discounted + interp * lower
 
     def _p1(self, w: int) -> float:
-        return self._uni_pred[w] / self._uni_total
+        return int(self._uni_pred[w]) / self._uni_total
 
     def _p2(self, h: int, w: int) -> float:
-        follow = self._follow2.get(h, 0)
-        if follow == 0:
-            return self._p1(w)
-        count = self._bigram.get(h * len(self.tokens) + w, 0)
-        discounted = max(count - self.discount, 0.0) / follow
-        interp = self.discount * self._n1plus2[h] / follow
-        return discounted + interp * self._p1(w)
+        return self._interpolate_one(self._continued2, self._bigram, h, w, self._p1(w))
 
     def _p3(self, h1: int, h2: int, w: int) -> float:
         history = h1 * len(self.tokens) + h2
-        follow = self._follow3.get(history, 0)
-        if follow == 0:
-            return self._p2(h2, w)
-        count = self._trigram.get(history * len(self.tokens) + w, 0)
-        discounted = max(count - self.discount, 0.0) / follow
-        interp = self.discount * self._n1plus3[history] / follow
-        return discounted + interp * self._p2(h2, w)
+        return self._interpolate_one(self._continued3, self._trigram, history, w, self._p2(h2, w))
 
     def trigram_prob(self, w1: str, w2: str, w3: str) -> float:
         """P(w3 | w1, w2) after mapping out-of-vocabulary tokens to UNK.
@@ -238,15 +305,16 @@ class TrigramModel:
     def backoff_weights(self) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
         """Leftover-mass weights per history, as used by the ARPA export."""
         ids, size = self.ids, len(self.tokens)
-        uni_bow = {}
-        for w in self.alphabet() + [BOS]:
-            follow = self._follow2.get(ids[w], 0)
-            uni_bow[w] = self.discount * self._n1plus2[ids[w]] / follow if follow else 1.0
-        bi_bow = {}
-        for pair in self.bigrams:
-            history = ids[pair[0]] * size + ids[pair[1]]
-            follow = self._follow3.get(history, 0)
-            bi_bow[pair] = self.discount * self._n1plus3[history] / follow if follow else 1.0
+
+        def weight(continued: Dict[int, Tuple[int, int]], history: int) -> float:
+            follow, n1plus = continued.get(history, (0, 0))
+            return self.discount * n1plus / follow if follow else 1.0
+
+        uni_bow = {w: weight(self._continued2, ids[w]) for w in self.alphabet() + [BOS]}
+        bi_bow = {
+            pair: weight(self._continued3, ids[pair[0]] * size + ids[pair[1]])
+            for pair in self.bigrams
+        }
         return uni_bow, bi_bow
 
 
@@ -341,25 +409,70 @@ def window_score(model, tokens: Sequence[str], span: Span) -> float:
     return score
 
 
+def window_scores(
+    model: TrigramModel, windows: Sequence[Tuple[Sequence[str], Span]]
+) -> np.ndarray:
+    """``[window_score(model, tokens, span) for tokens, span in windows]`` as
+    one float64 array, equal to it bit for bit, in a few array passes.
+
+    Each window's padded context is mapped to ids, every trigram of every
+    window is scored by ``TrigramModel._probs``, and each window's
+    probabilities are multiplied left to right, one column at a time; a
+    window with fewer trigrams than the longest is padded with 1.0, which
+    leaves its product unchanged.
+    """
+    ids = model.ids
+    context: List[int] = []
+    lengths: List[int] = []
+    for tokens, (start, end) in windows:
+        if not (0 <= start <= end < len(tokens)):
+            raise ValueError(f"span {(start, end)} out of range for {len(tokens)} tokens")
+        # The padded tokens from two before the span to two after it.
+        context += [BOS_ID] * (2 - start)
+        context += [ids.get(t, UNK_ID) for t in tokens[max(start - 2, 0) : end + 3]]
+        context += [EOS_ID] * (end + 3 - len(tokens))
+        lengths.append(end - start + 5)
+    if not windows:
+        return np.ones(0)
+    flat = np.array(context, dtype=np.int64)
+    trigrams = np.array(lengths) - 2
+    row = np.repeat(np.arange(len(lengths)), trigrams)
+    column = np.arange(row.size) - np.repeat(np.cumsum(trigrams) - trigrams, trigrams)
+    first = np.repeat(np.cumsum(lengths) - lengths, trigrams) + column
+    predicted = flat[first + 2]
+    predicted[predicted == BOS_ID] = UNK_ID
+    grid = np.ones((len(lengths), int(trigrams.max())))
+    grid[row, column] = model._probs(flat[first], flat[first + 1], predicted)
+    scores = np.ones(len(lengths))
+    for probs in grid.T:
+        scores *= probs
+    return scores
+
+
 def lm_ratio_accept(
     model,
     original: Tuple[Sequence[str], Span],
     synthetic: Tuple[Sequence[str], Span],
     threshold: float,
+    scores: Optional[Tuple[float, float]] = None,
 ) -> Tuple[bool, float]:
     """Context-ratio acceptance test for a replacement.
 
     The ratio is the synthetic window score over the original window score;
     the replacement is accepted when the ratio is at least ``threshold``.
-    Both verdict and ratio are returned for provenance.
+    Both verdict and ratio are returned for provenance. ``scores`` are the
+    (original, synthetic) window scores when the caller has them already,
+    as ``window_scores`` gives them; without them both are scored here.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    original_score = window_score(model, original[0], original[1])
+    if scores is None:
+        scores = (window_score(model, *original), window_score(model, *synthetic))
+    original_score, synthetic_score = scores
     # Smoothing keeps every probability positive, so this cannot trip on
     # well-formed models.
     assert original_score > 0.0, "original window score must be positive"
-    ratio = window_score(model, synthetic[0], synthetic[1]) / original_score
+    ratio = synthetic_score / original_score
     return ratio >= threshold, ratio
 
 

@@ -38,7 +38,7 @@ import logging
 import operator
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -74,7 +74,7 @@ from .embeddings import (
     term_embedding,
     top_k_sentences,
 )
-from .lm import Span, TrigramModel, lm_ratio_accept
+from .lm import Span, TrigramModel, lm_ratio_accept, window_scores
 
 log = logging.getLogger(__name__)
 
@@ -271,6 +271,9 @@ class RunInputs:
     ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``, read by
     the gate loop and by rare-word translation. ``word_index`` is built for
     the syntactic mode ``mode``, which the run's config must share.
+    ``original_src`` and ``original_tgt`` hold the LM score of each original
+    (unspliced) window that a gate has reached, by (sentence id, span), so
+    each is scored once per run.
     """
 
     corpus: ParallelCorpus
@@ -281,6 +284,8 @@ class RunInputs:
     mode: str
     alignments: Tuple[SentenceAlignment, ...]
     word_index: WordIndex
+    original_src: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
+    original_tgt: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
@@ -302,17 +307,109 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(item) for item in items]
 
 
+# The fewest candidates whose LM gates are scored in one batch, unless the
+# item needs fewer accepts than this to reach ``max_per_item``.
+_LM_BATCH = 64
+
+
+def _side_scores(
+    model: TrigramModel,
+    originals: Dict[Tuple[int, Span], float],
+    sentences: Sequence[Sentence],
+    keys: Sequence[Tuple[int, Span]],
+    synthetic: Sequence[Tuple[Tuple[str, ...], Span]],
+) -> Tuple[List[float], List[float]]:
+    """The original window score of each (sentence id, span) key and the
+    score of each synthetic window, from one ``window_scores`` batch; the
+    original windows not in ``originals`` yet are scored and added to it."""
+    missing = [key for key in keys if key not in originals]
+    windows = [(sentences[sentence_id].tokens, span) for sentence_id, span in missing]
+    scores = window_scores(model, windows + list(synthetic)).tolist()
+    originals.update(zip(missing, scores))
+    return [originals[key] for key in keys], scores[len(missing):]
+
+
+def _lm_gates(
+    queued: Sequence[Tuple[int, Tuple[Tuple[str, ...], Span]]],
+    records: List[ReplacementRecord],
+    pairs: List[SyntheticPair],
+    item: _Item,
+    inputs: RunInputs,
+    config: AugmentationConfig,
+) -> bool:
+    """Run the LM gates of the queued candidates, each a record index and
+    its synthetic source window, in candidate order, appending the accepted
+    pairs to ``pairs``. At the ``max_per_item``-th accept the records after
+    it are dropped and True is returned.
+
+    The source windows are scored in one batch, then the target windows of
+    the candidates whose source ratio passes; each gate's verdict and ratio
+    are still those of one ``lm_ratio_accept`` call."""
+    corpus, threshold = inputs.corpus, config.lm_threshold
+    chosen = [records[index] for index, _ in queued]
+    src_scores = list(zip(*_side_scores(
+        inputs.lm_src, inputs.original_src, corpus.source,
+        [(record.base_sentence_id, record.source_span) for record in chosen],
+        [window for _, window in queued],
+    )))
+    # An original score of 0 passes nothing here; ``lm_ratio_accept`` refuses it below.
+    passing = [record for record, (original, synthetic) in zip(chosen, src_scores)
+               if original > 0.0 and synthetic / original >= threshold]
+    target_windows = [
+        synthetic_window(corpus.target[record.base_sentence_id].tokens, record.target_span,
+                         item.target_insert)
+        for record in passing
+    ]
+    tgt_scores = zip(target_windows, *_side_scores(
+        inputs.lm_tgt, inputs.original_tgt, corpus.target,
+        [(record.base_sentence_id, record.target_span) for record in passing],
+        target_windows,
+    ))
+    for (index, source_window), record, scores in zip(queued, chosen, src_scores):
+        sentence_id = record.base_sentence_id
+        src_ok, record.lm_ratio_src = lm_ratio_accept(
+            inputs.lm_src, (corpus.source[sentence_id].tokens, record.source_span),
+            source_window, threshold, scores,
+        )
+        if not src_ok:
+            record.reason = REASON_LM_SRC
+            continue
+        target_window, original, synthetic = next(tgt_scores)
+        tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(
+            inputs.lm_tgt, (corpus.target[sentence_id].tokens, record.target_span),
+            target_window, threshold, (original, synthetic),
+        )
+        if not tgt_ok:
+            record.reason = REASON_LM_TGT
+            continue
+        record.accepted = True
+        pairs.append(SyntheticPair(source_window[0], target_window[0], record))
+        if len(pairs) >= config.max_per_item:
+            del records[index + 1 :]
+            return True
+    return False
+
+
 def _process_item(
     item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
 ) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
     """Run ``item`` through every enabled gate in each candidate sentence, in
     order, until ``max_per_item`` are accepted: the accepted pairs and one
-    record per candidate tried. No outcome depends on another candidate."""
+    record per candidate tried. No outcome depends on another candidate.
+
+    One walk over the candidates runs the cheap gates, from the best word to
+    the target span, and queues each candidate that reaches the LM gates.
+    Once the queue holds as many candidates as accepts are still missing,
+    and at least ``_LM_BATCH``, ``_lm_gates`` scores it with one
+    ``window_scores`` batch per side; at the ``max_per_item``-th accept it
+    drops the records walked after that one, and the walk ends. The rest of
+    the queue is scored when the walk runs out of candidates."""
     mode = config.syntactic_mode()
     corpus, lexicon = inputs.corpus, inputs.lexicon
     item_annotation = lexicon.get(annotation_token(item.surface)) if lexicon is not None else None
     pairs: List[SyntheticPair] = []
     records: List[ReplacementRecord] = []
+    queued: List[Tuple[int, Tuple[Tuple[str, ...], Span]]] = []
     best_words = best_word_in_sentence(
         inputs.word_index,
         item.query_vec,
@@ -322,10 +419,7 @@ def _process_item(
     )
 
     for (candidate_id, sent_sim), best in zip(candidates, best_words):
-        if len(pairs) >= config.max_per_item:
-            break
         source_sentence = corpus.source[candidate_id]
-        target_sentence = corpus.target[candidate_id]
         record = ReplacementRecord(
             item_kind=item.kind,
             item_surface=item.surface,
@@ -373,36 +467,16 @@ def _process_item(
         record.target_span = (span.start, span.end)
         record.source_inserted = item.surface
         record.target_inserted = item.target_insert
-        source_window = synthetic_window(source_sentence.tokens, record.source_span, item.surface)
+        queued.append((
+            len(records) - 1,
+            synthetic_window(source_sentence.tokens, record.source_span, item.surface),
+        ))
+        if len(queued) >= max(config.max_per_item - len(pairs), _LM_BATCH):
+            if _lm_gates(queued, records, pairs, item, inputs, config):
+                return pairs, records
+            queued = []
 
-        src_ok, src_ratio = lm_ratio_accept(
-            inputs.lm_src,
-            (source_sentence.tokens, record.source_span),
-            source_window,
-            config.lm_threshold,
-        )
-        record.lm_ratio_src = src_ratio
-        if not src_ok:
-            record.reason = REASON_LM_SRC
-            continue
-
-        target_window = synthetic_window(
-            target_sentence.tokens, record.target_span, item.target_insert
-        )
-        tgt_ok, tgt_ratio = lm_ratio_accept(
-            inputs.lm_tgt,
-            (target_sentence.tokens, record.target_span),
-            target_window,
-            config.lm_threshold,
-        )
-        record.lm_ratio_tgt = tgt_ratio
-        if not tgt_ok:
-            record.reason = REASON_LM_TGT
-            continue
-
-        record.accepted = True
-        pairs.append(SyntheticPair(source_window[0], target_window[0], record))
-
+    _lm_gates(queued, records, pairs, item, inputs, config)
     return pairs, records
 
 

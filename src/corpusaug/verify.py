@@ -6,10 +6,13 @@ or ``pipeline.resolve_dictionary_entry`` and passes the recorded sentences
 to ``pipeline._process_item``. A candidate's outcome does not depend on the
 other candidates of its item, so each recomputed record must equal the
 recorded one: spans, inserted tokens, the syntactic verdict and acceptance
-exactly, the gate scores within ``SCORE_TOLERANCE``. ``sent_sim`` is passed
-through unchecked, and so is whether the run would have tried the recorded
-sentence. A record whose fields do not have the shape the pipeline writes is
-a violation, not an error.
+exactly, the gate scores within ``SCORE_TOLERANCE``. A record on a sentence
+the run would not have tried for its item, a host sentence of its rare word
+or a sentence an earlier record of the item names, is a violation and is
+not recomputed. ``sent_sim`` is passed through unchecked, and so is whether
+a sentence-similarity run would have ranked the sentence among its
+candidates. A record whose fields do not have the shape the pipeline writes
+is a violation, not an error.
 """
 
 from __future__ import annotations
@@ -167,6 +170,9 @@ def verify_records(
             resolve_dictionary_entry(entry, inputs, vocab, scope)
         for entry in dictionary
     })
+    # A rare word's own host sentences are never its candidates.
+    hosts = {(ITEM_RARE_WORD, (rare.surface,)): frozenset(rare.host_sentence_ids)
+             for rare in rare_words}
     for key, group in groups.items():
         item = items.get(key)
         if item is None:
@@ -174,9 +180,20 @@ def verify_records(
         elif isinstance(item, ReplacementRecord):
             detail = f"rejected on recomputation ({item.reason})"
         else:
-            candidates = [(record.base_sentence_id, record.sent_sim) for _, record in group]
+            item_hosts, seen, tried = hosts.get(key, frozenset()), set(), []
+            for index, record in group:
+                sentence_id = record.base_sentence_id
+                if sentence_id in item_hosts:
+                    bad(index, "base_sentence_id", f"{sentence_id} is a host of the rare word")
+                elif sentence_id in seen:
+                    bad(index, "base_sentence_id",
+                        f"{sentence_id} repeats an earlier record of the item")
+                else:
+                    seen.add(sentence_id)
+                    tried.append((index, record))
+            candidates = [(record.base_sentence_id, record.sent_sim) for _, record in tried]
             _, recomputed = _process_item(item, candidates, inputs, config)
-            for (index, record), again in zip_longest(group, recomputed):
+            for (index, record), again in zip_longest(tried, recomputed):
                 if again is None:
                     bad(index, "max_per_item", f"more than {config.max_per_item} for the item")
                     continue

@@ -31,3 +31,5 @@ def test_every_traced_layer_reports(toy, tmp_path, monkeypatch):
     assert tracer.absent == set()
     assert tracer.uncounted == set()
     assert tracer.counters["pipeline.items"] > 0
+    # The LM gates still decide through the hooked pipeline.lm_ratio_accept.
+    assert any(span[0] == "lm.ratio" for span in tracer.spans)

@@ -27,6 +27,7 @@ from corpusaug import pipeline
 from corpusaug.aligner import ALIGNER_MAGIC, load_translation_table
 from corpusaug.corpus_io import load_parallel_corpus
 from corpusaug.embeddings import EMBEDDINGS_MAGIC, WordIndex, export_vec, load_embeddings
+from corpusaug.lm import TrigramModel
 from corpusaug.pipeline import ConfigError
 
 from cachecases import ALIGNER_CASES, EMBEDDING_CASES, read_cache
@@ -100,6 +101,14 @@ class TestBadInput:
         assert repr(setting.split("=")[0]) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_dict_scope_exit_2_names_key(self, toy, tmp_path, capsys):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        argv = ["augment", "--config", str(cfg), "--mode", "dict", "--set", "dict_scope=bogus"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'dict_scope'" in err and "'bogus'" in err
+        assert "Traceback" not in err
 
     def test_non_utf8_dictionary_exit_2_with_offset(self, toy, tmp_path, capsys):
         path = tmp_path / "dict.tsv"
@@ -231,6 +240,21 @@ class TestAugment:
             assert rc == EXIT_STALE_CACHE
         finally:
             toy.src_corpus.write_text(original, encoding="utf-8")
+
+    def test_lm_gates_never_score_one_trigram_at_a_time(self, toy, tmp_path, monkeypatch):
+        # augment and verify score the LM gates in batches over the cached
+        # arrays; the scalar path would build the model's dicts.
+        cfg, out = prepare_run(toy, tmp_path)
+
+        def refuse(self, *args):
+            raise AssertionError("the scalar trigram_prob was called")
+
+        monkeypatch.setattr(TrigramModel, "trigram_prob", refuse)
+        assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        records = [json.loads(line) for line in (out / "provenance.jsonl").open()]
+        assert any(r["accepted"] for r in records)
+        assert any(r["reason"] in ("lm_src", "lm_tgt") for r in records)
 
     def test_both_modes_align_and_index_once(self, toy, tmp_path, monkeypatch):
         cfg, out = prepare_run(toy, tmp_path)

@@ -25,7 +25,9 @@ from corpusaug.lm import (
     save_lm,
     train_lm,
     window_score,
+    window_scores,
 )
+from corpusaug.pipeline import AugmentationConfig, synthetic_window
 
 from oracles import train_lm_dict_reference, trigram_prob_reference
 
@@ -420,3 +422,74 @@ class TestDictParity:
             expected = reference.trigram_prob(w1, w2, w3)
             assert model.trigram_prob(w1, w2, w3) == expected, (w1, w2, w3)
             assert loaded.trigram_prob(w1, w2, w3) == expected, (w1, w2, w3)
+
+
+MAX_SPAN = AugmentationConfig().max_span
+
+
+@st.composite
+def window_cases(draw):
+    """An ``lm_cases`` corpus plus (original, synthetic) window pairs to
+    score on it. Sentences mix corpus tokens, reserved markers and an
+    unknown token; spans of 1 to ``MAX_SPAN`` tokens reach both sentence
+    edges, and each is replaced by 1 to 3 tokens."""
+    corpus, min_count, discount = draw(lm_cases())
+    token = st.sampled_from(["a", "b", "c", "d", BOS, EOS, UNK, "oov"])
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        tokens = tuple(draw(st.lists(token, min_size=1, max_size=9)))
+        start = draw(st.integers(0, len(tokens) - 1))
+        end = draw(st.integers(start, min(len(tokens), start + MAX_SPAN) - 1))
+        insert = draw(st.lists(token, min_size=1, max_size=3))
+        pairs.append(((tokens, (start, end)), synthetic_window(tokens, (start, end), insert)))
+    return corpus, min_count, discount, pairs
+
+
+def ratio_outcome(model, original, synthetic, scores=None):
+    """``lm_ratio_accept``'s verdict and ratio, or the refusal of an original
+    window whose score underflowed to zero (a discount near 5e-324)."""
+    try:
+        return lm_ratio_accept(model, original, synthetic, 0.6, scores)
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestBatchedParity:
+    """``window_scores`` on the array model, and the ratios taken from its
+    scores, equal ``window_score`` and ``lm_ratio_accept`` on the dict model
+    bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window_cases())
+    # Histories the corpus never continues: (</s>, </s>), and <unk> when
+    # every corpus token is in the vocabulary.
+    @example(([["a", "b"]], 1, 0.75, [
+        ((("a", EOS, EOS, "b"), (3, 3)), (("a", EOS, EOS, "oov", "a"), (3, 4))),
+        ((("oov", "b"), (0, 1)), ((BOS, UNK, EOS), (0, 2))),
+    ]))
+    def test_scores_and_ratios_equal_dict_model(self, case):
+        corpus, min_count, discount, pairs = case
+        mono = sentences(corpus)
+        reference = train_lm_dict_reference(mono, min_count, discount)
+        model = train_lm(mono, min_count, discount)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_lm(model, Path(tmp) / "lm.bin")
+            loaded = load_lm(Path(tmp) / "lm.bin")
+        windows = [window for pair in pairs for window in pair]
+        expected = [window_score(reference, *window) for window in windows]
+        for ours in (model, loaded):
+            scores = window_scores(ours, windows)
+            assert scores.dtype == np.float64
+            assert scores.tolist() == expected
+            for (original, synthetic), both in zip(pairs, scores.reshape(-1, 2).tolist()):
+                assert ratio_outcome(ours, original, synthetic, tuple(both)) == (
+                    ratio_outcome(reference, original, synthetic)
+                )
+
+    def test_no_windows(self):
+        assert window_scores(train_lm(sentences([["a"]]), 1), []).shape == (0,)
+
+    def test_span_validation(self):
+        model = train_lm(sentences([["a"]]), 1)
+        with pytest.raises(ValueError):
+            window_scores(model, [(("a",), (0, 1))])

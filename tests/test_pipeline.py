@@ -13,6 +13,8 @@ from corpusaug.agreement import AnnotatedLexicon, TokenAnnotation
 from corpusaug.aligner import NULL_TOKEN, TranslationTable
 from corpusaug.corpus_io import CorpusFormatError, DictionaryEntry, Sentence
 from corpusaug.embeddings import EmbeddingTable
+from corpusaug import pipeline
+from corpusaug.cli import _load_run, main, parse_config_file, resolve_config
 from corpusaug.lm import train_lm
 from corpusaug.pipeline import (
     AugmentationConfig,
@@ -20,6 +22,7 @@ from corpusaug.pipeline import (
     ReplacementRecord,
     SyntheticPair,
     _REJECTED_LINE,
+    _Item,
     _provenance_line,
     augment_dictionary,
     augment_rare_words,
@@ -27,6 +30,8 @@ from corpusaug.pipeline import (
     query_vector,
     read_provenance,
     rejection_counts,
+    resolve_dictionary_entry,
+    resolve_rare_word,
     synthetic_window,
     write_provenance,
 )
@@ -260,6 +265,61 @@ def dict_fixture():
     )
     entries = [DictionaryEntry(("annual", "report"), ("jahres", "bericht"))]
     return corpus, entries, embeddings, alignment, lm_src, lm_tgt, lexicon
+
+
+class TestLmGatePath:
+    """``_process_item`` on the toy fixture: the LM gates are scored in
+    batches, yet the records stop at the ``max_per_item``-th accept and
+    each LM gate a returned record reached is one ``lm_ratio_accept`` call."""
+
+    @pytest.fixture(scope="class")
+    def toy_run(self, toy, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gates") / "run"
+        cfg = toy.write_config(out.parent / "run.cfg", out)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        config = resolve_config(parse_config_file(cfg))
+        inputs, rare_words, dictionary = _load_run(config, out / "cache", "both")
+        items = [resolve_rare_word(rare, inputs, config.augmentation.max_span)
+                 for rare in rare_words]
+        items += [resolve_dictionary_entry(entry, inputs, set(), "all") for entry in dictionary]
+        return inputs, config.augmentation, [item for item in items if isinstance(item, _Item)]
+
+    @pytest.mark.parametrize("batch", [1, pipeline._LM_BATCH])
+    @pytest.mark.parametrize("max_per_item", [1, 2])
+    def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item, batch):
+        inputs, config, items = toy_run
+        candidates = [(i, None) for i in range(len(inputs.corpus))]
+        unlimited = dataclasses.replace(config, max_per_item=len(candidates))
+        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1] for item in items]
+
+        monkeypatch.setattr(pipeline, "_LM_BATCH", batch)
+        models = []
+        score = pipeline.lm_ratio_accept
+
+        def counting(model, *args):
+            models.append(model)
+            return score(model, *args)
+
+        monkeypatch.setattr(pipeline, "lm_ratio_accept", counting)
+        capped = dataclasses.replace(config, max_per_item=max_per_item)
+        cut = 0
+        for item, all_records in zip(items, full):
+            models.clear()
+            pairs, records = pipeline._process_item(item, candidates, inputs, capped)
+            assert records == all_records[: len(records)]
+            accepted = [r for r in records if r.accepted]
+            assert [p.record for p in pairs] == accepted
+            assert len(accepted) == min(max_per_item, sum(r.accepted for r in all_records))
+            if len(accepted) == max_per_item:
+                # No record follows the cut.
+                assert records[-1].accepted
+                cut += len(records) < len(all_records)
+            expected = []
+            for r in records:
+                expected += [inputs.lm_src] * (r.lm_ratio_src is not None)
+                expected += [inputs.lm_tgt] * (r.lm_ratio_tgt is not None)
+            assert models == expected
+        assert cut > 0
 
 
 class TestAugmentDictionary:

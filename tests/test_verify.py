@@ -5,7 +5,10 @@ import shutil
 import pytest
 
 from corpusaug import pipeline
-from corpusaug.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from corpusaug.cli import (
+    EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _load_run, apply_ablation, main, parse_config_file,
+    resolve_config,
+)
 from corpusaug.corpus_io import load_parallel_corpus
 from corpusaug.embeddings import cosine, load_embeddings
 from corpusaug.lm import lm_ratio_accept, load_lm
@@ -151,8 +154,9 @@ class TestVerifyBadManifest:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("word_sim_min", "abc"), ("lm_threshold", 0), ("max_span", DELETE)],
-        ids=["unparseable", "out_of_range", "missing"],
+        [("word_sim_min", "abc"), ("lm_threshold", 0), ("max_span", DELETE),
+         ("dict_scope", "bogus")],
+        ids=["unparseable", "out_of_range", "missing", "unknown_dict_scope"],
     )
     def test_bad_setting_exit_2(self, run_dir, capsys, key, value):
         path = run_dir / "manifest.json"
@@ -254,6 +258,47 @@ class TestVerifyTamper:
 
         self.tamper(run_dir, finished[1], "rare_word", edit)
         self.verify_fails_with(run_dir, capsys, "target_span: recorded")
+
+    def replace_last_of_item(self, run_dir, kind, line_of):
+        """Replace the last accepted line of the first ``kind`` item by
+        ``line_of(first accepted record of the item)``, so the item keeps
+        its count of records."""
+        path = run_dir / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        first = next(r for r in records if r["accepted"] and r["item_kind"] == kind)
+        same = [i for i, r in enumerate(records) if r["accepted"] and
+                (r["item_surface"], r["target_inserted"]) ==
+                (first["item_surface"], first["target_inserted"])]
+        assert len(same) > 1
+        lines[same[-1]] = line_of(first)
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_repeated_sentence_of_an_item(self, run_dir, capsys):
+        # A copy of an accepted line recomputes to itself; only the repeat
+        # shows that the run never tried its sentence twice for the item.
+        self.replace_last_of_item(
+            run_dir, "dictionary", lambda first: json.dumps(first, sort_keys=True) + "\n"
+        )
+        self.verify_fails_with(run_dir, capsys, "repeats an earlier record of the item")
+
+    def test_rare_word_on_its_host_sentence(self, finished, run_dir, capsys):
+        # The record the item step gives on a host sentence recomputes to
+        # itself; only the host check shows that the run never tries it.
+        config = resolve_config(parse_config_file(finished[0].parent / "run.cfg"))
+        apply_ablation(config, "off")
+        inputs, rare_words, _ = _load_run(config, run_dir / "cache", "both")
+
+        def on_host(first):
+            rare = next(r for r in rare_words if (r.surface,) == tuple(first["item_surface"]))
+            item = pipeline.resolve_rare_word(rare, inputs, config.augmentation.max_span)
+            host = (min(rare.host_sentence_ids), None)
+            _, [record] = pipeline._process_item(item, [host], inputs, config.augmentation)
+            assert record.accepted
+            return pipeline._provenance_line(record)
+
+        self.replace_last_of_item(run_dir, "rare_word", on_host)
+        self.verify_fails_with(run_dir, capsys, "is a host of the rare word")
 
     def test_more_records_than_max_per_item(self, run_dir, capsys):
         path = run_dir / "manifest.json"
