@@ -18,12 +18,12 @@ counts. For orders 2 and 3 the model also keeps three arrays per history
 their numbers of distinct continuations. Building a model, trained or
 loaded, makes no dict of n-grams.
 
-``window_scores`` scores many windows in one pass over these arrays: counts
-are found with ``np.searchsorted``, each level of the interpolation runs the
-scalar formula's float operations in its order, and each window's product
-is taken left to right. The scalar ``trigram_prob``, for ``window_score``,
-the ARPA export and other callers, reads dicts that it builds on first use.
-Both equal a model keyed by token strings bit for bit.
+All probabilities come from one array scorer: counts are found with
+``np.searchsorted`` and each level of the interpolation is computed per
+element. ``window_scores`` scores many windows in one pass and takes each
+window's product left to right; ``trigram_prob`` scores one trigram, and the
+ARPA export scores every stored n-gram, through the same scorer. Each equals
+a model keyed by token strings bit for bit.
 """
 
 from __future__ import annotations
@@ -112,12 +112,12 @@ def _continuations(keys: np.ndarray, counts: np.ndarray, size: int) -> _Historie
     return _Histories(history[starts], follow, n1plus)
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Per query, the value of the equal key in the sorted ``keys``, else 0."""
-    if keys.size == 0:
-        return np.zeros_like(query)
-    pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    return np.where(keys[pos] == query, values[pos], 0)
+def _find(keys: np.ndarray, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per query, an index into the sorted, non-empty ``keys`` and whether
+    the key there equals the query."""
+    # Searching all keys but the last gives an index that is always valid.
+    at = np.searchsorted(keys[:-1], query)
+    return at, keys[at] == query
 
 
 class TrigramModel:
@@ -127,10 +127,10 @@ class TrigramModel:
     sorted key arrays with parallel count arrays. Counts are positional over
     padded sentences, so every n-gram count is bounded by its prefix's count.
     For orders 2 and 3 the model keeps the ``_Histories`` arrays that the
-    probabilities interpolate with. No table is a dict: ``window_scores``
-    looks counts up with ``np.searchsorted``. The scalar ``trigram_prob``
-    and the string-keyed ``unigrams``/``bigrams``/``trigrams``/``vocab``
-    views build their dicts on first use; scoring never needs them.
+    probabilities interpolate with. No table is a dict: every probability
+    is looked up with ``np.searchsorted``. Only the string-keyed
+    ``unigrams``/``bigrams``/``trigrams``/``vocab`` views build dicts, on
+    first use; scoring never needs them.
     """
 
     def __init__(
@@ -228,69 +228,48 @@ class TrigramModel:
 
     def _interpolate(self, histories: _Histories, keys: np.ndarray, counts: np.ndarray,
                      history: np.ndarray, w: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        """One level of the discounted interpolation, per element, with the
-        scalar level's operations in its order. A history with no
-        continuation backs off to ``lower``; dividing its unused branch by 1
-        keeps it finite."""
-        follow = _lookup(histories.keys, histories.follow, history)
-        seen = follow != 0
-        follow = np.where(seen, follow, 1)
-        count = _lookup(keys, counts, history * len(self.tokens) + w)
+        """One level of the discounted interpolation, per element:
+        ``max(c - D, 0)/follow + (D*n1plus/follow)*lower``, in that order of
+        operations. A history with no continuation backs off to ``lower``;
+        dividing its unused branch by 1 keeps it finite."""
+        if histories.keys.size == 0:
+            return lower
+        at, seen = _find(histories.keys, history)
+        follow = np.where(seen, histories.follow[at], 1)
+        # A history with a continuation has an n-gram, so ``keys`` is not empty.
+        where, found = _find(keys, history * len(self.tokens) + w)
+        count = np.where(found, counts[where], 0)
         discounted = np.maximum(count - self.discount, 0.0) / follow
-        interp = self.discount * _lookup(histories.keys, histories.n1plus, history) / follow
+        interp = self.discount * histories.n1plus[at] / follow
         return np.where(seen, discounted + interp * lower, lower)
 
-    def _probs(self, h1: np.ndarray, h2: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """P(w | h1, h2) per element of three id arrays; ``w`` is never BOS.
-        Equal bit for bit to ``_p3`` of each element."""
-        p1 = self._uni_pred[w] / self._uni_total
-        p2 = self._interpolate(self._histories2, self.bigram_keys, self.bigram_counts, h2, w, p1)
-        history = h1 * len(self.tokens) + h2
+    def _unigram_probs(self, w: np.ndarray) -> np.ndarray:
+        return self._uni_pred[w] / self._uni_total
+
+    def _bigram_probs(self, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """P(w | h) per element of two id arrays."""
         return self._interpolate(
-            self._histories3, self.trigram_keys, self.trigram_counts, history, w, p2
+            self._histories2, self.bigram_keys, self.bigram_counts, h, w, self._unigram_probs(w)
         )
 
-    # -- scalar probabilities over ids, from dicts built on first use --------
-
-    @cached_property
-    def _bigram(self) -> Dict[int, int]:
-        return dict(zip(self.bigram_keys.tolist(), self.bigram_counts.tolist()))
-
-    @cached_property
-    def _trigram(self) -> Dict[int, int]:
-        return dict(zip(self.trigram_keys.tolist(), self.trigram_counts.tolist()))
-
-    @cached_property
-    def _continued2(self) -> Dict[int, Tuple[int, int]]:
-        """Per bigram history: (follow, n1plus)."""
-        keys, follow, n1plus = (a.tolist() for a in self._histories2)
-        return dict(zip(keys, zip(follow, n1plus)))
-
-    @cached_property
-    def _continued3(self) -> Dict[int, Tuple[int, int]]:
-        """Per trigram history ``h1*V + h2``: (follow, n1plus)."""
-        keys, follow, n1plus = (a.tolist() for a in self._histories3)
-        return dict(zip(keys, zip(follow, n1plus)))
-
-    def _interpolate_one(self, continued: Dict[int, Tuple[int, int]], counts: Dict[int, int],
-                         history: int, w: int, lower: float) -> float:
-        follow, n1plus = continued.get(history, (0, 0))
-        if follow == 0:
-            return lower
-        count = counts.get(history * len(self.tokens) + w, 0)
-        discounted = max(count - self.discount, 0.0) / follow
-        interp = self.discount * n1plus / follow
-        return discounted + interp * lower
-
-    def _p1(self, w: int) -> float:
-        return int(self._uni_pred[w]) / self._uni_total
-
-    def _p2(self, h: int, w: int) -> float:
-        return self._interpolate_one(self._continued2, self._bigram, h, w, self._p1(w))
-
-    def _p3(self, h1: int, h2: int, w: int) -> float:
+    def _probs(self, h1: np.ndarray, h2: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """P(w | h1, h2) per element of three id arrays."""
         history = h1 * len(self.tokens) + h2
-        return self._interpolate_one(self._continued3, self._trigram, history, w, self._p2(h2, w))
+        return self._interpolate(
+            self._histories3, self.trigram_keys, self.trigram_counts, history, w,
+            self._bigram_probs(h2, w),
+        )
+
+    def _backoff(self, histories: _Histories, history: np.ndarray) -> np.ndarray:
+        """Per history, the leftover mass ``D*n1plus/follow``; 1.0 for a
+        history with no continuation."""
+        if histories.keys.size == 0:
+            return np.ones(history.shape)
+        at, seen = _find(histories.keys, history)
+        follow = np.where(seen, histories.follow[at], 1)
+        return np.where(seen, self.discount * histories.n1plus[at] / follow, 1.0)
+
+    # -- string-level probabilities -----------------------------------------
 
     def trigram_prob(self, w1: str, w2: str, w3: str) -> float:
         """P(w3 | w1, w2) after mapping out-of-vocabulary tokens to UNK.
@@ -300,21 +279,19 @@ class TrigramModel:
         """
         ids = self.ids
         w = ids.get(w3, UNK_ID)
-        return self._p3(ids.get(w1, UNK_ID), ids.get(w2, UNK_ID), UNK_ID if w == BOS_ID else w)
+        query = (
+            np.array([i], dtype=np.int64)
+            for i in (ids.get(w1, UNK_ID), ids.get(w2, UNK_ID), UNK_ID if w == BOS_ID else w)
+        )
+        return float(self._probs(*query)[0])
 
     def backoff_weights(self) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:
         """Leftover-mass weights per history, as used by the ARPA export."""
-        ids, size = self.ids, len(self.tokens)
-
-        def weight(continued: Dict[int, Tuple[int, int]], history: int) -> float:
-            follow, n1plus = continued.get(history, (0, 0))
-            return self.discount * n1plus / follow if follow else 1.0
-
-        uni_bow = {w: weight(self._continued2, ids[w]) for w in self.alphabet() + [BOS]}
-        bi_bow = {
-            pair: weight(self._continued3, ids[pair[0]] * size + ids[pair[1]])
-            for pair in self.bigrams
-        }
+        unigrams = self.alphabet() + [BOS]
+        history = np.array([self.ids[w] for w in unigrams], dtype=np.int64)
+        uni_bow = dict(zip(unigrams, self._backoff(self._histories2, history).tolist()))
+        # A bigram key h1*V + h2 is also the id of the trigram history (h1, h2).
+        bi_bow = dict(zip(self.bigrams, self._backoff(self._histories3, self.bigram_keys).tolist()))
         return uni_bow, bi_bow
 
 
@@ -416,37 +393,40 @@ def window_scores(
     one float64 array, equal to it bit for bit, in a few array passes.
 
     Each window's padded context is mapped to ids, every trigram of every
-    window is scored by ``TrigramModel._probs``, and each window's
-    probabilities are multiplied left to right, one column at a time; a
-    window with fewer trigrams than the longest is padded with 1.0, which
-    leaves its product unchanged.
+    window is scored by one ``TrigramModel._probs`` call, and each window's
+    probabilities are multiplied left to right as Python floats, which are
+    the same IEEE doubles.
     """
     ids = model.ids
-    context: List[int] = []
-    lengths: List[int] = []
+    h1: List[int] = []
+    h2: List[int] = []
+    w: List[int] = []
+    trigrams: List[int] = []
     for tokens, (start, end) in windows:
         if not (0 <= start <= end < len(tokens)):
             raise ValueError(f"span {(start, end)} out of range for {len(tokens)} tokens")
         # The padded tokens from two before the span to two after it.
-        context += [BOS_ID] * (2 - start)
-        context += [ids.get(t, UNK_ID) for t in tokens[max(start - 2, 0) : end + 3]]
-        context += [EOS_ID] * (end + 3 - len(tokens))
-        lengths.append(end - start + 5)
-    if not windows:
-        return np.ones(0)
-    flat = np.array(context, dtype=np.int64)
-    trigrams = np.array(lengths) - 2
-    row = np.repeat(np.arange(len(lengths)), trigrams)
-    column = np.arange(row.size) - np.repeat(np.cumsum(trigrams) - trigrams, trigrams)
-    first = np.repeat(np.cumsum(lengths) - lengths, trigrams) + column
-    predicted = flat[first + 2]
+        context = (
+            [BOS_ID] * (2 - start)
+            + [ids.get(t, UNK_ID) for t in tokens[max(start - 2, 0) : end + 3]]
+            + [EOS_ID] * (end + 3 - len(tokens))
+        )
+        h1 += context[:-2]
+        h2 += context[1:-1]
+        w += context[2:]
+        trigrams.append(len(context) - 2)
+    predicted = np.array(w, dtype=np.int64)
     predicted[predicted == BOS_ID] = UNK_ID
-    grid = np.ones((len(lengths), int(trigrams.max())))
-    grid[row, column] = model._probs(flat[first], flat[first + 1], predicted)
-    scores = np.ones(len(lengths))
-    for probs in grid.T:
-        scores *= probs
-    return scores
+    probs = iter(model._probs(
+        np.array(h1, dtype=np.int64), np.array(h2, dtype=np.int64), predicted
+    ).tolist())
+    scores = []
+    for count in trigrams:
+        score = 1.0
+        for p in itertools.islice(probs, count):
+            score *= p
+        scores.append(score)
+    return np.array(scores)
 
 
 def lm_ratio_accept(
@@ -514,22 +494,26 @@ def export_arpa(model: TrigramModel, path: str | Path) -> None:
     file reproduces the model's probabilities up to print rounding. Tokens
     that are contexts only (the begin marker) get the conventional -99 stand-in.
     """
-    ids = model.ids
+    ids, size = model.ids, len(model.tokens)
     uni_bow, bi_bow = model.backoff_weights()
+    unigrams = sorted(set(model.alphabet()) | {BOS})
+    p1 = model._unigram_probs(np.array([ids[w] for w in unigrams], dtype=np.int64)).tolist()
     uni_entries: List[Tuple[str, float, float]] = []
-    for w in sorted(set(model.alphabet()) | {BOS}):
-        logp = -99.0 if w == BOS else math.log10(model._p1(ids[w]))
+    for w, p in zip(unigrams, p1):
+        logp = -99.0 if w == BOS else math.log10(p)
         uni_entries.append((w, logp, math.log10(uni_bow[w]) if uni_bow[w] > 0 else 0.0))
+    keys = model.bigram_keys
+    p2 = dict(zip(model.bigrams, model._bigram_probs(keys // size, keys % size).tolist()))
     bi_entries: List[Tuple[Tuple[str, str], float, float]] = []
-    for pair in sorted(model.bigrams):
-        w1, w2 = pair
-        logp = -99.0 if w2 == BOS else math.log10(model._p2(ids[w1], ids[w2]))
+    for pair in sorted(p2):
+        logp = -99.0 if pair[1] == BOS else math.log10(p2[pair])
         bow = bi_bow[pair]
         bi_entries.append((pair, logp, math.log10(bow) if bow > 0 else 0.0))
-    tri_entries: List[Tuple[Tuple[str, str, str], float]] = []
-    for triple in sorted(model.trigrams):
-        w1, w2, w3 = triple
-        tri_entries.append((triple, math.log10(model._p3(ids[w1], ids[w2], ids[w3]))))
+    keys = model.trigram_keys
+    p3 = model._probs(keys // (size * size), keys // size % size, keys % size).tolist()
+    tri_entries = sorted(
+        (triple, math.log10(p)) for triple, p in zip(model.trigrams, p3)
+    )
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\\data\\\n")

@@ -307,11 +307,6 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(item) for item in items]
 
 
-# The fewest candidates whose LM gates are scored in one batch, unless the
-# item needs fewer accepts than this to reach ``max_per_item``.
-_LM_BATCH = 64
-
-
 def _side_scores(
     model: TrigramModel,
     originals: Dict[Tuple[int, Span], float],
@@ -342,51 +337,60 @@ def _lm_gates(
     pairs to ``pairs``. At the ``max_per_item``-th accept the records after
     it are dropped and True is returned.
 
-    The source windows are scored in one batch, then the target windows of
-    the candidates whose source ratio passes; each gate's verdict and ratio
-    are still those of one ``lm_ratio_accept`` call."""
-    corpus, threshold = inputs.corpus, config.lm_threshold
+    The source windows are scored in one batch. The source gates then run
+    in order until as many pass as accepts are still missing, or the queue
+    ends; the target windows of those that passed are scored in one batch
+    and their target gates run, and the source gates go on after them. So
+    no gate runs past the cut, and every verdict and ratio is that of one
+    ``lm_ratio_accept`` call."""
+    corpus = inputs.corpus
     chosen = [records[index] for index, _ in queued]
-    src_scores = list(zip(*_side_scores(
+    src_scores = zip(*_side_scores(
         inputs.lm_src, inputs.original_src, corpus.source,
         [(record.base_sentence_id, record.source_span) for record in chosen],
         [window for _, window in queued],
-    )))
-    # An original score of 0 passes nothing here; ``lm_ratio_accept`` refuses it below.
-    passing = [record for record, (original, synthetic) in zip(chosen, src_scores)
-               if original > 0.0 and synthetic / original >= threshold]
-    target_windows = [
-        synthetic_window(corpus.target[record.base_sentence_id].tokens, record.target_span,
-                         item.target_insert)
-        for record in passing
-    ]
-    tgt_scores = zip(target_windows, *_side_scores(
-        inputs.lm_tgt, inputs.original_tgt, corpus.target,
-        [(record.base_sentence_id, record.target_span) for record in passing],
-        target_windows,
     ))
-    for (index, source_window), record, scores in zip(queued, chosen, src_scores):
-        sentence_id = record.base_sentence_id
+    passed: List[Tuple[int, Tuple[Tuple[str, ...], Span], ReplacementRecord]] = []
+    for count, ((index, source_window), record, scores) in enumerate(
+        zip(queued, chosen, src_scores), start=1
+    ):
         src_ok, record.lm_ratio_src = lm_ratio_accept(
-            inputs.lm_src, (corpus.source[sentence_id].tokens, record.source_span),
-            source_window, threshold, scores,
+            inputs.lm_src, (corpus.source[record.base_sentence_id].tokens, record.source_span),
+            source_window, config.lm_threshold, scores,
         )
-        if not src_ok:
+        if src_ok:
+            passed.append((index, source_window, record))
+        else:
             record.reason = REASON_LM_SRC
+        if len(passed) < config.max_per_item - len(pairs) and count < len(queued):
             continue
-        target_window, original, synthetic = next(tgt_scores)
-        tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(
-            inputs.lm_tgt, (corpus.target[sentence_id].tokens, record.target_span),
-            target_window, threshold, (original, synthetic),
-        )
-        if not tgt_ok:
-            record.reason = REASON_LM_TGT
-            continue
-        record.accepted = True
-        pairs.append(SyntheticPair(source_window[0], target_window[0], record))
-        if len(pairs) >= config.max_per_item:
-            del records[index + 1 :]
-            return True
+        target_windows = [
+            synthetic_window(corpus.target[record.base_sentence_id].tokens, record.target_span,
+                             item.target_insert)
+            for _, _, record in passed
+        ]
+        tgt_scores = zip(*_side_scores(
+            inputs.lm_tgt, inputs.original_tgt, corpus.target,
+            [(record.base_sentence_id, record.target_span) for _, _, record in passed],
+            target_windows,
+        ))
+        for (at, window, candidate), target_window, target_scores in zip(
+            passed, target_windows, tgt_scores
+        ):
+            tgt_ok, candidate.lm_ratio_tgt = lm_ratio_accept(
+                inputs.lm_tgt,
+                (corpus.target[candidate.base_sentence_id].tokens, candidate.target_span),
+                target_window, config.lm_threshold, target_scores,
+            )
+            if not tgt_ok:
+                candidate.reason = REASON_LM_TGT
+                continue
+            candidate.accepted = True
+            pairs.append(SyntheticPair(window[0], target_window[0], candidate))
+            if len(pairs) >= config.max_per_item:
+                del records[at + 1 :]
+                return True
+        passed = []
     return False
 
 
@@ -399,17 +403,20 @@ def _process_item(
 
     One walk over the candidates runs the cheap gates, from the best word to
     the target span, and queues each candidate that reaches the LM gates.
-    Once the queue holds as many candidates as accepts are still missing,
-    and at least ``_LM_BATCH``, ``_lm_gates`` scores it with one
-    ``window_scores`` batch per side; at the ``max_per_item``-th accept it
-    drops the records walked after that one, and the walk ends. The rest of
-    the queue is scored when the walk runs out of candidates."""
+    ``_lm_gates`` runs a full queue's LM gates; at the ``max_per_item``-th
+    accept it drops the records walked after that one, and the walk ends.
+    The first queue holds ``max_per_item`` candidates and each next one
+    twice as many as the one before, so an item that needs many candidates
+    is scored in few ``window_scores`` calls, and the walk passes the cut
+    by less than one queue. The rest of the queue is scored when the walk
+    runs out of candidates."""
     mode = config.syntactic_mode()
     corpus, lexicon = inputs.corpus, inputs.lexicon
     item_annotation = lexicon.get(annotation_token(item.surface)) if lexicon is not None else None
     pairs: List[SyntheticPair] = []
     records: List[ReplacementRecord] = []
     queued: List[Tuple[int, Tuple[Tuple[str, ...], Span]]] = []
+    batch = config.max_per_item
     best_words = best_word_in_sentence(
         inputs.word_index,
         item.query_vec,
@@ -471,10 +478,11 @@ def _process_item(
             len(records) - 1,
             synthetic_window(source_sentence.tokens, record.source_span, item.surface),
         ))
-        if len(queued) >= max(config.max_per_item - len(pairs), _LM_BATCH):
+        if len(queued) == batch:
             if _lm_gates(queued, records, pairs, item, inputs, config):
                 return pairs, records
             queued = []
+            batch *= 2
 
     _lm_gates(queued, records, pairs, item, inputs, config)
     return pairs, records

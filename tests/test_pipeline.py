@@ -17,6 +17,8 @@ from corpusaug import pipeline
 from corpusaug.cli import _load_run, main, parse_config_file, resolve_config
 from corpusaug.lm import train_lm
 from corpusaug.pipeline import (
+    REASON_LM_SRC,
+    REASON_LM_TGT,
     AugmentationConfig,
     ConfigError,
     ReplacementRecord,
@@ -284,23 +286,26 @@ class TestLmGatePath:
         items += [resolve_dictionary_entry(entry, inputs, set(), "all") for entry in dictionary]
         return inputs, config.augmentation, [item for item in items if isinstance(item, _Item)]
 
-    @pytest.mark.parametrize("batch", [1, pipeline._LM_BATCH])
-    @pytest.mark.parametrize("max_per_item", [1, 2])
-    def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item, batch):
+    @pytest.mark.parametrize("max_per_item", [1, 2, 3])
+    def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item):
         inputs, config, items = toy_run
-        candidates = [(i, None) for i in range(len(inputs.corpus))]
-        unlimited = dataclasses.replace(config, max_per_item=len(candidates))
-        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1] for item in items]
-
-        monkeypatch.setattr(pipeline, "_LM_BATCH", batch)
         models = []
         score = pipeline.lm_ratio_accept
 
-        def counting(model, *args):
+        def gate(model, original, *args):
+            # Every toy candidate that reaches the LM gates passes them, so
+            # each queue would end at an accept. Refusing some gates of each
+            # side by the position of their span (the same in every run)
+            # puts refusals between the accepts, and the cut inside a queue.
             models.append(model)
-            return score(model, *args)
+            ok, ratio = score(model, original, *args)
+            tokens, (start, _) = original
+            return ok and (start + len(" ".join(tokens))) % 3 != 0, ratio
 
-        monkeypatch.setattr(pipeline, "lm_ratio_accept", counting)
+        monkeypatch.setattr(pipeline, "lm_ratio_accept", gate)
+        candidates = [(i, None) for i in range(len(inputs.corpus))]
+        unlimited = dataclasses.replace(config, max_per_item=len(candidates))
+        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1] for item in items]
         capped = dataclasses.replace(config, max_per_item=max_per_item)
         cut = 0
         for item, all_records in zip(items, full):
@@ -314,12 +319,12 @@ class TestLmGatePath:
                 # No record follows the cut.
                 assert records[-1].accepted
                 cut += len(records) < len(all_records)
-            expected = []
-            for r in records:
-                expected += [inputs.lm_src] * (r.lm_ratio_src is not None)
-                expected += [inputs.lm_tgt] * (r.lm_ratio_tgt is not None)
-            assert models == expected
+            assert models.count(inputs.lm_src) == sum(r.lm_ratio_src is not None for r in records)
+            assert models.count(inputs.lm_tgt) == sum(r.lm_ratio_tgt is not None for r in records)
+            assert len(models) == models.count(inputs.lm_src) + models.count(inputs.lm_tgt)
         assert cut > 0
+        assert any(r.reason == REASON_LM_SRC for records in full for r in records)
+        assert any(r.reason == REASON_LM_TGT for records in full for r in records)
 
 
 class TestAugmentDictionary:
