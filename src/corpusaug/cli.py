@@ -102,7 +102,6 @@ class RunConfig:
     mono_src: str = ""
     mono_tgt: str = ""
     embeddings_src: str = ""
-    embeddings_tgt: str = ""
     annotations_src: str = ""
     dictionary: str = ""
     out_dir: str = "run"

@@ -1,5 +1,10 @@
 """Word-vector table, similarity-order post-processing, and cosine retrieval.
 
+The table is one float64 matrix with a row per token and a token -> row
+map. Everything downstream reads that matrix: the candidate-word search
+indexes a subset of its rows, and a sentence vector is the mean of the rows
+of the sentence's covered tokens.
+
 Vectors are read from the common textual format (optional ``count dim``
 header, then one ``token v1 .. vd`` row per line), which :func:`export_vec`
 writes. The cache that ``prepare`` writes with :func:`save_embeddings` is
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,37 +55,43 @@ class EmbeddingFormatError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A linear-algebra step produced non-finite values."""
+    """A numeric step produced non-finite values, or a divisor underflowed to 0."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """token -> dense vector map; ``alpha_applied`` records post-processing."""
+    """The vectors as the rows of one float64 matrix: row ``i`` is the
+    vector of ``tokens[i]``, and ``row_of`` maps each token to its row."""
 
-    dim: int
-    vectors: Dict[str, np.ndarray]
-    alpha_applied: Optional[float] = None
+    tokens: Tuple[str, ...]
+    matrix: np.ndarray
+    row_of: Dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.tokens):
+            raise ValueError(
+                f"expected one row per token ({len(self.tokens)}), got shape {self.matrix.shape}"
+            )
+        if self.dim < 1:
+            raise ValueError(f"vector dimension must be at least 1, got {self.dim}")
+        object.__setattr__(self, "row_of", {token: i for i, token in enumerate(self.tokens)})
+        if len(self.row_of) != len(self.tokens):
+            raise ValueError("duplicate token")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.row_of
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.tokens)
 
     def get(self, token: str) -> Optional[np.ndarray]:
-        return self.vectors.get(token)
-
-    def tokens(self) -> List[str]:
-        return list(self.vectors)
-
-
-@dataclass(frozen=True)
-class SentenceVector:
-    """Mean vector of the covered tokens of a sentence or term."""
-
-    vector: np.ndarray
-    covered_tokens: int
-    total_tokens: int
+        """The token's row (a view of the matrix), or None."""
+        row = self.row_of.get(token)
+        return None if row is None else self.matrix[row]
 
 
 @dataclass(frozen=True)
@@ -95,9 +106,10 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     A file that starts with ``EMBEDDINGS_MAGIC`` is a cached table; a
     malformed one raises :class:`EmbeddingFormatError` naming the path.
     Otherwise the file is parsed as text: the dimension comes from the
-    header when present, otherwise from the first data row. Rows with the
-    wrong component count or unparseable / non-finite values are skipped
-    with a warning; for duplicate tokens the first row wins.
+    header when present, otherwise from the first data row; a header
+    dimension below 1 raises :class:`EmbeddingFormatError` naming line 1.
+    Rows with the wrong component count or unparseable / non-finite values
+    are skipped with a warning; for duplicate tokens the first row wins.
     """
     p = Path(path)
     if not p.is_file():
@@ -107,7 +119,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             return _read_cache(p)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{p}: {exc}") from exc
-    vectors: Dict[str, np.ndarray] = {}
+    tokens: List[str] = []
+    rows: List[np.ndarray] = []
+    seen: Set[str] = set()
     dim: Optional[int] = None
     for lineno, line in enumerate(iter_lines(p, EmbeddingFormatError), start=1):
         parts = line.split()
@@ -120,6 +134,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 pass
             else:
                 dim = int(parts[1])
+                if dim < 1:
+                    raise EmbeddingFormatError(f"{p}:1: dimension must be at least 1, got {dim}")
                 continue
         token, comps = parts[0], parts[1:]
         if dim is None:
@@ -141,13 +157,15 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if not np.all(np.isfinite(vec)):
             log.warning("%s:%d: non-finite vector component; row skipped", p, lineno)
             continue
-        if token in vectors:
+        if token in seen:
             log.warning("%s:%d: duplicate token %r; first kept", p, lineno, token)
             continue
-        vectors[token] = vec
-    if dim is None or not vectors:
+        seen.add(token)
+        tokens.append(token)
+        rows.append(vec)
+    if not rows:
         raise EmbeddingFormatError(f"{p}: no parseable embedding rows")
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(tuple(tokens), np.stack(rows))
 
 
 def export_vec(table: EmbeddingTable, path: str | Path) -> None:
@@ -158,7 +176,7 @@ def export_vec(table: EmbeddingTable, path: str | Path) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for token, vec in table.vectors.items():
+        for token, vec in zip(table.tokens, table.matrix):
             comps = " ".join(f"{v:.{EXPORT_DECIMALS}f}" for v in vec)
             fh.write(f"{token} {comps}\n")
 
@@ -194,16 +212,11 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     loaded cache equals a loaded export bit for bit. Equal tables give
     equal bytes.
     """
-    tokens = table.tokens()
-    matrix = np.empty((len(tokens), table.dim), dtype="<f8")
-    for lo in range(0, len(tokens), SAVE_BLOCK_ROWS):
-        block = matrix[lo : lo + SAVE_BLOCK_ROWS]
-        for row, token in enumerate(tokens[lo : lo + SAVE_BLOCK_ROWS]):
-            block[row] = table.vectors[token]
-        _round_as_text(block)
-    write_arrays(
-        path, EMBEDDINGS_MAGIC, (np.array([table.dim], dtype="<i8"), encode_tokens(tokens), matrix)
-    )
+    matrix = table.matrix.astype("<f8")
+    for lo in range(0, len(matrix), SAVE_BLOCK_ROWS):
+        _round_as_text(matrix[lo : lo + SAVE_BLOCK_ROWS])
+    dim = np.array([table.dim], dtype="<i8")
+    write_arrays(path, EMBEDDINGS_MAGIC, (dim, encode_tokens(table.tokens), matrix))
 
 
 def _read_cache(path: Path) -> EmbeddingTable:
@@ -220,10 +233,7 @@ def _read_cache(path: Path) -> EmbeddingTable:
         )
     if not np.all(np.isfinite(matrix)):
         raise ValueError("non-finite vector component")
-    vectors = dict(zip(tokens, matrix))
-    if len(vectors) != len(tokens):
-        raise ValueError("duplicate token")
-    return EmbeddingTable(dim=int(dim[0]), vectors=vectors)
+    return EmbeddingTable(tuple(tokens), matrix)
 
 
 def postprocess_alpha(table: EmbeddingTable, alpha: float) -> EmbeddingTable:
@@ -235,15 +245,14 @@ def postprocess_alpha(table: EmbeddingTable, alpha: float) -> EmbeddingTable:
     re-expressed as X' = X Q diag(w^((alpha-1)/2)). The transformed gram
     matrix then has spectrum w^alpha; alpha = 1 is a pure rotation.
     """
-    if not table.vectors:
+    if not len(table):
         raise ValueError("cannot post-process an empty embedding table")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    tokens = list(table.vectors)
-    X = np.stack([table.vectors[t] for t in tokens]).astype(np.float64)
+    tokens, X = table.tokens, table.matrix
+    del table  # frees the input matrix once X is normalized, unless the caller holds it
     norms = np.linalg.norm(X, axis=1, keepdims=True)
-    nonzero = norms[:, 0] > 0.0
-    X = np.where(nonzero[:, None], X / np.where(norms > 0.0, norms, 1.0), X)
+    X = X / np.where(norms > 0.0, norms, 1.0)  # a zero row stays zero
     gram = X.T @ X
     eigenvalues, Q = np.linalg.eigh(gram)
     eigenvalues = np.clip(eigenvalues, EIGENVALUE_FLOOR, None)
@@ -252,11 +261,11 @@ def postprocess_alpha(table: EmbeddingTable, alpha: float) -> EmbeddingTable:
     scale = eigenvalues ** ((alpha - 1.0) / 2.0)
     if not np.all(np.isfinite(scale)):
         raise NumericError(f"non-finite spectral scale for alpha={alpha}")
-    transformed = (X @ Q) * scale
+    transformed = X @ Q
+    transformed *= scale
     if not np.all(np.isfinite(transformed)):
         raise NumericError("non-finite components after post-processing")
-    vectors = {token: transformed[i].copy() for i, token in enumerate(tokens)}
-    return EmbeddingTable(dim=table.dim, vectors=vectors, alpha_applied=alpha)
+    return EmbeddingTable(tokens, transformed)
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
@@ -276,28 +285,20 @@ def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
-@dataclass(frozen=True)
 class VectorRows:
-    """Vectors stacked into one matrix, so that one matvec scores them all.
+    """The rows of a matrix with their norms, so that one matvec scores them all.
 
-    Each norm is ``np.linalg.norm`` of the 1-D vector, exactly as
+    Each norm is ``np.linalg.norm`` of the 1-D row, exactly as
     :func:`cosine` computes it, so :meth:`exact` is bit-identical to
-    ``cosine(query, vectors[row])``.
+    ``cosine(query, matrix[row])``.
     """
 
-    vectors: Tuple[np.ndarray, ...]
-    matrix: np.ndarray
-    norms: np.ndarray
-
-    @classmethod
-    def stack(cls, vectors: Sequence[np.ndarray], dim: int) -> "VectorRows":
-        vectors = tuple(np.asarray(v, dtype=np.float64) for v in vectors)
-        matrix = np.stack(vectors) if vectors else np.zeros((0, dim))
-        norms = np.array([float(np.linalg.norm(v)) for v in vectors], dtype=np.float64)
-        return cls(vectors, matrix, norms)
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.norms = np.array([float(np.linalg.norm(v)) for v in matrix], dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
 
     def prerank(self, query: np.ndarray) -> Tuple[np.ndarray, float]:
         """Vectorized cosine of every row with ``query``, and the query norm."""
@@ -308,35 +309,23 @@ class VectorRows:
         return np.clip(scores, -1.0, 1.0, out=scores), query_norm
 
     def exact(self, query: np.ndarray, query_norm: float, row: int) -> float:
-        return _cosine(query, query_norm, self.vectors[row], float(self.norms[row]))
+        return _cosine(query, query_norm, self.matrix[row], float(self.norms[row]))
 
 
-def _mean_vector(tokens: Sequence[str], table: EmbeddingTable) -> SentenceVector:
-    covered = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not covered:
-        return SentenceVector(np.zeros(table.dim), 0, len(tokens))
-    mean = np.mean(np.stack(covered), axis=0)
-    return SentenceVector(mean, len(covered), len(tokens))
+def sentence_embedding(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
+    """The mean of the rows of the tokens present in the table.
 
-
-def sentence_embedding(sentence: Sentence, table: EmbeddingTable) -> SentenceVector:
-    """Average the vectors of the sentence tokens present in the table.
-
-    Uncovered tokens are skipped and counted; a sentence with no covered
-    token gets the zero vector (which ranks last under cosine).
+    Uncovered tokens are skipped; with no covered token the result is the
+    zero vector (which ranks last under cosine).
     """
-    return _mean_vector(sentence.tokens, table)
-
-
-def term_embedding(term: Sequence[str], table: EmbeddingTable) -> SentenceVector:
-    """Same averaging rule for a (possibly multi-token) dictionary term."""
-    if not term:
-        raise ValueError("term must be non-empty")
-    return _mean_vector(term, table)
+    rows = [table.row_of[t] for t in tokens if t in table.row_of]
+    if not rows:
+        return np.zeros(table.dim)
+    return table.matrix[rows].mean(axis=0)
 
 
 def top_k_sentences(
-    query: SentenceVector,
+    query: np.ndarray,
     corpus_rows: VectorRows,
     k: int,
     exclude: Optional[Set[int]] = None,
@@ -351,7 +340,7 @@ def top_k_sentences(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    query_vec = np.asarray(query.vector, dtype=np.float64)
+    query_vec = np.asarray(query, dtype=np.float64)
     scores, query_norm = corpus_rows.prerank(query_vec)
     ids = np.flatnonzero(np.isin(np.arange(len(corpus_rows)), list(exclude or ()), invert=True))
     if len(ids) > k:
@@ -366,7 +355,7 @@ def top_k_sentences(
 class WordIndex:
     """The source sentences as the candidate-word search sees them.
 
-    ``rows`` holds one vector per eligible source type: the type has a
+    ``rows`` holds the table row of each eligible source type: the type has a
     vector, is neither a digit nor a punctuation token, and is annotated
     when the syntactic mode is not ``off``. ``sentences[i]`` holds the type
     id of each token of sentence ``i``; ineligible tokens carry the sentinel
@@ -388,29 +377,29 @@ class WordIndex:
     ) -> "WordIndex":
         type_ids: Dict[str, int] = {}
         ineligible: Set[str] = set()
-        vectors: List[np.ndarray] = []
+        rows: List[int] = []
         for sentence in sentences:
             for token in sentence.tokens:
                 if token in type_ids or token in ineligible:
                     continue
-                vec = table.get(token)
+                row = table.row_of.get(token)
                 if (
-                    vec is None
+                    row is None
                     or has_digit(token)
                     or is_punctuation(token)
                     or (mode != MODE_OFF and (lexicon is None or token not in lexicon))
                 ):
                     ineligible.add(token)
                     continue
-                type_ids[token] = len(vectors)
-                vectors.append(vec)
-        sentinel = len(vectors)
+                type_ids[token] = len(rows)
+                rows.append(row)
+        sentinel = len(rows)
         ids = tuple(
             np.array([type_ids.get(t, sentinel) for t in s.tokens], dtype=np.intp)
             for s in sentences
         )
         return cls(
-            rows=VectorRows.stack(vectors, table.dim),
+            rows=VectorRows(table.matrix[np.array(rows, dtype=np.intp)]),
             type_ids=type_ids,
             sentences=ids,
             lengths=np.array([len(s.tokens) for s in sentences], dtype=np.intp),

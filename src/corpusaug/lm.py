@@ -41,6 +41,7 @@ import numpy as np
 
 from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
 from .corpus_io import Sentence
+from .embeddings import NumericError
 
 log = logging.getLogger(__name__)
 
@@ -449,9 +450,10 @@ def lm_ratio_accept(
     if scores is None:
         scores = (window_score(model, *original), window_score(model, *synthetic))
     original_score, synthetic_score = scores
-    # Smoothing keeps every probability positive, so this cannot trip on
-    # well-formed models.
-    assert original_score > 0.0, "original window score must be positive"
+    if not original_score > 0.0:
+        raise NumericError(
+            "the LM score of an original window underflowed to 0 (lm_discount is too close to 0)"
+        )
     ratio = synthetic_score / original_score
     return ratio >= threshold, ratio
 

@@ -71,7 +71,6 @@ from .embeddings import (
     WordIndex,
     best_word_in_sentence,
     sentence_embedding,
-    term_embedding,
     top_k_sentences,
 )
 from .lm import Span, TrigramModel, lm_ratio_accept, window_scores
@@ -223,11 +222,14 @@ class SyntheticPair:
 def query_vector(surface: Sequence[str], embeddings: EmbeddingTable) -> Optional[np.ndarray]:
     """The item's query vector: the mean of its token vectors, or None when
     some token has no vector. A one-token surface gets its token's own
-    vector, which is what the one-row mean gives, without the numpy calls."""
+    vector, which is what the one-row mean gives, without the numpy calls.
+    The mean is not taken through ``sentence_embedding``, so that the time
+    spent on term vectors is not counted as sentence similarity."""
+    if not all(t in embeddings for t in surface):
+        return None
     if len(surface) == 1:
         return embeddings.get(surface[0])
-    term = term_embedding(surface, embeddings)
-    return term.vector if term.covered_tokens == len(surface) else None
+    return embeddings.matrix[[embeddings.row_of[t] for t in surface]].mean(axis=0)
 
 
 def annotation_token(surface: Sequence[str]) -> str:
@@ -570,14 +572,16 @@ def augment_rare_words(
     config.validate()
     corpus, embeddings = inputs.corpus, inputs.embeddings
     if config.use_sent_sim:
-        corpus_vectors = [sentence_embedding(s, embeddings) for s in corpus.source]
-        corpus_rows = VectorRows.stack([sv.vector for sv in corpus_vectors], embeddings.dim)
+        sentence_vectors = np.zeros((len(corpus), embeddings.dim))
+        for sentence in corpus.source:
+            sentence_vectors[sentence.id] = sentence_embedding(sentence.tokens, embeddings)
+        corpus_rows = VectorRows(sentence_vectors)
 
     def candidates(rare: RareWord) -> Candidates:
         hosts = set(rare.host_sentence_ids)
         if not config.use_sent_sim:
             return _all_candidates(len(corpus), hosts)
-        host_vector = corpus_vectors[min(hosts)]
+        host_vector = corpus_rows.matrix[min(hosts)]
         hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
         return tuple((hit.sentence_id, hit.score) for hit in hits)
 

@@ -61,12 +61,7 @@ def ledger_fixture(book_pos: str = "NOUN") -> LedgerFixture:
         ]
     )
     embeddings = EmbeddingTable(
-        2,
-        {
-            "book": np.array([1.0, 0.0]),
-            "pen": np.array([0.0, 1.0]),
-            "ledger": np.array([1.0, 0.02]),
-        },
+        ("book", "pen", "ledger"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.02]])
     )
     lexicon = AnnotatedLexicon(
         {

@@ -66,8 +66,8 @@ def top_k_reference(query, corpus_vectors, k, exclude=None):
     """The k sentences most cosine-similar to the query, (score desc, id asc)."""
     exclude = exclude or set()
     hits = [
-        SimilarityHit(i, cosine(query.vector, sv.vector))
-        for i, sv in enumerate(corpus_vectors)
+        SimilarityHit(i, cosine(query, vector))
+        for i, vector in enumerate(corpus_vectors)
         if i not in exclude
     ]
     hits.sort(key=lambda h: (-h.score, h.sentence_id))

@@ -119,22 +119,22 @@ def test_alpha_transform_spectrum():
     for alpha in (-0.5, -0.15, 0.0, 0.15, 1.0):
         rng = np.random.default_rng(2000 + abs(int(alpha * 1000)))
         X = rng.normal(size=(50, 8))
-        table = EmbeddingTable(8, {f"w{i}": X[i] for i in range(50)})
+        table = EmbeddingTable(tuple(f"w{i}" for i in range(50)), X)
         out = postprocess_alpha(table, alpha)
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
         reference = np.sort(jacobi_eigenvalues(Xn.T @ Xn) ** alpha)
-        Xp = np.stack([out.vectors[t] for t in out.vectors])
+        Xp = out.matrix
         transformed = np.sort(jacobi_eigenvalues(Xp.T @ Xp))
         ok &= bool(np.max(np.abs(transformed - reference) / np.abs(reference)) < 1e-6)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(50, 8))
-    table = EmbeddingTable(8, {f"w{i}": X[i] for i in range(50)})
+    table = EmbeddingTable(tuple(f"w{i}" for i in range(50)), X)
     rotated = postprocess_alpha(table, 1.0)
-    tokens = list(table.vectors)
+    tokens = table.tokens
     for i in range(0, 50, 5):
         for j in range(0, 50, 7):
-            before = cosine(table.vectors[tokens[i]], table.vectors[tokens[j]])
-            after = cosine(rotated.vectors[tokens[i]], rotated.vectors[tokens[j]])
+            before = cosine(table.get(tokens[i]), table.get(tokens[j]))
+            after = cosine(rotated.get(tokens[i]), rotated.get(tokens[j]))
             ok &= abs(after - before) < 1e-6
     elapsed = time.monotonic() - started
     ok &= elapsed < 5.0
@@ -252,12 +252,12 @@ def test_format_round_trips(tmp_path):
         ok &= abs(scorer.trigram_prob(w1, w2, w3) - model.trigram_prob(w1, w2, w3)) < 1e-4
     # embedding write -> read identity at export precision
     nprng = np.random.default_rng(9)
-    table = EmbeddingTable(5, {f"t{i}": nprng.normal(size=5) for i in range(12)})
+    table = EmbeddingTable(tuple(f"t{i}" for i in range(12)), nprng.normal(size=(12, 5)))
     export_vec(table, tmp_path / "e.vec")
     again = load_embeddings(tmp_path / "e.vec")
-    ok &= again.tokens() == table.tokens()
-    for token in table.tokens():
-        ok &= bool(np.all(np.abs(again.vectors[token] - table.vectors[token]) < 5e-7))
+    ok &= again.tokens == table.tokens
+    for token in table.tokens:
+        ok &= bool(np.all(np.abs(again.get(token) - table.get(token)) < 5e-7))
     export_vec(again, tmp_path / "e2.vec")
     ok &= (tmp_path / "e.vec").read_bytes() == (tmp_path / "e2.vec").read_bytes()
     report("format round trips", ok)

@@ -14,6 +14,7 @@ import corpusaug
 from corpusaug.cli import (
     ABLATION_PRESETS,
     EXIT_INPUT,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_STALE_CACHE,
     EXIT_VERIFY,
@@ -66,6 +67,11 @@ class TestConfigHandling:
         path = tmp_path / "c.cfg"
         path.write_text("nonsense = 1\n", encoding="utf-8")
         assert main(["stats", "--config", str(path)]) == EXIT_INPUT
+
+    def test_removed_embeddings_tgt_key_rejected(self, toy, tmp_path, capsys):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", embeddings_tgt="t.vec")
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "unknown config key: 'embeddings_tgt'" in capsys.readouterr().err
 
     def test_ablation_presets_cover_grid(self):
         assert len(ABLATION_PRESETS) == 8
@@ -123,6 +129,15 @@ class TestBadInput:
         cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", embeddings_src=path)
         assert main(["prepare", "--config", str(cfg)]) == EXIT_INPUT
         assert "undecodable byte at offset 7" in capsys.readouterr().err
+
+    def test_embeddings_header_dimension_0_exit_2(self, toy, tmp_path, capsys):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 0\na\nb\n", encoding="utf-8")
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", embeddings_src=path)
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:1: dimension must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_non_utf8_annotations_exit_2_with_offset(self, toy, tmp_path, capsys):
         cfg, _ = prepare_run(toy, tmp_path)
@@ -370,6 +385,23 @@ class TestAugment:
         cfg = toy.write_config(tmp_path / "c.cfg", out)
         assert main(["prepare", "--config", str(cfg)]) == 3
 
+    def test_lm_score_underflow_exit_3(self, toy, tmp_path, capsys):
+        # A discount this small underflows the back-off mass: an original
+        # window scores 0 and no ratio can be taken.
+        cfg, out = prepare_run(toy, tmp_path)
+        assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
+        tiny = toy.write_config(tmp_path / "tiny.cfg", out, lm_discount="1e-320")
+        assert main(["prepare", "--config", str(tiny)]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (
+            ["augment", "--config", str(tiny), "--mode", "both"],
+            ["verify", "--run-dir", str(out)],
+        ):
+            assert main(argv) == EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert "numeric error: the LM score of an original window underflowed" in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("dictionary", ["", "missing.tsv"])
     def test_bad_dictionary_exits_before_rare_pass(self, toy, tmp_path, monkeypatch, dictionary):
         from corpusaug import cli
@@ -428,6 +460,15 @@ class TestVerifyCommand:
         out = self.run_and_verify(toy, tmp_path)
         (out / "provenance.jsonl").write_text("", encoding="utf-8")
         assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+
+    def test_manifest_with_removed_embeddings_tgt_key_verifies(self, toy, tmp_path, capsys):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["resolved_config"]["embeddings_tgt"] = "embeddings.tgt.vec"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        assert "0 violations" in capsys.readouterr().out
 
     def test_missing_run_dir_exit_2(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path / "nope")]) == EXIT_INPUT

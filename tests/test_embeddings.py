@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusaug.agreement import MODE_OFF, MODE_POS, AnnotatedLexicon, TokenAnnotation
@@ -15,7 +15,6 @@ from corpusaug.embeddings import (
     EMBEDDINGS_MAGIC,
     EmbeddingFormatError,
     EmbeddingTable,
-    SentenceVector,
     VectorRows,
     WordIndex,
     best_word_in_sentence,
@@ -25,7 +24,6 @@ from corpusaug.embeddings import (
     postprocess_alpha,
     save_embeddings,
     sentence_embedding,
-    term_embedding,
     top_k_sentences,
 )
 
@@ -39,17 +37,16 @@ from oracles import (
 
 
 def make_table(rows):
-    dim = len(next(iter(rows.values())))
-    return EmbeddingTable(dim, {t: np.array(v, dtype=float) for t, v in rows.items()})
+    return EmbeddingTable(tuple(rows), np.array(list(rows.values()), dtype=float))
 
 
 def random_table(rng, n, dim):
     X = rng.normal(size=(n, dim))
-    return EmbeddingTable(dim, {f"w{i}": X[i] for i in range(n)})
+    return EmbeddingTable(tuple(f"w{i}" for i in range(n)), X)
 
 
 def normalized_matrix(table):
-    X = np.stack([table.vectors[t] for t in table.vectors])
+    X = table.matrix
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
@@ -59,7 +56,7 @@ class TestLoadEmbeddings:
         table = load_embeddings(tmp_path / "e.vec")
         assert table.dim == 3
         assert len(table) == 2
-        assert list(table.vectors["a"]) == [1.0, 0.0, 0.0]
+        assert list(table.get("a")) == [1.0, 0.0, 0.0]
 
     def test_without_header(self, tmp_path):
         (tmp_path / "e.vec").write_text("a 1 0\nb 0 1\n", encoding="utf-8")
@@ -76,7 +73,7 @@ class TestLoadEmbeddings:
         (tmp_path / "e.vec").write_text("a 1 0\na 0 1\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             table = load_embeddings(tmp_path / "e.vec")
-        assert list(table.vectors["a"]) == [1.0, 0.0]
+        assert list(table.get("a")) == [1.0, 0.0]
 
     def test_empty_file_fatal(self, tmp_path):
         (tmp_path / "e.vec").write_text("", encoding="utf-8")
@@ -87,25 +84,33 @@ class TestLoadEmbeddings:
         (tmp_path / "e.vec").write_text("a 1 0 0\nc 1 2\nb 0 1 0\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             table = load_embeddings(tmp_path / "e.vec")
-        assert table.tokens() == ["a", "b"]
+        assert table.tokens == ("a", "b")
         assert [r.getMessage().split(" ")[0] for r in caplog.records] == [f"{tmp_path / 'e.vec'}:2:"]
 
     def test_count_dim_pair_is_a_header_only_on_line_1(self, tmp_path):
         (tmp_path / "e.vec").write_text("a 1\n2 3\n", encoding="utf-8")
         table = load_embeddings(tmp_path / "e.vec")
         assert table.dim == 1
-        assert list(table.vectors["2"]) == [3.0]
+        assert list(table.get("2")) == [3.0]
+
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_header_dimension_below_1_names_line_1(self, tmp_path, dim):
+        path = tmp_path / "e.vec"
+        path.write_text(f"2 {dim}\na\nb\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="dimension must be at least 1") as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{path}:1: ")
 
     def test_export_round_trip_is_stable(self, tmp_path):
         rng = np.random.default_rng(11)
         table = random_table(rng, 9, 4)
         export_vec(table, tmp_path / "a.vec")
         again = load_embeddings(tmp_path / "a.vec")
-        assert again.tokens() == table.tokens()
+        assert again.tokens == table.tokens
         export_vec(again, tmp_path / "b.vec")
         assert (tmp_path / "a.vec").read_bytes() == (tmp_path / "b.vec").read_bytes()
-        for token in table.tokens():
-            assert np.allclose(again.vectors[token], table.vectors[token], atol=5e-7)
+        for token in table.tokens:
+            assert np.allclose(again.get(token), table.get(token), atol=5e-7)
 
 
 # Components whose 6-decimal rounding is hard to get right without text.
@@ -136,11 +141,11 @@ def cache_tables(draw):
         st.lists(_cache_components, min_size=dim, max_size=dim),
         min_size=len(tokens), max_size=len(tokens),
     ))
-    return EmbeddingTable(dim, {t: np.array(r) for t, r in zip(tokens, rows)})
+    return EmbeddingTable(tuple(tokens), np.array(rows, dtype=float))
 
 
 def _table_bits(table):
-    return table.dim, [(t, v.tobytes()) for t, v in table.vectors.items()]
+    return table.dim, [(t, v.tobytes()) for t, v in zip(table.tokens, table.matrix)]
 
 
 class TestCache:
@@ -199,6 +204,62 @@ class TestCache:
         assert _table_bits(table) == (2, [("é", matrix[0].tobytes()), ("b", matrix[1].tobytes())])
 
 
+class TestTable:
+    @pytest.mark.parametrize(
+        "tokens, matrix, message",
+        [
+            (("a", "a"), np.zeros((2, 2)), "duplicate token"),
+            (("a",), np.zeros((2, 2)), "one row per token"),
+            (("a",), np.zeros(2), "one row per token"),
+            (("a",), np.zeros((1, 0)), "at least 1"),
+        ],
+    )
+    def test_refuses_malformed(self, tokens, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(tokens, matrix)
+
+    def test_rows_are_views_of_the_matrix(self):
+        table = make_table({"a": [1, 2], "b": [3, 4]})
+        assert table.get("b").base is table.matrix
+        assert (len(table), table.dim, "a" in table, table.get("c")) == (2, 2, True, None)
+
+
+def _rounded_as_text(matrix):
+    return np.array([[float(f"{x:.6f}") for x in row] for row in matrix.tolist()])
+
+
+class TestLoadFuzz:
+    """Arbitrary bytes either load or raise EmbeddingFormatError, and what
+    loads survives the cache with each value rounded as its text form."""
+
+    def check(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.vec"
+            path.write_bytes(data)
+            try:
+                table = load_embeddings(path)
+            except EmbeddingFormatError:
+                return
+            save_embeddings(table, Path(tmp) / "e.bin")
+            again = load_embeddings(Path(tmp) / "e.bin")
+        assert again.tokens == table.tokens
+        assert again.matrix.tobytes() == _rounded_as_text(table.matrix).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.text(st.sampled_from("ab2 -.e0\n\t\r\u00a0\u2028"), max_size=40).map(str.encode),
+    ))
+    @example(b"2 0\na\nb\n")
+    def test_vec_text(self, data):
+        self.check(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_after_cache_magic(self, data):
+        self.check(EMBEDDINGS_MAGIC + data)
+
+
 class TestCosine:
     def test_identity(self):
         assert cosine([1, 0], [1, 0]) == 1.0
@@ -231,11 +292,11 @@ class TestPostprocessAlpha:
         rng = np.random.default_rng(2)
         table = random_table(rng, 20, 6)
         out = postprocess_alpha(table, 1.0)
-        tokens = table.tokens()
+        tokens = table.tokens
         for i in range(0, 20, 3):
             for j in range(0, 20, 4):
-                before = cosine(table.vectors[tokens[i]], table.vectors[tokens[j]])
-                after = cosine(out.vectors[tokens[i]], out.vectors[tokens[j]])
+                before = cosine(table.get(tokens[i]), table.get(tokens[j]))
+                after = cosine(out.get(tokens[i]), out.get(tokens[j]))
                 assert after == pytest.approx(before, abs=1e-6)
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.15, 0.0, 0.15, 1.0])
@@ -246,7 +307,7 @@ class TestPostprocessAlpha:
         out = postprocess_alpha(table, alpha)
         Xn = normalized_matrix(table)
         reference = jacobi_eigenvalues(Xn.T @ Xn) ** alpha
-        Xp = np.stack([out.vectors[t] for t in out.vectors])
+        Xp = out.matrix
         transformed = jacobi_eigenvalues(Xp.T @ Xp)
         rel = np.abs(np.sort(transformed) - np.sort(reference)) / np.abs(np.sort(reference))
         assert np.max(rel) < 1e-6
@@ -258,7 +319,7 @@ class TestPostprocessAlpha:
             out = postprocess_alpha(table, -0.15)
             Xn = normalized_matrix(table)
             reference = jacobi_eigenvalues(Xn.T @ Xn) ** -0.15
-            Xp = np.stack([out.vectors[t] for t in out.vectors])
+            Xp = out.matrix
             transformed = jacobi_eigenvalues(Xp.T @ Xp)
             rel = np.abs(np.sort(transformed) - np.sort(reference)) / np.abs(np.sort(reference))
             assert np.max(rel) < 1e-6
@@ -276,23 +337,18 @@ class TestPostprocessAlpha:
                 [-2.0, 4.0, 1.0],
             ]
         )
-        table = EmbeddingTable(3, {f"w{i}": X[i] for i in range(6)})
+        table = EmbeddingTable(tuple(f"w{i}" for i in range(6)), X)
         twice = postprocess_alpha(postprocess_alpha(table, -0.15), -0.15)
-        assert twice.vectors["w0"] == pytest.approx(
+        assert twice.get("w0") == pytest.approx(
             [-0.6367861402, -0.0200876094, -0.3157376094], abs=1e-9
         )
-        assert twice.vectors["w3"] == pytest.approx(
+        assert twice.get("w3") == pytest.approx(
             [-0.0217673298, -0.6563884574, 0.1712508945], abs=1e-9
         )
-        assert twice.alpha_applied == -0.15
-
-    def test_records_alpha(self):
-        table = make_table({"a": [1, 0], "b": [0, 1]})
-        assert postprocess_alpha(table, 0.15).alpha_applied == 0.15
 
     def test_rejects_empty_or_nonfinite(self):
         with pytest.raises(ValueError):
-            postprocess_alpha(EmbeddingTable(2, {}), 0.5)
+            postprocess_alpha(EmbeddingTable((), np.zeros((0, 2))), 0.5)
         table = make_table({"a": [1, 0], "b": [0, 1]})
         with pytest.raises(ValueError):
             postprocess_alpha(table, float("nan"))
@@ -302,40 +358,28 @@ class TestSentenceEmbedding:
     table = make_table({"a": [1, 0], "b": [0, 1]})
 
     def test_mean(self):
-        sv = sentence_embedding(Sentence(0, ("a", "b")), self.table)
-        assert list(sv.vector) == [0.5, 0.5]
-        assert (sv.covered_tokens, sv.total_tokens) == (2, 2)
+        assert list(sentence_embedding(("a", "b"), self.table)) == [0.5, 0.5]
 
     def test_skips_unknown(self):
-        sv = sentence_embedding(Sentence(0, ("a", "zzz")), self.table)
-        assert list(sv.vector) == [1.0, 0.0]
-        assert (sv.covered_tokens, sv.total_tokens) == (1, 2)
+        assert list(sentence_embedding(("a", "zzz"), self.table)) == [1.0, 0.0]
 
     def test_all_unknown_zero_vector(self):
-        sv = sentence_embedding(Sentence(0, ("zzz",)), self.table)
-        assert list(sv.vector) == [0.0, 0.0]
-        assert sv.covered_tokens == 0
+        assert list(sentence_embedding(("zzz",), self.table)) == [0.0, 0.0]
 
     def test_permutation_invariant(self):
         table = make_table({"a": [1, 0], "b": [0, 1], "c": [2, 2]})
-        fwd = sentence_embedding(Sentence(0, ("a", "b", "c")), table)
-        rev = sentence_embedding(Sentence(0, ("c", "a", "b")), table)
-        assert np.allclose(fwd.vector, rev.vector)
-
-    def test_term_embedding_same_rule(self):
-        sv = term_embedding(("a", "b"), self.table)
-        assert list(sv.vector) == [0.5, 0.5]
-        with pytest.raises(ValueError):
-            term_embedding((), self.table)
+        fwd = sentence_embedding(("a", "b", "c"), table)
+        rev = sentence_embedding(("c", "a", "b"), table)
+        assert np.allclose(fwd, rev)
 
 
 def sentence_rows(vectors):
-    return VectorRows.stack([sv.vector for sv in vectors], len(vectors[0].vector) if vectors else 2)
+    return VectorRows(np.array(vectors).reshape(len(vectors), 2))
 
 
 class TestTopK:
     def query(self, vec):
-        return SentenceVector(np.array(vec, dtype=float), 1, 1)
+        return np.array(vec, dtype=float)
 
     def test_basic(self):
         hits = top_k_sentences(
@@ -432,9 +476,8 @@ _NO_VECTOR = "zzz"
 @st.composite
 def search_cases(draw):
     pool = draw(_near_tie_pool(len(_WORDS) + len(_FORM_INELIGIBLE) + 2))
-    table = EmbeddingTable(
-        DIM, {token: pool[i] for i, token in enumerate(_WORDS + _FORM_INELIGIBLE)}
-    )
+    tokens = _WORDS + _FORM_INELIGIBLE
+    table = EmbeddingTable(tokens, np.stack(pool[: len(tokens)]))
     vocabulary = _WORDS + _FORM_INELIGIBLE + (_NO_VECTOR,)
     sentences = [
         Sentence(i, tuple(tokens))
@@ -484,16 +527,13 @@ class TestSearchParity:
     @settings(max_examples=200, deadline=None)
     @given(_near_tie_pool(8), st.data())
     def test_top_k_matches_scalar_sort(self, pool, data):
-        vectors = [SentenceVector(v, 1, 1) for v in pool]
-        query = SentenceVector(
-            data.draw(st.one_of(
-                _vectors.map(np.array), st.sampled_from(pool), st.just(np.zeros(DIM))
-            )), 1, 1,
-        )
+        query = data.draw(st.one_of(
+            _vectors.map(np.array), st.sampled_from(pool), st.just(np.zeros(DIM))
+        ))
         k = data.draw(st.integers(1, len(pool) + 1))
         exclude = data.draw(st.sets(st.integers(0, len(pool) - 1)))
-        got = top_k_sentences(query, VectorRows.stack(pool, DIM), k, exclude)
-        expected = top_k_reference(query, vectors, k, exclude)
+        got = top_k_sentences(query, VectorRows(np.stack(pool)), k, exclude)
+        expected = top_k_reference(query, pool, k, exclude)
         assert [(h.sentence_id, float_bits(h.score)) for h in got] == [
             (h.sentence_id, float_bits(h.score)) for h in expected
         ]

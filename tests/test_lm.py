@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusaug.corpus_io import Sentence
+from corpusaug.embeddings import NumericError
 from corpusaug.lm import (
     BOS,
     EOS,
@@ -450,7 +451,7 @@ def ratio_outcome(model, original, synthetic, scores=None):
     window whose score underflowed to zero (a discount near 5e-324)."""
     try:
         return lm_ratio_accept(model, original, synthetic, 0.6, scores)
-    except AssertionError as exc:
+    except NumericError as exc:
         return str(exc)
 
 

@@ -182,7 +182,7 @@ class TestAugmentRareWords:
 
     def test_missing_query_vector_is_coverage(self):
         fx = ledger_fixture()
-        embeddings = EmbeddingTable(2, {"book": np.array([1.0, 0.0])})
+        embeddings = EmbeddingTable(("book",), np.array([[1.0, 0.0]]))
         config = AugmentationConfig()
         accepted, rejected = augment_rare_words(
             inputs_of(fx.corpus, embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
@@ -234,13 +234,8 @@ def dict_fixture():
         ]
     )
     embeddings = EmbeddingTable(
-        2,
-        {
-            "statement": np.array([1.0, 0.0]),
-            "pen": np.array([0.0, 1.0]),
-            "annual": np.array([0.9, 0.1]),
-            "report": np.array([1.0, 0.05]),
-        },
+        ("statement", "pen", "annual", "report"),
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.1], [1.0, 0.05]]),
     )
     lexicon = AnnotatedLexicon(
         {
@@ -439,9 +434,7 @@ class TestApplyReplacement:
 
 class TestReplacementDefinitions:
     def table(self):
-        return EmbeddingTable(
-            2, {"a": np.array([0.1, 0.7]), "b": np.array([0.3, -0.2])}
-        )
+        return EmbeddingTable(("a", "b"), np.array([[0.1, 0.7], [0.3, -0.2]]))
 
     def test_one_token_query_vector_is_the_token_vector(self):
         table = self.table()
