@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -126,8 +127,9 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
-        """Reject training knobs the trainers would refuse, and a dictionary
-        scope that is not one of the two, naming the key."""
+        """Reject training knobs the trainers would refuse, a non-finite
+        ``alpha_src``, and a dictionary scope that is not one of the two,
+        naming the key."""
         if self.em_iterations < 1:
             raise ConfigError(
                 f"config key 'em_iterations': must be >= 1, got {self.em_iterations}"
@@ -139,6 +141,10 @@ class RunConfig:
         if not 0.0 < self.lm_discount < 1.0:
             raise ConfigError(
                 f"config key 'lm_discount': must be in (0, 1), got {self.lm_discount}"
+            )
+        if not math.isfinite(self.augmentation.alpha_src):
+            raise ConfigError(
+                f"config key 'alpha_src': must be finite, got {self.augmentation.alpha_src}"
             )
         if self.dict_scope not in (pipeline.SCOPE_OOV_ONLY, pipeline.SCOPE_ALL):
             raise ConfigError(
@@ -165,8 +171,12 @@ def parse_config_file(path: str | Path) -> Dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        content = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 ({exc})") from exc
     values: Dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(content.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -483,6 +493,8 @@ def cmd_verify(run_dir: str | Path) -> int:
         # The settings augment ran with go through augment's own parser.
         values = {key: resolved[key] for key in RunConfig().resolved()}
         mode = manifest["mode"]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{manifest_path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{manifest_path}: not valid JSON ({exc})") from exc
     except KeyError as exc:
@@ -608,7 +620,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         EmbeddingFormatError,
         PharaohFormatError,
         LmFormatError,
-        FileNotFoundError,
+        OSError,  # a path that is missing, a directory, not a directory, unreadable
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -7,9 +7,10 @@ similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
 
 This module is the one that knows the ``provenance.jsonl`` line format.
-``write_provenance`` formats each record's line directly with json's own
-primitives, byte for byte what ``json.JSONEncoder(sort_keys=True,
-ensure_ascii=False)`` gives for its fields. ``read_provenance`` returns only
+``write_provenance`` writes one item at a time: it encodes the fields an
+item's records share once, and each line is one f-string over the rest,
+byte for byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+gives for the record's fields. ``read_provenance`` returns only
 the accepted records: a line that ``_REJECTED_LINE`` fully matches is a
 rejected record as the writer formats it and is skipped unparsed, and every
 other line is parsed in full.
@@ -35,13 +36,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import operator
 import re
 import sys
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -123,13 +125,12 @@ class AugmentationConfig:
     """Gate toggles and thresholds for one augmentation run.
 
     Defaults follow the reference operating point: rare-word threshold 1,
-    similarity-order exponents -0.15 (source role) / 0.15 (target role),
+    similarity-order exponent -0.15 for the source embeddings,
     language-model ratio threshold 0.6.
     """
 
     t_r: int = 1
     alpha_src: float = -0.15
-    alpha_tgt: float = 0.15
     use_sent_sim: bool = False
     sent_k: int = 10
     use_word_sim: bool = True
@@ -156,8 +157,10 @@ class AugmentationConfig:
             raise ConfigError(f"sent_k must be >= 1, got {self.sent_k}")
         if not -1.0 <= self.word_sim_min <= 1.0:
             raise ConfigError(f"word_sim_min must be in [-1, 1], got {self.word_sim_min}")
-        if self.lm_threshold <= 0.0:
-            raise ConfigError(f"lm_threshold must be positive, got {self.lm_threshold}")
+        if not 0.0 < self.lm_threshold < math.inf:
+            raise ConfigError(
+                f"lm_threshold must be positive and finite, got {self.lm_threshold}"
+            )
         if self.max_per_item < 1:
             raise ConfigError(f"max_per_item must be >= 1, got {self.max_per_item}")
         if self.max_span < 1:
@@ -681,49 +684,106 @@ def merge_and_dedup(
 
 _FIELD_NAMES = tuple(sorted(f.name for f in fields(ReplacementRecord)))
 _FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
-_LINE_TEMPLATE = "{" + ", ".join(encode_basestring(name) + ": %s" for name in _FIELD_NAMES) + "}\n"
+_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_REASON_JSON = {reason: encode_basestring(reason) for reason in REJECTION_REASONS}
+_NO_ITEM = object()
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
+def _json(value: object) -> str:
+    """``value`` as json's encoder writes it: an exact float or int and None
+    directly, every other value (a bool, ``np.float64``, a tuple, a type
+    json refuses) by the encoder itself."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return _ENCODE(value)
 
 
-def _json_array(values: Sequence[object]) -> str:
-    return "[" + ", ".join([_JSON_BY_TYPE[type(v)](v) for v in values]) + "]"
+def _json_span(span: object) -> str:
+    if type(span) is tuple and len(span) == 2:
+        start, end = span
+        if type(start) is int and type(end) is int:
+            return f"[{start}, {end}]"
+    return _json(span)
 
 
-class _JsonByType(dict):
-    """How json's encoder writes a non-None value of each type. A subclass
-    (``np.float64``) takes the path of its first json base type, in the
-    encoder's order of checks."""
+def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
+    """The ``provenance.jsonl`` lines of ``records``, newlines included, one
+    string per run of consecutive records of one item: byte for byte what
+    ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` writes for
+    each record's fields, tuples as lists.
 
-    def __missing__(self, kind: type) -> Callable[[object], str]:
-        for base in (str, int, float, list, tuple):
-            if issubclass(kind, base):
-                return self[base]
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-_JSON_BY_TYPE = _JsonByType({
-    type(None): lambda _: "null",
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: int.__repr__,
-    float: _json_float,
-    str: encode_basestring,
-    tuple: _json_array,
-    list: _json_array,
-})
+    The gate loop gives an item's records the same ``item_kind`` and
+    ``item_surface`` objects, so a run is the records that hold those
+    objects, and their JSON is made once per run. So is the source
+    insertion when it is the surface, and the target insertion once per
+    object. Each line is then one f-string over the fields that vary.
+    """
+    kind = surface = _NO_ITEM
+    target = target_json = None
+    lines: List[str] = []
+    for record in records:
+        (accepted, sentence_id, item_kind, item_surface, lm_src, lm_tgt, reason, sent_sim,
+         source_inserted, source_span, syntactic_ok, target_inserted, target_span,
+         word_sim) = _FIELD_VALUES(record)
+        if item_surface is not surface or item_kind is not kind:
+            if lines:
+                yield "".join(lines)
+                lines = []
+            kind, surface = item_kind, item_surface
+            surface_json = _json(surface)
+            item_json = f'"item_kind": {_json(kind)}, "item_surface": {surface_json}, '
+        if target_inserted is not target and target_inserted is not None:
+            target, target_json = target_inserted, _json(target_inserted)
+        if source_inserted is None:
+            source_json = "null"
+        else:
+            source_json = surface_json if source_inserted is surface else _json(source_inserted)
+        # The fields below are rebound to their JSON. Nearly every record
+        # holds them as a str of the closed set, an exact bool, an exact int
+        # or a finite float, which take no call: the f-string writes such an
+        # int or float as json does.
+        if type(reason) is str:
+            reason = _REASON_JSON.get(reason) or encode_basestring(reason)
+        else:
+            reason = _json(reason)
+        accepted = "false" if accepted is False else "true" if accepted is True else _json(accepted)
+        if syntactic_ok is not None:
+            syntactic_ok = (
+                "false" if syntactic_ok is False
+                else "true" if syntactic_ok is True
+                else _json(syntactic_ok)
+            )
+        if type(sentence_id) is not int:
+            sentence_id = _json(sentence_id)
+        if type(word_sim) is not float or not -math.inf < word_sim < math.inf:
+            word_sim = _json(word_sim)
+        lines.append(
+            f'{{"accepted": {accepted}, "base_sentence_id": {sentence_id}, {item_json}'
+            f'"lm_ratio_src": {"null" if lm_src is None else _json(lm_src)}, '
+            f'"lm_ratio_tgt": {"null" if lm_tgt is None else _json(lm_tgt)}, '
+            f'"reason": {reason}, '
+            f'"sent_sim": {"null" if sent_sim is None else _json(sent_sim)}, '
+            f'"source_inserted": {source_json}, '
+            f'"source_span": {"null" if source_span is None else _json_span(source_span)}, '
+            f'"syntactic_ok": {"null" if syntactic_ok is None else syntactic_ok}, '
+            f'"target_inserted": {"null" if target_inserted is None else target_json}, '
+            f'"target_span": {"null" if target_span is None else _json_span(target_span)}, '
+            f'"word_sim": {word_sim}}}\n'
+        )
+    if lines:
+        yield "".join(lines)
 
 
 def _provenance_line(record: ReplacementRecord) -> str:
-    """The record's line in ``provenance.jsonl``, newline included: byte for
-    byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` writes
-    for its fields, tuples as lists, without building a dict to encode."""
-    return _LINE_TEMPLATE % tuple(
-        ["null" if v is None else _JSON_BY_TYPE[type(v)](v) for v in _FIELD_VALUES(record)]
-    )
+    """The record's line in ``provenance.jsonl``: the writer on a one-record item."""
+    return "".join(_provenance_items((record,)))
 
 
 def write_provenance(
@@ -733,11 +793,12 @@ def write_provenance(
 ) -> None:
     """Write one JSON object per record (accepted first, then rejected).
 
-    Lines are written one by one, so the file is never held in memory.
+    The lines are written one item at a time, so the file is never held in
+    memory.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_provenance_line(pair.record) for pair in accepted)
-        fh.writelines(_provenance_line(record) for record in rejected)
+        fh.writelines(_provenance_items(pair.record for pair in accepted))
+        fh.writelines(_provenance_items(rejected))
 
 
 def _rejected_line_pattern() -> "re.Pattern[str]":

@@ -21,7 +21,9 @@ from corpusaug.embeddings import (
 )
 from corpusaug.lm import export_arpa, import_arpa, train_lm
 
-from oracles import jacobi_eigenvalues
+from corpusaug.pipeline import ReplacementRecord
+
+from oracles import jacobi_eigenvalues, provenance_line_reference
 
 # Golden accepted/deduplicated counts on the bundled toy fixture, pinned
 # after hand-verifying sample records of every gate flavour (see
@@ -229,10 +231,22 @@ def test_defaults_parity(preset_runs):
     ok = (
         resolved["t_r"] == 1
         and resolved["alpha_src"] == -0.15
-        and resolved["alpha_tgt"] == 0.15
+        and "alpha_tgt" not in resolved
         and resolved["lm_threshold"] == 0.6
     )
     report("defaults parity", ok)
+
+
+def test_provenance_file_equals_reference_encoder(preset_runs):
+    # Every line re-encoded by json's generic encoder, in file order: pins
+    # the writer's bytes and its line order on a run of both modes.
+    out, _ = preset_runs["wordSim_pos_morph"]
+    lines = (out / "provenance.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    encoded = [
+        provenance_line_reference(ReplacementRecord.from_dict(json.loads(line))) for line in lines
+    ]
+    kinds = {json.loads(line)["item_kind"] for line in lines}
+    report("provenance bytes", kinds == {"rare_word", "dictionary"} and lines == encoded)
 
 
 def test_format_round_trips(tmp_path):

@@ -73,6 +73,11 @@ class TestConfigHandling:
         assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
         assert "unknown config key: 'embeddings_tgt'" in capsys.readouterr().err
 
+    def test_removed_alpha_tgt_key_rejected(self, toy, tmp_path, capsys):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out", alpha_tgt="0.15")
+        assert main(["stats", "--config", str(cfg)]) == EXIT_INPUT
+        assert "unknown config key: 'alpha_tgt'" in capsys.readouterr().err
+
     def test_ablation_presets_cover_grid(self):
         assert len(ABLATION_PRESETS) == 8
         config = RunConfig()
@@ -115,6 +120,44 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "'dict_scope'" in err and "'bogus'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_src_exit_2_names_key(self, toy, tmp_path, capsys, value):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        assert main(["prepare", "--config", str(cfg), "--set", f"alpha_src={value}"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "config key 'alpha_src': must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_lm_threshold_exit_2_names_key(self, toy, tmp_path, capsys, value):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        argv = ["augment", "--config", str(cfg), "--set", f"lm_threshold={value}"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "lm_threshold must be positive and finite" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exit_2_names_path(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xffout_dir = x\n")
+        assert main(["stats", "--config", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        _one_error_line(err, path)
+        assert "not UTF-8" in err
+
+    def test_directory_as_input_exit_2_names_path(self, toy, tmp_path, capsys):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        assert main(["prepare", "--config", str(cfg), "--set", f"src_corpus={tmp_path}"]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, tmp_path)
+
+    @pytest.mark.parametrize("command", ["prepare", "stats"])
+    def test_regular_file_as_out_dir_exit_2_names_path(self, toy, tmp_path, capsys, command):
+        cfg = toy.write_config(tmp_path / "c.cfg", tmp_path / "out")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out-dir", str(blocker)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, blocker)
 
     def test_non_utf8_dictionary_exit_2_with_offset(self, toy, tmp_path, capsys):
         path = tmp_path / "dict.tsv"
@@ -316,7 +359,7 @@ class TestAugment:
         resolved = json.loads((out / "manifest.json").read_text())["resolved_config"]
         assert resolved["t_r"] == 1
         assert resolved["alpha_src"] == -0.15
-        assert resolved["alpha_tgt"] == 0.15
+        assert "alpha_tgt" not in resolved
         assert resolved["lm_threshold"] == 0.6
         assert resolved["word_sim_min"] == 0.5
         assert resolved["max_per_item"] == 3
@@ -469,6 +512,49 @@ class TestVerifyCommand:
         path.write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
         assert "0 violations" in capsys.readouterr().out
+
+    def test_manifest_with_removed_alpha_tgt_key_verifies(self, toy, tmp_path, capsys):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["resolved_config"]["alpha_tgt"] = 0.15
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_src", float("nan")), ("lm_threshold", float("nan")), ("lm_threshold", float("inf")),
+    ])
+    def test_manifest_with_non_finite_gate_number_exit_2(self, toy, tmp_path, capsys, key, value):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["resolved_config"][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        _one_error_line(err, path)
+        assert key in err
+
+    def test_non_utf8_manifest_exit_2_names_path(self, toy, tmp_path, capsys):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "manifest.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        _one_error_line(err, path)
+        assert "not UTF-8" in err
+
+    def test_provenance_directory_exit_2_names_path(self, toy, tmp_path, capsys):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "provenance.jsonl"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, path)
 
     def test_missing_run_dir_exit_2(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path / "nope")]) == EXIT_INPUT

@@ -3,6 +3,8 @@ import json
 import math
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,6 +661,64 @@ class TestProvenanceFormat:
         assert '"word_sim": 0.1}' in _provenance_line(record)
 
 
+@st.composite
+def _item_records(draw):
+    """Records drawn to share items, as the gate loop gives them: each holds
+    one of a few (kind, surface) pairs, two kinds may share one surface
+    object, or an equal copy of the surface, so runs of one item repeat and
+    interleave.
+    Some insert their item's surface object or a shared target, some hold
+    an ``np.float64``, a few an int where a flag goes, and a few an
+    ``np.int64``, which json refuses."""
+    tokens = st.lists(_STRINGS, max_size=3).map(tuple)
+    kinds = st.sampled_from(["rare_word", "dictionary"]) | _STRINGS
+    surfaces = draw(st.lists(tokens, min_size=1, max_size=3))
+    items = draw(st.lists(st.tuples(kinds, st.sampled_from(surfaces)), min_size=1, max_size=4))
+    targets = draw(st.lists(tokens, min_size=1, max_size=2))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        record = draw(_records())
+        record.item_kind, record.item_surface = draw(st.sampled_from(items))
+        if draw(st.booleans()):
+            record.source_inserted = record.item_surface
+        if draw(st.booleans()):
+            record.target_inserted = draw(st.sampled_from(targets))
+        if draw(st.integers(0, 3)) == 0:
+            record.item_surface = tuple(list(record.item_surface))
+        if draw(st.booleans()):
+            record.word_sim = np.float64(draw(_FLOATS))
+        if draw(st.integers(0, 9)) == 0:
+            flag = draw(st.sampled_from(["accepted", "syntactic_ok"]))
+            setattr(record, flag, draw(st.integers(0, 1)))
+        if draw(st.integers(0, 19)) == 0:
+            setattr(record, draw(st.sampled_from(_FIELD_ORDER)), np.int64(3))
+        records.append(record)
+    return records
+
+
+class TestProvenanceWriter:
+    """``write_provenance`` writes each item's records at once; the file must
+    be the reference encoder's lines, in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_item_records(), st.data())
+    def test_file_equals_reference_lines(self, records, data):
+        split = data.draw(st.integers(0, len(records)))
+        accepted = [SyntheticPair((), (), record) for record in records[:split]]
+        try:
+            expected = "".join(provenance_line_reference(record) for record in records)
+        except TypeError:
+            expected = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "provenance.jsonl"
+            if expected is None:
+                with pytest.raises(TypeError):
+                    write_provenance(path, accepted, records[split:])
+            else:
+                write_provenance(path, accepted, records[split:])
+                assert path.read_bytes() == expected.encode("utf-8")
+
+
 class TestConfigValidation:
     def test_morph_requires_pos(self):
         with pytest.raises(ConfigError):
@@ -678,9 +738,14 @@ class TestConfigValidation:
         config = AugmentationConfig()
         assert config.t_r == 1
         assert config.alpha_src == -0.15
-        assert config.alpha_tgt == 0.15
+        assert not hasattr(config, "alpha_tgt")
         assert config.lm_threshold == 0.6
         config.validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+    def test_lm_threshold_must_be_positive_and_finite(self, value):
+        with pytest.raises(ConfigError, match="lm_threshold must be positive and finite"):
+            AugmentationConfig(lm_threshold=value).validate()
 
 
 class TestConstraintMonotonicity:
