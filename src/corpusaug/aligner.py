@@ -5,6 +5,9 @@ maximization over the parallel corpus, with a NULL token on the
 conditioning side absorbing unexplained words. It is used to locate the
 target-side word or phrase corresponding to a source position.
 
+Only t(target | source) is trained, the one direction that locating a
+target span needs: the source side is the conditioning side throughout.
+
 The trained table is cached in a binary file: both vocabularies, sorted,
 then one (conditioning id, generated id, probability) row per entry in
 sorted order. Each probability is stored as the value its 12-significant-
@@ -19,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,10 +33,6 @@ log = logging.getLogger(__name__)
 
 NULL_TOKEN = "<NULL>"
 
-DIRECTION_TGT_GIVEN_SRC = "tgt_given_src"
-DIRECTION_SRC_GIVEN_TGT = "src_given_tgt"
-DIRECTIONS = (DIRECTION_TGT_GIVEN_SRC, DIRECTION_SRC_GIVEN_TGT)
-
 DEFAULT_ITERATIONS = 10
 DEFAULT_MAX_SPAN = 5
 
@@ -41,7 +40,7 @@ REASON_UNALIGNED = "unaligned"
 REASON_SPAN_TOO_LONG = "span_too_long"
 
 # First bytes of a cached table; the format number changes with the layout.
-ALIGNER_MAGIC = b"\x93corpusaug-aligner 1\n"
+ALIGNER_MAGIC = b"\x93corpusaug-aligner 2\n"
 
 
 class PharaohFormatError(ValueError):
@@ -57,7 +56,6 @@ class TranslationTable:
     """
 
     t: Dict[str, Dict[str, float]]
-    direction: str = DIRECTION_TGT_GIVEN_SRC
     log_likelihoods: Tuple[float, ...] = ()
 
     def prob(self, generated: str, conditioning: str) -> float:
@@ -70,29 +68,9 @@ class SentenceAlignment:
 
     links: Tuple[Tuple[int, int], ...]
 
-    def targets_of(self, source_index: int) -> List[int]:
-        return [j for i, j in self.links if i == source_index]
 
-
-@dataclass(frozen=True)
-class TargetSpan:
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end}]")
-
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-
-def train_ibm1(
-    corpus: ParallelCorpus,
-    iterations: int = DEFAULT_ITERATIONS,
-    direction: str = DIRECTION_TGT_GIVEN_SRC,
-) -> TranslationTable:
-    """Train the lexical table by EM.
+def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> TranslationTable:
+    """Train the lexical table t(target | source) by EM.
 
     Probabilities start uniform over co-occurring pairs. Every (generated,
     conditioning) token pair of every sentence pair is one link in a flat
@@ -107,16 +85,13 @@ def train_ibm1(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction: {direction!r}")
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
 
     cond_vocab: Dict[str, int] = {NULL_TOKEN: 0}
     gen_vocab: Dict[str, int] = {}
     pair_ids = []
-    for s, g in corpus.pairs():
-        cond, gen = (s, g) if direction == DIRECTION_TGT_GIVEN_SRC else (g, s)
+    for cond, gen in corpus.pairs():
         cond_ids = [0] + [cond_vocab.setdefault(e, len(cond_vocab)) for e in cond.tokens]
         gen_ids = [gen_vocab.setdefault(f, len(gen_vocab)) for f in gen.tokens]
         pair_ids.append(
@@ -179,7 +154,7 @@ def train_ibm1(
         e: dict(zip(gen_names[lo:hi], probs[lo:hi]))
         for e, lo, hi in zip(cond_vocab, bounds, bounds[1:])
     }
-    return TranslationTable(t=table, direction=direction, log_likelihoods=tuple(logliks))
+    return TranslationTable(t=table, log_likelihoods=tuple(logliks))
 
 
 def viterbi_align(
@@ -193,11 +168,6 @@ def viterbi_align(
     target word; otherwise the source word stays unaligned. Source tokens
     unseen in training align to NULL with a warning.
     """
-    if table.direction != DIRECTION_TGT_GIVEN_SRC:
-        raise ValueError(
-            "viterbi_align needs a table conditioned on the source side "
-            f"(direction {DIRECTION_TGT_GIVEN_SRC!r}), got {table.direction!r}"
-        )
     source, target = pair
     null_row = table.t.get(NULL_TOKEN, {})
     links: List[Tuple[int, int]] = []
@@ -222,19 +192,19 @@ def viterbi_align(
 
 def target_span(
     alignment: SentenceAlignment, source_index: int, max_span: int = DEFAULT_MAX_SPAN
-) -> Optional[TargetSpan]:
-    """Target index range linked to one source position.
-
-    None when the position is unaligned or the span would exceed
+) -> Union[Tuple[int, int], str]:
+    """The inclusive ``(start, end)`` target index range linked to one
+    source position, or why there is none: ``unaligned`` when no link
+    leaves the position, ``span_too_long`` when the range would exceed
     ``max_span`` tokens.
     """
-    targets = alignment.targets_of(source_index)
+    targets = [j for i, j in alignment.links if i == source_index]
     if not targets:
-        return None
-    span = TargetSpan(min(targets), max(targets))
-    if span.length() > max_span:
-        return None
-    return span
+        return REASON_UNALIGNED
+    start, end = min(targets), max(targets)
+    if end - start >= max_span:
+        return REASON_SPAN_TOO_LONG
+    return start, end
 
 
 def translate_rare_word(
@@ -260,13 +230,10 @@ def translate_rare_word(
         raise ValueError(
             f"rare word {rare.surface!r} not found in host sentence {host_id}"
         ) from exc
-    alignment = alignments[host_id]
-    if not alignment.targets_of(position):
-        return None, REASON_UNALIGNED
-    span = target_span(alignment, position, max_span)
-    if span is None:
-        return None, REASON_SPAN_TOO_LONG
-    return target.tokens[span.start : span.end + 1], None
+    span = target_span(alignments[host_id], position, max_span)
+    if isinstance(span, str):
+        return None, span
+    return target.tokens[span[0] : span[1] + 1], None
 
 
 _PHARAOH_PAIR = re.compile(r"^(\d+)-(\d+)$")
@@ -289,12 +256,11 @@ def import_pharaoh(line: str) -> SentenceAlignment:
 
 
 def save_translation_table(table: TranslationTable, path: str | Path) -> None:
-    """Cache the table as ``ALIGNER_MAGIC`` followed by six ``.npy`` arrays.
+    """Cache the table as ``ALIGNER_MAGIC`` followed by five ``.npy`` arrays.
 
-    In order: the direction, the sorted conditioning and generated
-    vocabularies (each as newline-ended UTF-8), then the conditioning id,
-    generated id and probability of every entry, sorted by (conditioning,
-    generated) token. Each probability is stored as ``float(f"{p:.12g}")``.
+    In order: the sorted conditioning and generated vocabularies (each as
+    newline-ended UTF-8), then the conditioning id, generated id and
+    probability of every entry, sorted by (conditioning, generated) token. Each probability is stored as ``float(f"{p:.12g}")``.
     Equal tables give equal bytes.
     """
     cond = sorted(e for e, row in table.t.items() if row)
@@ -310,7 +276,6 @@ def save_translation_table(table: TranslationTable, path: str | Path) -> None:
             f_ids.append(gen_ids[f])
             probs.append(float(f"{row[f]:.12g}"))
     write_arrays(path, ALIGNER_MAGIC, (
-        encode_tokens([table.direction]),
         encode_tokens(cond),
         encode_tokens(gen),
         narrow(np.array(e_ids, dtype=np.int64)),
@@ -320,10 +285,7 @@ def save_translation_table(table: TranslationTable, path: str | Path) -> None:
 
 
 def _read_table(path: Path) -> TranslationTable:
-    direction, cond, gen, e_ids, f_ids, probs = read_arrays(path, ALIGNER_MAGIC, 6)
-    direction = decode_tokens(direction)
-    if len(direction) != 1 or direction[0] not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    cond, gen, e_ids, f_ids, probs = read_arrays(path, ALIGNER_MAGIC, 5)
     cond, gen = decode_tokens(cond), decode_tokens(gen)
     if any(a.ndim != 1 or a.dtype.kind != "u" for a in (e_ids, f_ids)):
         raise ValueError("bad id array type or shape")
@@ -346,7 +308,7 @@ def _read_table(path: Path) -> TranslationTable:
         for e, lo, hi in zip(cond, bounds, bounds[1:])
         if hi > lo
     }
-    return TranslationTable(t=t, direction=direction[0])
+    return TranslationTable(t=t)
 
 
 def load_translation_table(path: str | Path) -> TranslationTable:

@@ -2,10 +2,11 @@
 
 Runs are driven by a flat ``key = value`` config file with CLI overrides
 (flags win). ``prepare`` trains and caches the heavyweight artifacts under
-``<out_dir>/cache`` keyed by input-content hashes, and rebuilds an artifact
-whose bytes no longer match the hash it stored; ``augment`` refuses to run
-on a stale cache. Exit codes are a stable contract: 0 success, 2 input
-error, 3 numeric error, 4 stale cache, 5 verification failure.
+``<out_dir>/cache`` keyed by input-content hashes. One predicate,
+``_fresh``, decides whether a cached artifact may be used: ``prepare``
+rebuilds what it rejects and ``augment`` refuses to run on it. Exit codes
+are a stable contract: 0 success, 2 input error, 3 numeric error, 4 stale
+cache, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, agreement, pipeline
 from .aligner import (
-    DIRECTION_TGT_GIVEN_SRC,
     PharaohFormatError,
     load_translation_table,
     save_translation_table,
@@ -241,10 +241,7 @@ def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
                 config.src_corpus: _sha256(config.src_corpus),
                 config.tgt_corpus: _sha256(config.tgt_corpus),
             },
-            "params": {
-                "iterations": config.em_iterations,
-                "direction": DIRECTION_TGT_GIVEN_SRC,
-            },
+            "params": {"iterations": config.em_iterations},
             "output": ALIGNER_FILE,
         },
         "lm_src": {
@@ -293,11 +290,11 @@ def _load_fingerprints(cache_dir: Path) -> Dict[str, Dict[str, object]]:
     return stored
 
 
-def _same_inputs(stored: Optional[Dict[str, object]], spec: Dict[str, object]) -> bool:
-    """Whether a stored fingerprint was built from ``spec``'s inputs and params."""
-    if stored is None:
-        return False
-    return {k: v for k, v in stored.items() if k != "output_sha256"} == spec
+def _fresh(stored: Optional[Dict[str, object]], spec: Dict[str, object], path: Path) -> bool:
+    """Whether the artifact at ``path`` was built from ``spec``'s inputs and
+    params, per its ``stored`` fingerprint, and still has the bytes it was
+    built with."""
+    return path.is_file() and stored == dict(spec, output_sha256=_sha256(path))
 
 
 # -- commands -----------------------------------------------------------------
@@ -331,19 +328,14 @@ def cmd_prepare(config: RunConfig) -> int:
     corpus = None
     for artifact, spec in expected.items():
         out_path = cache_dir / str(spec["output"])
-        entry = stored.get(artifact)
-        if (
-            _same_inputs(entry, spec)
-            and out_path.is_file()
-            and entry.get("output_sha256") == _sha256(out_path)
-        ):
+        if _fresh(stored.get(artifact), spec, out_path):
             log.info("%s: up to date", artifact)
             continue
         log.info("%s: building", artifact)
         if artifact == "aligner":
             if corpus is None:
                 corpus = load_parallel_corpus(config.src_corpus, config.tgt_corpus)
-            table = train_ibm1(corpus, config.em_iterations, DIRECTION_TGT_GIVEN_SRC)
+            table = train_ibm1(corpus, config.em_iterations)
             save_translation_table(table, out_path)
         elif artifact in ("lm_src", "lm_tgt"):
             mono_path = config.mono_src if artifact == "lm_src" else config.mono_tgt
@@ -371,15 +363,32 @@ def cmd_prepare(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# The loader of each artifact, which names the file when it does not parse.
+_LOADERS = {
+    "aligner": load_translation_table,
+    "lm_src": load_lm,
+    "lm_tgt": load_lm,
+    "embeddings_src": load_embeddings,
+}
+
+
 def _check_cache(config: RunConfig) -> Path:
+    """The cache directory, when every artifact is :func:`_fresh`.
+
+    Otherwise raise StaleCacheError naming the first artifact that is not,
+    except that a file whose fingerprint still matches its inputs but whose
+    bytes changed and no longer parse raises its loader's error naming it.
+    """
     cache_dir = _cache_dir(config)
-    expected = _expected_fingerprints(config)
     stored = _load_fingerprints(cache_dir)
-    for artifact, spec in expected.items():
+    for artifact, spec in _expected_fingerprints(config).items():
         out_path = cache_dir / str(spec["output"])
-        if not _same_inputs(stored.get(artifact), spec) or not out_path.is_file():
+        entry = stored.get(artifact, {})
+        if not _fresh(entry, spec, out_path):
+            if out_path.is_file() and entry == dict(spec, output_sha256=entry.get("output_sha256")):
+                _LOADERS[artifact](out_path)
             raise StaleCacheError(
-                f"cache artifact {artifact!r} is stale or missing; rerun prepare"
+                f"cache artifact {artifact!r} is stale, missing or altered; rerun prepare"
             )
     return cache_dir
 
@@ -445,10 +454,6 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     kept_pairs = [p for s in sets for p in s if p.record.accepted]
     duplicate_records = [p.record for s in sets for p in s if not p.record.accepted]
     all_rejected = rejected + duplicate_records
-    set_rejections = {
-        name: rejection_counts([r for r in all_rejected if r.item_kind == name])
-        for name in set_names
-    }
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,7 +467,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         "resolved_config": config.resolved(),
         "fingerprints": _load_fingerprints(cache_dir),
         "merge": merge_manifest,
-        "rejections_per_set": set_rejections,
+        "rejections_per_set": rejection_counts(all_rejected, set_names),
         "outputs": {
             "source": "corpus.src.txt",
             "target": "corpus.tgt.txt",

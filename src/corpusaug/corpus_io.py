@@ -85,18 +85,22 @@ class DictionaryEntry:
     source_term: Tuple[str, ...]
     target_term: Tuple[str, ...]
 
+    def is_oov(self, vocab: Vocabulary) -> bool:
+        """Whether some token of the source term is not in ``vocab``: the
+        rule ``stats`` counts by and ``dict_scope = oov_only`` keeps by."""
+        return any(token not in vocab for token in self.source_term)
+
 
 @dataclass
 class RareWordValidityConfig:
-    """Which filters a word must pass to count as a usable rare word.
+    """Which vocabularies a rare word must also be in to be usable.
 
     ``embedding_vocab`` and ``annotation_vocab`` are membership tests
     (anything supporting ``in``); when left ``None`` the respective filter
-    is off. Each filter is independently toggleable.
+    is off. Words with a digit and words of punctuation alone are always
+    excluded.
     """
 
-    exclude_digit_tokens: bool = True
-    exclude_punctuation_tokens: bool = True
     embedding_vocab: Optional[Container[str]] = None
     annotation_vocab: Optional[Container[str]] = None
 
@@ -230,9 +234,7 @@ def extract_rare_words(
                 hosts.setdefault(token, []).append(sent.id)
     rare: List[RareWord] = []
     for surface in sorted(hosts):
-        if validity.exclude_digit_tokens and has_digit(surface):
-            continue
-        if validity.exclude_punctuation_tokens and is_punctuation(surface):
+        if has_digit(surface) or is_punctuation(surface):
             continue
         if validity.embedding_vocab is not None and surface not in validity.embedding_vocab:
             continue
@@ -310,13 +312,11 @@ def corpus_stats(
     corpus: ParallelCorpus,
     t_r: int,
     dictionary: Optional[Sequence[DictionaryEntry]] = None,
-    reference_vocab: Optional[Vocabulary] = None,
 ) -> StatsReport:
     """Summarize a corpus (and optionally a dictionary) as count fields.
 
-    ``dict_oov_term_count`` counts entries whose source term has no token in
-    ``reference_vocab``; when no reference vocabulary is given, the corpus's
-    own source-side vocabulary is used.
+    ``dict_oov_term_count`` counts the entries that are OOV in the corpus's
+    source-side vocabulary (:meth:`DictionaryEntry.is_oov`).
     """
     vocab_src = build_vocabulary(corpus.source)
     vocab_tgt = build_vocabulary(corpus.target)
@@ -325,11 +325,8 @@ def corpus_stats(
     dict_total = 0
     dict_oov = 0
     if dictionary is not None:
-        ref = reference_vocab if reference_vocab is not None else vocab_src
         dict_total = len(dictionary)
-        for entry in dictionary:
-            if all(token not in ref for token in entry.source_term):
-                dict_oov += 1
+        dict_oov = sum(entry.is_oov(vocab_src) for entry in dictionary)
     return StatsReport(
         sentence_count=len(corpus),
         word_count_per_side={"source": vocab_src.total_tokens, "target": vocab_tgt.total_tokens},

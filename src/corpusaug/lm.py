@@ -219,12 +219,6 @@ class TrigramModel:
         """Predictable tokens: vocabulary plus EOS and UNK."""
         return list(self.tokens[len(RESERVED):]) + [EOS, UNK]
 
-    def map_history(self, token: str) -> str:
-        return token if token in self.ids else UNK
-
-    def map_predicted(self, token: str) -> str:
-        return token if token in self.ids and token != BOS else UNK
-
     # -- probabilities over id arrays ---------------------------------------
 
     def _interpolate(self, histories: _Histories, keys: np.ndarray, counts: np.ndarray,

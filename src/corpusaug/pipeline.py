@@ -468,15 +468,11 @@ def _process_item(
                     record.reason = REASON_MORPH
                 continue
 
-        alignment = inputs.alignments[candidate_id]
-        if not alignment.targets_of(position):
-            record.reason = REASON_UNALIGNED
+        span = target_span(inputs.alignments[candidate_id], position, config.max_span)
+        if isinstance(span, str):
+            record.reason = span
             continue
-        span = target_span(alignment, position, config.max_span)
-        if span is None:
-            record.reason = REASON_SPAN_TOO_LONG
-            continue
-        record.target_span = (span.start, span.end)
+        record.target_span = span
         record.source_inserted = item.surface
         record.target_inserted = item.target_insert
         queued.append((
@@ -532,9 +528,9 @@ def resolve_dictionary_entry(
     entry: DictionaryEntry, inputs: RunInputs, vocab: Vocabulary, scope: str
 ) -> Union[_Item, ReplacementRecord]:
     """A dictionary entry inserts its two terms, unless ``scope`` excludes
-    a source term all of whose tokens are in the corpus vocabulary ``vocab``."""
+    an entry that is not OOV in the corpus vocabulary ``vocab``."""
     surface = entry.source_term
-    if scope == SCOPE_OOV_ONLY and all(token in vocab for token in surface):
+    if scope == SCOPE_OOV_ONLY and not entry.is_oov(vocab):
         return ReplacementRecord(ITEM_DICTIONARY, surface, reason=REASON_IN_VOCABULARY)
     return _make_item(ITEM_DICTIONARY, surface, entry.target_term, inputs)
 
@@ -877,10 +873,14 @@ def read_provenance(path: str | Path) -> List[ReplacementRecord]:
     return records
 
 
-def rejection_counts(records: Sequence[ReplacementRecord]) -> Dict[str, int]:
-    """Tally rejected records per reason code (sorted keys for stable JSON)."""
-    counts: Dict[str, int] = {}
+def rejection_counts(
+    records: Iterable[ReplacementRecord], item_kinds: Iterable[str]
+) -> Dict[str, Dict[str, int]]:
+    """Tally rejected records per item kind, then per reason code, in one
+    pass; each of ``item_kinds`` has an entry, reasons in sorted order."""
+    counts: Dict[str, Dict[str, int]] = {kind: {} for kind in item_kinds}
     for record in records:
         if not record.accepted and record.reason:
-            counts[record.reason] = counts.get(record.reason, 0) + 1
-    return {reason: counts[reason] for reason in sorted(counts)}
+            tally = counts[record.item_kind]
+            tally[record.reason] = tally.get(record.reason, 0) + 1
+    return {kind: dict(sorted(tally.items())) for kind, tally in counts.items()}

@@ -4,11 +4,18 @@ A case is ``(id, damage, message)``. ``damage(magic, arrays)`` returns the
 bytes of a damaged file built from the arrays of a good one, and ``message``
 is a pattern the loader's error must match. The unit tests load each case
 directly; the CLI tests plant it in a prepared cache.
+
+``ALTERED_CASES`` are files that still parse but differ from what
+``prepare`` wrote: only the hash in ``fingerprints.json`` tells them apart.
 """
 
 import io
 
 import numpy as np
+
+from corpusaug.aligner import ALIGNER_MAGIC
+from corpusaug.embeddings import EMBEDDINGS_MAGIC
+from corpusaug.lm import LM_MAGIC
 
 
 def pack(magic, arrays):
@@ -63,6 +70,12 @@ def _huge_header(magic, arrays):
     return pack(magic, arrays[:-1]) + buffer.getvalue() + arrays[-1].tobytes()
 
 
+def _layout_1(magic, arrays):
+    """The file as layout 1 wrote it: a direction array before the others."""
+    direction = np.frombuffer(b"tgt_given_src\n", dtype=np.uint8)
+    return pack(magic.replace(b" 2\n", b" 1\n"), [direction] + list(arrays))
+
+
 def _common(token_index):
     """Cases that every cache file shares; ``token_index`` is a token array."""
     return [
@@ -90,16 +103,23 @@ EMBEDDING_CASES = _common(1) + [
     ), "duplicate"),
 ]
 
-# Arrays: direction, conditioning tokens, generated tokens, e ids, f ids, probabilities.
-ALIGNER_CASES = _common(1) + [
-    ("wrong_magic", lambda m, a: pack(m.replace(b" 1\n", b" 0\n"), a), "bad magic"),
+# Arrays: conditioning tokens, generated tokens, e ids, f ids, probabilities.
+ALIGNER_CASES = _common(0) + [
+    ("wrong_magic", _layout_1, "bad magic"),
     ("older_text_cache", lambda m, a: b"#direction\ttgt_given_src\nx\ty\t0.5\n", "bad magic"),
-    ("unknown_direction", _replace(0, np.frombuffer(b"sideways\n", dtype=np.uint8)), "direction"),
-    ("float_ids", _replace(3, lambda x: x.astype(np.float64)), "id array"),
-    ("float32_probabilities", _replace(5, lambda x: x.astype(np.float32)), "probability array"),
-    ("lengths_differ", _replace(4, lambda x: x[:-1]), "lengths differ"),
-    ("conditioning_id_out_of_range", _id_past_end(3, 1, -1), "out of range"),
-    ("generated_id_out_of_range", _id_past_end(4, 2, 0), "out of range"),
-    ("out_of_order", _replace(4, lambda x: x[::-1].copy()), "strictly increasing"),
-    ("non_finite", _set(5, 0, np.inf), "non-finite"),
+    ("float_ids", _replace(2, lambda x: x.astype(np.float64)), "id array"),
+    ("float32_probabilities", _replace(4, lambda x: x.astype(np.float32)), "probability array"),
+    ("lengths_differ", _replace(3, lambda x: x[:-1]), "lengths differ"),
+    ("conditioning_id_out_of_range", _id_past_end(2, 0, -1), "out of range"),
+    ("generated_id_out_of_range", _id_past_end(3, 1, 0), "out of range"),
+    ("out_of_order", _replace(3, lambda x: x[::-1].copy()), "strictly increasing"),
+    ("non_finite", _set(4, 0, np.inf), "non-finite"),
+]
+
+# (artifact, cache file, magic, array count, damage) for each artifact.
+ALTERED_CASES = [
+    ("aligner", "aligner.bin", ALIGNER_MAGIC, 5, _replace(4, lambda p: np.full_like(p, 0.5))),
+    ("lm_src", "lm.src.bin", LM_MAGIC, 8, _set(0, 0, 0.5)),
+    ("lm_tgt", "lm.tgt.bin", LM_MAGIC, 8, _set(0, 0, 0.5)),
+    ("embeddings_src", "embeddings.src.bin", EMBEDDINGS_MAGIC, 3, _replace(2, lambda x: 2 * x)),
 ]

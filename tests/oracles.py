@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from corpusaug.agreement import MODE_OFF
-from corpusaug.aligner import DIRECTION_TGT_GIVEN_SRC, NULL_TOKEN, TranslationTable
+from corpusaug.aligner import NULL_TOKEN, TranslationTable
 from corpusaug.corpus_io import Sentence, has_digit, is_punctuation
 from corpusaug.embeddings import SimilarityHit, cosine
 from corpusaug.lm import BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK
@@ -166,17 +166,14 @@ def _sentence_counts(cond_tokens, gen_tokens, t):
     return contributions, loglik
 
 
-def ibm1_dict_reference(corpus, iterations, direction=DIRECTION_TGT_GIVEN_SRC):
-    """IBM Model 1 EM as a dict-of-dict loop over sentence pairs.
+def ibm1_dict_reference(corpus, iterations):
+    """IBM Model 1 EM, t(target | source), as a dict-of-dict loop over sentence pairs.
 
     Expected counts are merged in sentence order. A key stays in its row
     only if it received a contribution in the last iteration that renewed
     the row; a row with a zero total keeps its previous probabilities.
     """
-    if direction == DIRECTION_TGT_GIVEN_SRC:
-        pairs = [((NULL_TOKEN,) + s.tokens, g.tokens) for s, g in corpus.pairs()]
-    else:
-        pairs = [((NULL_TOKEN,) + g.tokens, s.tokens) for s, g in corpus.pairs()]
+    pairs = [((NULL_TOKEN,) + s.tokens, g.tokens) for s, g in corpus.pairs()]
 
     cooccur = {}
     for cond_tokens, gen_tokens in pairs:
@@ -203,7 +200,7 @@ def ibm1_dict_reference(corpus, iterations, direction=DIRECTION_TGT_GIVEN_SRC):
             total = totals[e]
             if total > 0.0:
                 t[e] = {f: value / total for f, value in row.items()}
-    return TranslationTable(t=t, direction=direction, log_likelihoods=tuple(logliks))
+    return TranslationTable(t=t, log_likelihoods=tuple(logliks))
 
 
 def trigram_prob_reference(sentences, discount, w1, w2, w3, bos="<s>", eos="</s>", unk="<unk>"):

@@ -31,7 +31,7 @@ from corpusaug.embeddings import EMBEDDINGS_MAGIC, WordIndex, export_vec, load_e
 from corpusaug.lm import TrigramModel
 from corpusaug.pipeline import ConfigError
 
-from cachecases import ALIGNER_CASES, EMBEDDING_CASES, read_cache
+from cachecases import ALIGNER_CASES, ALTERED_CASES, EMBEDDING_CASES, read_cache
 
 
 def prepare_run(toy, tmp_path, name="run", **extra):
@@ -201,7 +201,16 @@ class TestStats:
         stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
         assert stats["sentence_count"] == 204
         assert stats["dict_term_count"] == 32
-        assert stats["dict_oov_term_count"] == 24
+        assert stats["dict_oov_term_count"] == 28
+
+    def test_dict_oov_count_is_what_oov_only_keeps(self, toy, tmp_path):
+        cfg, out = prepare_run(toy, tmp_path)
+        assert main(["augment", "--config", str(cfg), "--mode", "dict"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        in_vocabulary = manifest["rejections_per_set"]["dictionary"]["in_vocabulary"]
+        assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+        stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+        assert stats["dict_oov_term_count"] == stats["dict_term_count"] - in_vocabulary == 28
 
     def test_missing_file_exit_2_names_path(self, toy, tmp_path, capsys):
         out = tmp_path / "out"
@@ -574,7 +583,7 @@ def prepared(toy, tmp_path_factory):
 
 # (cache file, magic, array count, case) for every damaged-table case.
 MALFORMED_TABLES = [
-    pytest.param("aligner.bin", ALIGNER_MAGIC, 6, damage, id=f"aligner-{name}")
+    pytest.param("aligner.bin", ALIGNER_MAGIC, 5, damage, id=f"aligner-{name}")
     for name, damage, _ in ALIGNER_CASES
 ] + [
     pytest.param("embeddings.src.bin", EMBEDDINGS_MAGIC, 3, damage, id=f"embeddings-{name}")
@@ -673,6 +682,28 @@ class TestCorruptCache:
         assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
         _one_error_line(capsys.readouterr().err, path)
 
+    @pytest.mark.parametrize(
+        "artifact, name, magic, count, damage", ALTERED_CASES, ids=[c[0] for c in ALTERED_CASES]
+    )
+    def test_altered_artifact_augment_exit_4_prepare_rebuilds(
+        self, toy, tmp_path, capsys, caplog, artifact, name, magic, count, damage
+    ):
+        cfg, out = prepare_run(toy, tmp_path)
+        path = out / "cache" / name
+        original = path.read_bytes()
+        path.write_bytes(damage(magic, read_cache(path, magic, count)))
+        assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_STALE_CACHE
+        err = capsys.readouterr().err
+        assert f"cache artifact {artifact!r}" in err and "rerun prepare" in err
+        assert "Traceback" not in err
+        with caplog.at_level(logging.INFO, logger="corpusaug.cli"):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"{artifact}: building" in messages
+        assert sum("up to date" in m for m in messages) == 3
+        assert path.read_bytes() == original
+        assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
+
     @pytest.mark.parametrize("name, artifact", [
         ("aligner.bin", "aligner"), ("embeddings.src.bin", "embeddings_src"),
     ])
@@ -699,7 +730,7 @@ class TestCorruptCache:
         table = load_translation_table(cache / "aligner.bin")
         rows = sorted((e, f, p) for e, row in table.t.items() for f, p in row.items())
         (cache / "aligner.tsv").write_text(
-            f"#direction\t{table.direction}\n" + "".join(f"{f}\t{e}\t{p:.12g}\n" for e, f, p in rows),
+            "#direction\ttgt_given_src\n" + "".join(f"{f}\t{e}\t{p:.12g}\n" for e, f, p in rows),
             encoding="utf-8",
         )
         export_vec(load_embeddings(cache / "embeddings.src.bin"), cache / "embeddings.src.vec")

@@ -8,7 +8,6 @@ from corpusaug.corpus_io import (
     DictionaryEntry,
     RareWordValidityConfig,
     Sentence,
-    Vocabulary,
     build_vocabulary,
     corpus_stats,
     extract_rare_words,
@@ -115,15 +114,10 @@ class TestBuildVocabulary:
 
 
 class TestExtractRareWords:
-    def no_filters(self, **kwargs):
-        return RareWordValidityConfig(
-            exclude_digit_tokens=False, exclude_punctuation_tokens=False, **kwargs
-        )
-
     def test_threshold_is_inclusive(self):
         corpus = sentences([["a", "b"], ["b", "c"]])
         vocab = build_vocabulary(corpus)
-        rare = extract_rare_words(vocab, corpus, 1, self.no_filters())
+        rare = extract_rare_words(vocab, corpus, 1, RareWordValidityConfig())
         assert [r.surface for r in rare] == ["a", "c"]
         assert all(r.frequency == 1 for r in rare)
 
@@ -143,7 +137,7 @@ class TestExtractRareWords:
         corpus = sentences([["a", "b"]])
         vocab = build_vocabulary(corpus)
         rare = extract_rare_words(
-            vocab, corpus, 1, self.no_filters(embedding_vocab={"b"})
+            vocab, corpus, 1, RareWordValidityConfig(embedding_vocab={"b"})
         )
         assert [r.surface for r in rare] == ["b"]
 
@@ -151,7 +145,7 @@ class TestExtractRareWords:
         corpus = sentences([["a", "b"]])
         vocab = build_vocabulary(corpus)
         rare = extract_rare_words(
-            vocab, corpus, 1, self.no_filters(annotation_vocab={"a"})
+            vocab, corpus, 1, RareWordValidityConfig(annotation_vocab={"a"})
         )
         assert [r.surface for r in rare] == ["a"]
 
@@ -163,20 +157,20 @@ class TestExtractRareWords:
     def test_huge_threshold_returns_everything(self):
         corpus = sentences([["a", "b"], ["a", "c", "c"]])
         vocab = build_vocabulary(corpus)
-        rare = extract_rare_words(vocab, corpus, 10**9, self.no_filters())
+        rare = extract_rare_words(vocab, corpus, 10**9, RareWordValidityConfig())
         assert [r.surface for r in rare] == sorted(vocab.counts)
 
     def test_host_ids_and_order_independence(self):
         lists = [["q", "a"], ["b", "a"], ["q", "c"]]
         corpus = sentences(lists)
         vocab = build_vocabulary(corpus)
-        rare = extract_rare_words(vocab, corpus, 2, self.no_filters())
+        rare = extract_rare_words(vocab, corpus, 2, RareWordValidityConfig())
         by_surface = {r.surface: r for r in rare}
         assert by_surface["q"].host_sentence_ids == (0, 2)
         assert by_surface["a"].host_sentence_ids == (0, 1)
         # shuffling sentences changes host ids only, never the set
         shuffled = sentences([lists[2], lists[0], lists[1]])
-        rare2 = extract_rare_words(build_vocabulary(shuffled), shuffled, 2, self.no_filters())
+        rare2 = extract_rare_words(build_vocabulary(shuffled), shuffled, 2, RareWordValidityConfig())
         assert [r.surface for r in rare2] == [r.surface for r in rare]
         assert [r.frequency for r in rare2] == [r.frequency for r in rare]
 
@@ -247,20 +241,19 @@ class TestCorpusStats:
         report = corpus_stats(
             self.make_corpus(),
             1,
-            dictionary=[DictionaryEntry(("a",), ("y",))],
-            reference_vocab=Vocabulary({"a": 1}, 1),
+            dictionary=[DictionaryEntry(("a",), ("y",)), DictionaryEntry(("b", "c"), ("y",))],
         )
-        assert report.dict_term_count == 1
+        assert report.dict_term_count == 2
         assert report.dict_oov_term_count == 0
 
     def test_dict_oov_out_of_vocab(self):
+        # One token outside the vocabulary makes a term OOV, as for dict_scope = oov_only.
         report = corpus_stats(
             self.make_corpus(),
             1,
-            dictionary=[DictionaryEntry(("z",), ("y",))],
-            reference_vocab=Vocabulary({"a": 1}, 1),
+            dictionary=[DictionaryEntry(("z",), ("y",)), DictionaryEntry(("a", "z"), ("y",))],
         )
-        assert report.dict_oov_term_count == 1
+        assert report.dict_oov_term_count == 2
 
     def test_text_and_json_shapes(self):
         report = corpus_stats(self.make_corpus(), 1)

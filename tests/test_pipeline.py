@@ -539,7 +539,9 @@ class TestProvenance:
     def test_rejection_counts(self):
         fx = ledger_fixture()
         _, rejected = run_rare(fx, AugmentationConfig())
-        assert rejection_counts(rejected) == {"word_sim": 1}
+        assert rejection_counts(rejected, ["rare_word", "dictionary"]) == {
+            "rare_word": {"word_sim": 1}, "dictionary": {},
+        }
 
 
 _FIELD_ORDER = sorted(f.name for f in dataclasses.fields(ReplacementRecord))
