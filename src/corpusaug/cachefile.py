@@ -6,7 +6,8 @@ and nothing after them. A list of tokens is one uint8 array of UTF-8 text
 with each token ended by a newline. Equal arrays give equal bytes.
 
 Readers raise ``ValueError`` (``UnicodeDecodeError`` included) on any
-malformation; each loader turns it into its own error naming the path.
+malformation, whatever numpy's own parse of an array raised; each loader
+turns it into its own error naming the path.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def read_arrays(path: str | Path, magic: bytes, count: int) -> List[np.ndarray]:
             arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(count)]
         except MemoryError as exc:  # numpy allocates what a header claims
             raise ValueError(f"an array header claims an array larger than memory: {exc}") from exc
+        except Exception as exc:
+            # The header is a Python literal that numpy parses with ``ast`` and
+            # ``tokenize``, so damaged bytes can raise any of their errors
+            # (``SyntaxError``, ``tokenize.TokenError``, ...) besides its own.
+            raise ValueError(f"unreadable array: {type(exc).__name__}: {exc}") from exc
         if fh.read(1):
             raise ValueError("trailing bytes after the last array")
     return arrays

@@ -57,7 +57,7 @@ from .pipeline import (
     augment_rare_words,
     merge_and_dedup,
     read_provenance,
-    rejection_counts,
+    rejections_per_set,
     write_provenance,
 )
 from .verify import verify_records
@@ -436,7 +436,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
     aug, corpus = config.augmentation, inputs.corpus
 
-    runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.ReplacementRecord]]] = {}
+    runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.Rejection]]] = {}
     if rare_words is not None:
         runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
     if dictionary is not None:
@@ -446,7 +446,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
 
     set_names = list(runs)
     sets = [accepted for accepted, _ in runs.values()]
-    rejected = [record for _, set_rejected in runs.values() for record in set_rejected]
+    rejected = [entry for _, set_rejected in runs.values() for entry in set_rejected]
     merged, merge_manifest = merge_and_dedup(corpus, sets, set_names, aug.soft_cap)
 
     # Deduplication re-marks duplicate pairs as rejected; partition afterwards
@@ -454,6 +454,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     kept_pairs = [p for s in sets for p in s if p.record.accepted]
     duplicate_records = [p.record for s in sets for p in s if not p.record.accepted]
     all_rejected = rejected + duplicate_records
+    tallies = rejections_per_set(all_rejected, set_names)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,7 +468,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         "resolved_config": config.resolved(),
         "fingerprints": _load_fingerprints(cache_dir),
         "merge": merge_manifest,
-        "rejections_per_set": rejection_counts(all_rejected, set_names),
+        "rejections_per_set": tallies,
         "outputs": {
             "source": "corpus.src.txt",
             "target": "corpus.tgt.txt",
@@ -482,7 +483,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     log.info(
         "augmentation finished: %d synthetic pair(s) kept, %d rejection record(s)",
         merge_manifest["synthetic_pairs"],
-        len(all_rejected),
+        sum(sum(tally.values()) for tally in tallies.values()),
     )
     return EXIT_OK
 

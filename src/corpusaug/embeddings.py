@@ -357,14 +357,16 @@ class WordIndex:
 
     ``rows`` holds the table row of each eligible source type: the type has a
     vector, is neither a digit nor a punctuation token, and is annotated
-    when the syntactic mode is not ``off``. ``sentences[i]`` holds the type
-    id of each token of sentence ``i``; ineligible tokens carry the sentinel
-    id ``len(rows)``.
+    when the syntactic mode is not ``off``. ``tokens`` holds the type id of
+    every source token, sentence after sentence; sentence ``i`` is the
+    ``lengths[i]`` ids from ``starts[i]`` on. Ineligible tokens carry the
+    sentinel id ``len(rows)``.
     """
 
     rows: VectorRows
     type_ids: Dict[str, int]
-    sentences: Tuple[np.ndarray, ...]
+    tokens: np.ndarray
+    starts: np.ndarray
     lengths: np.ndarray
 
     @classmethod
@@ -394,36 +396,39 @@ class WordIndex:
                 type_ids[token] = len(rows)
                 rows.append(row)
         sentinel = len(rows)
-        ids = tuple(
-            np.array([type_ids.get(t, sentinel) for t in s.tokens], dtype=np.intp)
-            for s in sentences
-        )
+        lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
         return cls(
             rows=VectorRows(table.matrix[np.array(rows, dtype=np.intp)]),
             type_ids=type_ids,
-            sentences=ids,
-            lengths=np.array([len(s.tokens) for s in sentences], dtype=np.intp),
+            tokens=np.array(
+                [type_ids.get(t, sentinel) for s in sentences for t in s.tokens], dtype=np.intp
+            ),
+            starts=np.cumsum(lengths) - lengths,
+            lengths=lengths,
         )
 
 
 def best_word_in_sentence(
     index: WordIndex,
     query_vec: Sequence[float] | np.ndarray,
-    sentence_ids: Sequence[int],
+    sentence_ids: Sequence[int] | np.ndarray,
     exclude_token: Optional[str] = None,
-) -> List[Optional[Tuple[int, float]]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each listed sentence, the eligible position most similar to the query.
 
     One matvec scores every eligible type, with ``exclude_token`` masked
     out; each sentence gathers its scores by type id. These scores only
     pre-rank: every position within ``PRERANK_WINDOW`` of its sentence's
     best is re-scored with :func:`cosine`'s arithmetic, and the first
-    position with the highest exact score wins. The result is the
-    ``(position, score)`` of a per-token ``cosine`` loop with ties to the
-    lowest index, or None for a sentence with no eligible token.
+    position with the highest exact score wins. Returns three arrays, one
+    entry per listed sentence: the position, its score and whether the
+    sentence has an eligible token at all. Where it has, the position and
+    score are the ``(position, score)`` of a per-token ``cosine`` loop with
+    ties to the lowest index; where it has not, they are 0 and ``-inf``.
     """
-    if not sentence_ids:
-        return []
+    sentence_ids = np.asarray(sentence_ids, dtype=np.intp)
+    if not len(sentence_ids):
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=bool)
     query = np.asarray(query_vec, dtype=np.float64)
     rows = index.rows
     prerank, query_norm = rows.prerank(query)
@@ -432,9 +437,11 @@ def best_word_in_sentence(
     if excluded is not None:
         type_scores[excluded] = -np.inf
 
-    lengths = index.lengths[np.asarray(sentence_ids, dtype=np.intp)]
+    lengths = index.lengths[sentence_ids]
     starts = np.cumsum(lengths) - lengths
-    ids = np.concatenate([index.sentences[i] for i in sentence_ids])
+    # The listed sentences' ids in ``index.tokens``, one sentence after another.
+    ids = index.tokens[np.repeat(index.starts[sentence_ids] - starts, lengths)
+                       + np.arange(starts[-1] + lengths[-1])]
     scores = type_scores[ids]
     best = np.maximum.reduceat(scores, starts)
     found = best > -np.inf
@@ -451,7 +458,4 @@ def best_word_in_sentence(
     winners = np.flatnonzero(near & (scores == np.repeat(best, lengths)))
     positions = np.zeros(len(starts), dtype=np.intp)
     positions[found] = winners[np.searchsorted(winners, starts[found])] - starts[found]
-    return [
-        (position, score) if ok else None
-        for position, score, ok in zip(positions.tolist(), best.tolist(), found.tolist())
-    ]
+    return positions, best, found

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -336,56 +336,13 @@ def train_lm(
     )
 
 
-@dataclass(frozen=True)
-class ContextWindow:
-    """A padded sentence plus the padded coordinates of a replaced span."""
-
-    padded: Tuple[str, ...]
-    span_start: int
-    span_end: int
-
-    @classmethod
-    def build(cls, tokens: Sequence[str], span: Span) -> "ContextWindow":
-        start, end = span
-        if not (0 <= start <= end < len(tokens)):
-            raise ValueError(f"span {span} out of range for {len(tokens)} tokens")
-        padded = (BOS, BOS) + tuple(tokens) + (EOS, EOS)
-        return cls(padded, start + 2, end + 2)
-
-    def trigram_positions(self) -> range:
-        """Indices of every padded trigram whose 3-token window overlaps the span.
-
-        The two pads on each side keep ``span_start - 2`` and ``span_end``
-        inside the padded sentence's trigram indices.
-        """
-        return range(self.span_start - 2, self.span_end + 1)
-
-    def trigrams(self) -> List[Tuple[str, str, str]]:
-        return [
-            (self.padded[i], self.padded[i + 1], self.padded[i + 2])
-            for i in self.trigram_positions()
-        ]
-
-
-def window_score(model, tokens: Sequence[str], span: Span) -> float:
-    """Product of trigram probabilities over the windows overlapping ``span``.
-
-    ``model`` is anything with a ``trigram_prob(w1, w2, w3)`` method (the
-    internal model or an imported ARPA scorer). Span indices are inclusive
-    and refer to the unpadded tokens.
-    """
-    window = ContextWindow.build(tokens, span)
-    score = 1.0
-    for w1, w2, w3 in window.trigrams():
-        score *= model.trigram_prob(w1, w2, w3)
-    return score
-
-
 def window_scores(
     model: TrigramModel, windows: Sequence[Tuple[Sequence[str], Span]]
 ) -> np.ndarray:
-    """``[window_score(model, tokens, span) for tokens, span in windows]`` as
-    one float64 array, equal to it bit for bit, in a few array passes.
+    """The score of each ``(tokens, span)`` window, as one float64 array: the
+    product of the trigram probabilities over the padded trigrams that
+    overlap ``span`` (inclusive, in unpadded indices). The two pads on each
+    side give a span at either end of the sentence its full set of trigrams.
 
     Each window's padded context is mapped to ids, every trigram of every
     window is scored by one ``TrigramModel._probs`` call, and each window's
@@ -424,25 +381,16 @@ def window_scores(
     return np.array(scores)
 
 
-def lm_ratio_accept(
-    model,
-    original: Tuple[Sequence[str], Span],
-    synthetic: Tuple[Sequence[str], Span],
-    threshold: float,
-    scores: Optional[Tuple[float, float]] = None,
-) -> Tuple[bool, float]:
+def lm_ratio_accept(scores: Tuple[float, float], threshold: float) -> Tuple[bool, float]:
     """Context-ratio acceptance test for a replacement.
 
-    The ratio is the synthetic window score over the original window score;
-    the replacement is accepted when the ratio is at least ``threshold``.
-    Both verdict and ratio are returned for provenance. ``scores`` are the
-    (original, synthetic) window scores when the caller has them already,
-    as ``window_scores`` gives them; without them both are scored here.
+    ``scores`` are the (original, synthetic) window scores, as
+    ``window_scores`` gives them. The ratio is the synthetic score over the
+    original score; the replacement is accepted when the ratio is at least
+    ``threshold``. Both verdict and ratio are returned for provenance.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if scores is None:
-        scores = (window_score(model, *original), window_score(model, *synthetic))
     original_score, synthetic_score = scores
     if not original_score > 0.0:
         raise NumericError(

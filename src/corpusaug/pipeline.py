@@ -6,17 +6,9 @@ order, picks the most similar in-sentence word, applies the enabled
 similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
 
-This module is the one that knows the ``provenance.jsonl`` line format.
-``write_provenance`` writes one item at a time: it encodes the fields an
-item's records share once, and each line is one f-string over the rest,
-byte for byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
-gives for the record's fields. ``read_provenance`` returns only
-the accepted records: a line that ``_REJECTED_LINE`` fully matches is a
-rejected record as the writer formats it and is skipped unparsed, and every
-other line is parsed in full.
-
 Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
-with the Viterbi alignment of every pair and the word index built once.
+with the word index built once and the Viterbi alignment of each pair made
+the first time a gate or a rare word's translation reads it.
 ``resolve_rare_word`` and ``resolve_dictionary_entry`` turn an item into an
 ``_Item``, what it inserts on each side, or into the record of its
 item-level rejection; ``augment_rare_words`` and ``augment_dictionary`` add
@@ -30,25 +22,49 @@ position within ``PRERANK_WINDOW`` of its sentence's best is re-scored with
 ``cosine``'s exact arithmetic, and the lowest index with the highest exact
 score wins. Picks and recorded scores are those of a per-token ``cosine``
 loop, so outputs do not depend on the vectorization.
+
+The gates before the target span run as array masks over an item's
+candidates: no candidate word, ``word_sim`` below its minimum, and the
+syntactic verdict, read from a per-run table of one ``syntactic_ok`` call
+per distinct pair of annotations. A candidate rejected there never becomes
+a ``ReplacementRecord``: ``ItemOutcome`` keeps it as an entry of its arrays,
+and only the candidates that reach the target-span gate get records. The
+outcome's ``records()`` materializes the full list when one is asked for.
+
+This module is the one that knows the ``provenance.jsonl`` line format.
+``write_provenance`` writes one item at a time. An item's early rejections
+are formatted straight from the outcome's arrays, one f-string per line, and
+merged in candidate order with the lines of its other rejected records; a
+record's line encodes the fields an item's records share once and is one
+f-string over the rest. Every line is byte for byte what
+``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` gives for the
+record's fields, so the file is the same as when every attempt was a record.
+``read_provenance`` returns only the accepted records: a line that
+``_REJECTED_LINE`` fully matches is a rejected record as the writer formats
+it and is skipped unparsed, and every other line is parsed in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import operator
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
 from . import agreement
-from .agreement import AnnotatedLexicon
+from .agreement import AnnotatedLexicon, TokenAnnotation
 from .aligner import (
     REASON_SPAN_TOO_LONG,
     REASON_UNALIGNED,
@@ -265,20 +281,100 @@ class _Item:
     target_insert: Tuple[str, ...]
 
 
-# (sentence id, sentence similarity or None), in the order they are tried.
-Candidates = Sequence[Tuple[int, Optional[float]]]
+class Candidates(NamedTuple):
+    """An item's candidate sentences in the order they are tried: their ids
+    and, under sentence similarity, each one's similarity (else None)."""
+
+    ids: np.ndarray
+    sent_sims: Optional[Sequence[Optional[float]]] = None
+
+
+class Alignments:
+    """The Viterbi alignment of each corpus pair, made when it is first read.
+
+    ``alignments[i]`` aligns pair ``i`` at most once per run, so a run
+    aligns only the pairs that its target-span gates and its rare words'
+    translations read.
+    """
+
+    def __init__(self, corpus: ParallelCorpus, table: TranslationTable) -> None:
+        self._corpus = corpus
+        self._table = table
+        self._made: List[Optional[SentenceAlignment]] = [None] * len(corpus)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, index: int) -> SentenceAlignment:
+        alignment = self._made[index]
+        if alignment is None:
+            pair = (self._corpus.source[index], self._corpus.target[index])
+            alignment = self._made[index] = viterbi_align(pair, self._table)
+        return alignment
+
+
+# The rejections that the gates before the target span give, as codes of the
+# arrays that ``ItemOutcome`` keeps; ``_OPEN`` marks a candidate they pass.
+_EARLY_REASONS = (REASON_NO_CANDIDATE_WORD, REASON_WORD_SIM, REASON_POS, REASON_MORPH)
+_NO_CANDIDATE, _WORD_SIM, _POS, _MORPH = range(len(_EARLY_REASONS))
+_OPEN = len(_EARLY_REASONS)
+
+
+class _SyntacticTable:
+    """The syntactic gate's verdicts for one run, per pair of annotations.
+
+    Annotations are told apart by POS tag and morph features, all that
+    ``agreement.syntactic_ok`` reads. ``of_type[t]`` is the annotation id of
+    ``WordIndex`` type ``t``. An item annotation's verdicts against every
+    candidate annotation are made on its first use, one ``syntactic_ok``
+    call per pair, and kept.
+    """
+
+    def __init__(self, index: WordIndex, lexicon: Optional[AnnotatedLexicon], mode: str) -> None:
+        self._mode = mode
+        self._ids: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], int] = {}
+        self._annotations: List[TokenAnnotation] = []
+        # Every indexed type is annotated under a syntactic mode; the
+        # sentinel id maps to 0 and is never read.
+        self.of_type = np.array(
+            [self._id(lexicon.get(token)) for token in index.type_ids] + [0], dtype=np.intp
+        )
+        self._candidates = len(self._annotations)
+        self._rows: Dict[Tuple[str, int], np.ndarray] = {}
+
+    def _id(self, annotation: TokenAnnotation) -> int:
+        key = (annotation.pos, tuple(sorted(annotation.morph.items())))
+        if key not in self._ids:
+            self._ids[key] = len(self._annotations)
+            self._annotations.append(annotation)
+        return self._ids[key]
+
+    def reasons(self, role: str, annotation: TokenAnnotation) -> np.ndarray:
+        """The code of each candidate annotation against the item's
+        ``annotation``: ``_OPEN`` where they agree, else ``_POS`` or ``_MORPH``."""
+        key = (role, self._id(annotation))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = np.array([
+                _OPEN if agreement.syntactic_ok(role, annotation, other, self._mode)
+                else _POS if not agreement.pos_agree(annotation, other)
+                else _MORPH
+                for other in self._annotations[: self._candidates]
+            ], dtype=np.int8)
+        return row
 
 
 @dataclass(frozen=True)
 class RunInputs:
     """What one augmentation run reads, built once and shared by both modes.
 
-    ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``, read by
-    the gate loop and by rare-word translation. ``word_index`` is built for
-    the syntactic mode ``mode``, which the run's config must share.
-    ``original_src`` and ``original_tgt`` hold the LM score of each original
-    (unspliced) window that a gate has reached, by (sentence id, span), so
-    each is scored once per run.
+    ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``, made
+    the first time the gate loop or a rare word's translation reads it.
+    ``word_index`` is built for the syntactic mode ``mode``, which the run's
+    config must share, and ``syntactic`` holds that mode's verdicts (None
+    when it is off). ``original_src`` and ``original_tgt`` hold the LM score
+    of each original (unspliced) window that a gate has reached, by
+    (sentence id, span), so each is scored once per run.
     """
 
     corpus: ParallelCorpus
@@ -287,8 +383,9 @@ class RunInputs:
     lm_tgt: TrigramModel
     lexicon: Optional[AnnotatedLexicon]
     mode: str
-    alignments: Tuple[SentenceAlignment, ...]
+    alignments: Alignments
     word_index: WordIndex
+    syntactic: Optional[_SyntacticTable]
     original_src: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
     original_tgt: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
 
@@ -296,10 +393,13 @@ class RunInputs:
     def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
               alignment_table: TranslationTable, lm_src: TrigramModel, lm_tgt: TrigramModel,
               lexicon: Optional[AnnotatedLexicon], mode: str) -> "RunInputs":
-        """Align every pair once and index the source side once."""
-        alignments = tuple(viterbi_align(pair, alignment_table) for pair in corpus.pairs())
+        """Index the source side once; each pair is aligned when first read."""
         word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
-        return cls(corpus, embeddings, lm_src, lm_tgt, lexicon, mode, alignments, word_index)
+        syntactic = (
+            None if mode == agreement.MODE_OFF else _SyntacticTable(word_index, lexicon, mode)
+        )
+        return cls(corpus, embeddings, lm_src, lm_tgt, lexicon, mode,
+                   Alignments(corpus, alignment_table), word_index, syntactic)
 
 
 def ordered_map(fn: Callable, items: Sequence) -> list:
@@ -329,18 +429,21 @@ def _side_scores(
     return [originals[key] for key in keys], scores[len(missing):]
 
 
+# A candidate queued for the LM gates: its index among the item's
+# candidates, its record and its synthetic source window.
+_Queued = Tuple[int, ReplacementRecord, Tuple[Tuple[str, ...], Span]]
+
+
 def _lm_gates(
-    queued: Sequence[Tuple[int, Tuple[Tuple[str, ...], Span]]],
-    records: List[ReplacementRecord],
+    queued: Sequence[_Queued],
     pairs: List[SyntheticPair],
     item: _Item,
     inputs: RunInputs,
     config: AugmentationConfig,
-) -> bool:
-    """Run the LM gates of the queued candidates, each a record index and
-    its synthetic source window, in candidate order, appending the accepted
-    pairs to ``pairs``. At the ``max_per_item``-th accept the records after
-    it are dropped and True is returned.
+) -> Optional[int]:
+    """Run the LM gates of the queued candidates in candidate order,
+    appending the accepted pairs to ``pairs``. Returns the candidate index
+    of the ``max_per_item``-th accept, where the item is cut, or None.
 
     The source windows are scored in one batch. The source gates then run
     in order until as many pass as accepts are still missing, or the queue
@@ -349,22 +452,17 @@ def _lm_gates(
     no gate runs past the cut, and every verdict and ratio is that of one
     ``lm_ratio_accept`` call."""
     corpus = inputs.corpus
-    chosen = [records[index] for index, _ in queued]
     src_scores = zip(*_side_scores(
         inputs.lm_src, inputs.original_src, corpus.source,
-        [(record.base_sentence_id, record.source_span) for record in chosen],
-        [window for _, window in queued],
+        [(record.base_sentence_id, record.source_span) for _, record, _ in queued],
+        [window for _, _, window in queued],
     ))
-    passed: List[Tuple[int, Tuple[Tuple[str, ...], Span], ReplacementRecord]] = []
-    for count, ((index, source_window), record, scores) in enumerate(
-        zip(queued, chosen, src_scores), start=1
-    ):
-        src_ok, record.lm_ratio_src = lm_ratio_accept(
-            inputs.lm_src, (corpus.source[record.base_sentence_id].tokens, record.source_span),
-            source_window, config.lm_threshold, scores,
-        )
+    passed: List[_Queued] = []
+    for count, (candidate, scores) in enumerate(zip(queued, src_scores), start=1):
+        record = candidate[1]
+        src_ok, record.lm_ratio_src = lm_ratio_accept(scores, config.lm_threshold)
         if src_ok:
-            passed.append((index, source_window, record))
+            passed.append(candidate)
         else:
             record.reason = REASON_LM_SRC
         if len(passed) < config.max_per_item - len(pairs) and count < len(queued):
@@ -372,103 +470,95 @@ def _lm_gates(
         target_windows = [
             synthetic_window(corpus.target[record.base_sentence_id].tokens, record.target_span,
                              item.target_insert)
-            for _, _, record in passed
+            for _, record, _ in passed
         ]
         tgt_scores = zip(*_side_scores(
             inputs.lm_tgt, inputs.original_tgt, corpus.target,
-            [(record.base_sentence_id, record.target_span) for _, _, record in passed],
+            [(record.base_sentence_id, record.target_span) for _, record, _ in passed],
             target_windows,
         ))
-        for (at, window, candidate), target_window, target_scores in zip(
+        for (at, record, window), target_window, scores in zip(
             passed, target_windows, tgt_scores
         ):
-            tgt_ok, candidate.lm_ratio_tgt = lm_ratio_accept(
-                inputs.lm_tgt,
-                (corpus.target[candidate.base_sentence_id].tokens, candidate.target_span),
-                target_window, config.lm_threshold, target_scores,
-            )
+            tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(scores, config.lm_threshold)
             if not tgt_ok:
-                candidate.reason = REASON_LM_TGT
+                record.reason = REASON_LM_TGT
                 continue
-            candidate.accepted = True
-            pairs.append(SyntheticPair(window[0], target_window[0], candidate))
+            record.accepted = True
+            pairs.append(SyntheticPair(window[0], target_window[0], record))
             if len(pairs) >= config.max_per_item:
-                del records[at + 1 :]
-                return True
+                return at
         passed = []
-    return False
+    return None
+
+
+def _early_reasons(
+    item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best word of each candidate, its position and score, and the code
+    of the first gate before the target span that rejects it, or ``_OPEN``:
+    no candidate word, then ``word_sim``, then the syntactic gate."""
+    positions, scores, found = best_word_in_sentence(
+        inputs.word_index,
+        item.query_vec,
+        candidates.ids,
+        # A one-token item never replaces its own token.
+        item.surface[0] if len(item.surface) == 1 else None,
+    )
+    reasons = np.where(found, _OPEN, _NO_CANDIDATE).astype(np.int8)
+    if config.use_word_sim:
+        reasons[found & (scores < config.word_sim_min)] = _WORD_SIM
+    if config.syntactic_mode() != agreement.MODE_OFF:
+        # Under a syntactic mode the item's head and every indexed word are
+        # annotated: ``_make_item`` and ``WordIndex`` admit no other.
+        annotation = inputs.lexicon.get(annotation_token(item.surface))
+        checked = np.flatnonzero(reasons == _OPEN)
+        index, table = inputs.word_index, inputs.syntactic
+        words = index.tokens[index.starts[candidates.ids[checked]] + positions[checked]]
+        reasons[checked] = table.reasons(config.src_lang_role, annotation)[table.of_type[words]]
+    return positions, scores, reasons
 
 
 def _process_item(
     item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
-) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+) -> Tuple[List[SyntheticPair], "ItemOutcome"]:
     """Run ``item`` through every enabled gate in each candidate sentence, in
-    order, until ``max_per_item`` are accepted: the accepted pairs and one
-    record per candidate tried. No outcome depends on another candidate.
+    order, until ``max_per_item`` are accepted: the accepted pairs and the
+    item's outcome. No outcome depends on another candidate.
 
-    One walk over the candidates runs the cheap gates, from the best word to
-    the target span, and queues each candidate that reaches the LM gates.
-    ``_lm_gates`` runs a full queue's LM gates; at the ``max_per_item``-th
-    accept it drops the records walked after that one, and the walk ends.
-    The first queue holds ``max_per_item`` candidates and each next one
-    twice as many as the one before, so an item that needs many candidates
-    is scored in few ``window_scores`` calls, and the walk passes the cut
-    by less than one queue. The rest of the queue is scored when the walk
-    runs out of candidates."""
-    mode = config.syntactic_mode()
-    corpus, lexicon = inputs.corpus, inputs.lexicon
-    item_annotation = lexicon.get(annotation_token(item.surface)) if lexicon is not None else None
+    ``_early_reasons`` runs the gates before the target span over every
+    candidate at once. One walk over the candidates that pass them makes
+    their records, runs the target-span gate and queues each candidate that
+    reaches the LM gates. ``_lm_gates`` runs a full queue's LM gates; at the
+    ``max_per_item``-th accept the walk ends, and the outcome keeps nothing
+    of the candidates after that one. The first queue holds
+    ``max_per_item`` candidates and each next one twice as many as the one
+    before, so an item that needs many candidates is scored in few
+    ``window_scores`` calls, and the walk passes the cut by less than one
+    queue. The rest of the queue is scored when the walk runs out of
+    candidates."""
+    positions, scores, reasons = _early_reasons(item, candidates, inputs, config)
+    corpus, sent_sims = inputs.corpus, candidates.sent_sims
+    syntactic_ok = None if config.syntactic_mode() == agreement.MODE_OFF else True
     pairs: List[SyntheticPair] = []
-    records: List[ReplacementRecord] = []
-    queued: List[Tuple[int, Tuple[Tuple[str, ...], Span]]] = []
+    survivors: List[Tuple[int, ReplacementRecord]] = []
+    queued: List[_Queued] = []
     batch = config.max_per_item
-    best_words = best_word_in_sentence(
-        inputs.word_index,
-        item.query_vec,
-        [candidate_id for candidate_id, _ in candidates],
-        # A one-token item never replaces its own token.
-        item.surface[0] if len(item.surface) == 1 else None,
-    )
-
-    for (candidate_id, sent_sim), best in zip(candidates, best_words):
-        source_sentence = corpus.source[candidate_id]
+    cut = None
+    walked = np.flatnonzero(reasons == _OPEN)
+    for at, sentence_id, position, score in zip(
+        walked.tolist(), candidates.ids[walked].tolist(), positions[walked].tolist(),
+        scores[walked].tolist(),
+    ):
         record = ReplacementRecord(
-            item_kind=item.kind,
-            item_surface=item.surface,
-            base_sentence_id=candidate_id,
-            sent_sim=sent_sim,
+            item.kind, item.surface, sentence_id,
+            source_span=(position, position),
+            word_sim=score,
+            sent_sim=None if sent_sims is None else sent_sims[at],
+            syntactic_ok=syntactic_ok,
         )
-        records.append(record)
-
-        if best is None:
-            record.reason = REASON_NO_CANDIDATE_WORD
-            continue
-        position, score = best
-        candidate_token = source_sentence.tokens[position]
-        record.word_sim = score
-        record.source_span = (position, position)
-
-        if config.use_word_sim and score < config.word_sim_min:
-            record.reason = REASON_WORD_SIM
-            continue
-
-        if mode != agreement.MODE_OFF:
-            candidate_annotation = lexicon.get(candidate_token) if lexicon else None
-            if item_annotation is None or candidate_annotation is None:
-                record.reason = REASON_UNANNOTATED
-                continue
-            ok = agreement.syntactic_ok(
-                config.src_lang_role, item_annotation, candidate_annotation, mode
-            )
-            record.syntactic_ok = ok
-            if not ok:
-                if not agreement.pos_agree(item_annotation, candidate_annotation):
-                    record.reason = REASON_POS
-                else:
-                    record.reason = REASON_MORPH
-                continue
-
-        span = target_span(inputs.alignments[candidate_id], position, config.max_span)
+        survivors.append((at, record))
+        span = target_span(inputs.alignments[sentence_id], position, config.max_span)
         if isinstance(span, str):
             record.reason = span
             continue
@@ -476,21 +566,142 @@ def _process_item(
         record.source_inserted = item.surface
         record.target_inserted = item.target_insert
         queued.append((
-            len(records) - 1,
-            synthetic_window(source_sentence.tokens, record.source_span, item.surface),
+            at, record,
+            synthetic_window(corpus.source[sentence_id].tokens, record.source_span, item.surface),
         ))
         if len(queued) == batch:
-            if _lm_gates(queued, records, pairs, item, inputs, config):
-                return pairs, records
+            cut = _lm_gates(queued, pairs, item, inputs, config)
+            if cut is not None:
+                break
             queued = []
             batch *= 2
+    if cut is None and queued:
+        cut = _lm_gates(queued, pairs, item, inputs, config)
 
-    _lm_gates(queued, records, pairs, item, inputs, config)
-    return pairs, records
+    if cut is not None:
+        survivors = [survivor for survivor in survivors if survivor[0] <= cut]
+        reasons = reasons[: cut + 1]
+    early = np.flatnonzero(reasons != _OPEN)
+    return pairs, ItemOutcome(
+        item, candidates, early, reasons[early], positions[early], scores[early],
+        survivors, [survivor for survivor in survivors if not survivor[1].accepted],
+    )
 
 
-def _all_candidates(n: int, exclude: Set[int]) -> Tuple[Tuple[int, Optional[float]], ...]:
-    return tuple((i, None) for i in range(n) if i not in exclude)
+_FIRST = operator.itemgetter(0)
+
+
+@dataclass(eq=False)
+class ItemOutcome:
+    """How an item's candidates fared, up to the cut at its
+    ``max_per_item``-th accept; no candidate after the cut has an entry.
+
+    The candidates that a gate before the target span rejected are kept as
+    arrays, in candidate order: ``early_at`` holds each one's index among
+    ``candidates``, ``early_reason`` its code in ``_EARLY_REASONS``, and
+    ``early_position`` and ``early_score`` its best word (0 and -inf when
+    it has none). ``survivors`` holds the record of each candidate that
+    reached the target-span gate with its index, and ``rejected`` those of
+    them that a gate rejected, as the gate loop left them.
+    """
+
+    item: _Item
+    candidates: Candidates
+    early_at: np.ndarray
+    early_reason: np.ndarray
+    early_position: np.ndarray
+    early_score: np.ndarray
+    survivors: List[Tuple[int, ReplacementRecord]]
+    rejected: List[Tuple[int, ReplacementRecord]]
+
+    def _early_records(self) -> List[Tuple[int, ReplacementRecord]]:
+        kind, surface, sims = self.item.kind, self.item.surface, self.candidates.sent_sims
+        records = []
+        for at, sentence_id, code, position, score in zip(
+            self.early_at.tolist(), self.candidates.ids[self.early_at].tolist(),
+            self.early_reason.tolist(), self.early_position.tolist(), self.early_score.tolist(),
+        ):
+            record = ReplacementRecord(kind, surface, sentence_id, reason=_EARLY_REASONS[code],
+                                       sent_sim=None if sims is None else sims[at])
+            if code != _NO_CANDIDATE:
+                record.source_span, record.word_sim = (position, position), score
+            if code in (_POS, _MORPH):
+                record.syntactic_ok = False
+            records.append((at, record))
+        return records
+
+    def records(self) -> List[ReplacementRecord]:
+        """Every record of the item in candidate order, each early rejection
+        made a record: the list a record per candidate tried gives."""
+        return [record for _, record in sorted(self._early_records() + self.survivors, key=_FIRST)]
+
+    def counts(self) -> Counter:
+        """The number of rejected records per reason code."""
+        early = np.bincount(self.early_reason, minlength=len(_EARLY_REASONS)).tolist()
+        tally = Counter({reason: n for reason, n in zip(_EARLY_REASONS, early) if n})
+        tally.update(record.reason for _, record in self.rejected)
+        return tally
+
+    def early_lines(self) -> List[str]:
+        """The ``provenance.jsonl`` line of each early rejection, in
+        candidate order: one f-string each over its sentence id, best word,
+        score and sentence similarity. A best word's score is a clamped
+        cosine, a finite float, which the f-string writes as json does."""
+        item_json = _item_json(self.item.kind, self.item.surface)[0]
+        middle = f', {item_json}"lm_ratio_src": null, "lm_ratio_tgt": null, "reason": '
+        sims = self.candidates.sent_sims
+        sent_sims = (
+            ["null"] * len(self.early_at) if sims is None
+            else [_json(sims[at]) for at in self.early_at.tolist()]
+        )
+        return [
+            f'{{"accepted": false, "base_sentence_id": {sentence_id}{middle}'
+            f'"no_candidate_word", "sent_sim": {sent_sim}, "source_inserted": null, '
+            f'"source_span": null, "syntactic_ok": null, "target_inserted": null, '
+            f'"target_span": null, "word_sim": null}}\n'
+            if code == _NO_CANDIDATE else
+            f'{{"accepted": false, "base_sentence_id": {sentence_id}{middle}'
+            f'{_EARLY_REASON_JSON[code]}, "sent_sim": {sent_sim}, '
+            f'"source_inserted": null, "source_span": [{position}, {position}], '
+            f'"syntactic_ok": {_EARLY_VERDICT_JSON[code]}, "target_inserted": null, '
+            f'"target_span": null, "word_sim": {score}}}\n'
+            for sentence_id, code, position, score, sent_sim in zip(
+                self.candidates.ids[self.early_at].tolist(), self.early_reason.tolist(),
+                self.early_position.tolist(), self.early_score.tolist(), sent_sims,
+            )
+        ]
+
+    def provenance(self) -> str:
+        """The lines of the item's rejected records, in candidate order: the
+        early lines, with each other rejected record's line merged in."""
+        lines = self.early_lines()
+        if self.rejected:
+            where = np.searchsorted(self.early_at, [at for at, _ in self.rejected]).tolist()
+            records = _record_lines([record for _, record in self.rejected])
+            for offset, (index, line) in enumerate(zip(where, records)):
+                lines.insert(index + offset, line)
+        return "".join(lines)
+
+
+# What a run's rejections are made of, in ``provenance.jsonl`` order: the
+# record of an item-level rejection or of a duplicate, or an item's outcome,
+# which stands for its rejected records.
+Rejection = Union[ReplacementRecord, ItemOutcome]
+
+
+def rejections_per_set(
+    rejected: Iterable[Rejection], item_kinds: Iterable[str]
+) -> Dict[str, Dict[str, int]]:
+    """The rejected records per item kind, then per reason code, reasons
+    sorted; each of ``item_kinds`` has an entry. An outcome adds its
+    ``counts``, so no early rejection is made a record to be counted."""
+    counts: Dict[str, Counter] = {kind: Counter() for kind in item_kinds}
+    for entry in rejected:
+        if isinstance(entry, ItemOutcome):
+            counts[entry.item.kind].update(entry.counts())
+        else:
+            counts[entry.item_kind][entry.reason] += 1
+    return {kind: dict(sorted(tally.items())) for kind, tally in counts.items()}
 
 
 def _make_item(
@@ -536,25 +747,28 @@ def resolve_dictionary_entry(
 
 
 def _run_items(
-    resolved: Sequence[Tuple[Union[_Item, ReplacementRecord], Candidates]],
+    resolved: Sequence[Tuple[Union[_Item, ReplacementRecord], Optional[Candidates]]],
     inputs: RunInputs,
     config: AugmentationConfig,
-) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+) -> Tuple[List[SyntheticPair], List[Rejection]]:
     """The gate loop both modes share.
 
     ``resolved`` holds, in item order, each item with its candidates or the
     record of its item-level rejection. Returns the accepted pairs and the
-    rejected records, item-level rejections first, in item order.
+    rejections: the item-level records first, then each item's outcome, in
+    item order.
     """
     mode = config.syntactic_mode()
     if mode != inputs.mode:
         raise ConfigError(f"inputs indexed for syntactic mode {inputs.mode!r}, not {mode!r}")
-    rejected = [entry for entry, _ in resolved if isinstance(entry, ReplacementRecord)]
+    rejected: List[Rejection] = [
+        entry for entry, _ in resolved if isinstance(entry, ReplacementRecord)
+    ]
     items = [(entry, candidates) for entry, candidates in resolved if isinstance(entry, _Item)]
     accepted: List[SyntheticPair] = []
-    for pairs, records in ordered_map(lambda item: _process_item(*item, inputs, config), items):
+    for pairs, outcome in ordered_map(lambda item: _process_item(*item, inputs, config), items):
         accepted.extend(pairs)
-        rejected.extend(r for r in records if not r.accepted)
+        rejected.append(outcome)
     return accepted, rejected
 
 
@@ -562,7 +776,7 @@ def augment_rare_words(
     inputs: RunInputs,
     rare_words: Sequence[RareWord],
     config: AugmentationConfig,
-) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+) -> Tuple[List[SyntheticPair], List[Rejection]]:
     """Generate synthetic pairs by substituting rare words into new contexts.
 
     Items are processed in surface order; a rare word's own host sentences
@@ -579,15 +793,16 @@ def augment_rare_words(
     def candidates(rare: RareWord) -> Candidates:
         hosts = set(rare.host_sentence_ids)
         if not config.use_sent_sim:
-            return _all_candidates(len(corpus), hosts)
+            return Candidates(np.delete(np.arange(len(corpus), dtype=np.intp), sorted(hosts)))
         host_vector = corpus_rows.matrix[min(hosts)]
         hits = top_k_sentences(host_vector, corpus_rows, config.sent_k, exclude=hosts)
-        return tuple((hit.sentence_id, hit.score) for hit in hits)
+        return Candidates(np.array([hit.sentence_id for hit in hits], dtype=np.intp),
+                          [hit.score for hit in hits])
 
     resolved = []
     for rare in sorted(rare_words, key=lambda r: r.surface):
         item = resolve_rare_word(rare, inputs, config.max_span)
-        resolved.append((item, candidates(rare) if isinstance(item, _Item) else ()))
+        resolved.append((item, candidates(rare) if isinstance(item, _Item) else None))
     return _run_items(resolved, inputs, config)
 
 
@@ -596,7 +811,7 @@ def augment_dictionary(
     dictionary: Sequence[DictionaryEntry],
     config: AugmentationConfig,
     scope: str = SCOPE_OOV_ONLY,
-) -> Tuple[List[SyntheticPair], List[ReplacementRecord]]:
+) -> Tuple[List[SyntheticPair], List[Rejection]]:
     """Generate synthetic pairs by substituting dictionary terms.
 
     Identical to rare-word augmentation from the candidate-word step on,
@@ -610,9 +825,9 @@ def augment_dictionary(
         raise ConfigError(f"unknown dictionary scope: {scope!r}")
     config.validate(dict_mode=True)
     vocab = build_vocabulary(inputs.corpus.source)
-    all_candidates = _all_candidates(len(inputs.corpus), set())
+    every_sentence = Candidates(np.arange(len(inputs.corpus), dtype=np.intp))
     resolved = [
-        (resolve_dictionary_entry(entry, inputs, vocab, scope), all_candidates)
+        (resolve_dictionary_entry(entry, inputs, vocab, scope), every_sentence)
         for entry in dictionary
     ]
     return _run_items(resolved, inputs, config)
@@ -683,7 +898,6 @@ _FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
 _ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _REASON_JSON = {reason: encode_basestring(reason) for reason in REJECTION_REASONS}
-_NO_ITEM = object()
 
 
 def _json(value: object) -> str:
@@ -709,32 +923,37 @@ def _json_span(span: object) -> str:
     return _json(span)
 
 
-def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
-    """The ``provenance.jsonl`` lines of ``records``, newlines included, one
-    string per run of consecutive records of one item: byte for byte what
-    ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` writes for
-    each record's fields, tuples as lists.
+def _item_json(kind: object, surface: object) -> Tuple[str, str]:
+    """The JSON of an item's two fields as a line holds them, and of its surface."""
+    surface_json = _json(surface)
+    return f'"item_kind": {_json(kind)}, "item_surface": {surface_json}, ', surface_json
 
-    The gate loop gives an item's records the same ``item_kind`` and
-    ``item_surface`` objects, so a run is the records that hold those
-    objects, and their JSON is made once per run. So is the source
-    insertion when it is the surface, and the target insertion once per
-    object. Each line is then one f-string over the fields that vary.
+
+_EARLY_REASON_JSON = tuple(_REASON_JSON[reason] for reason in _EARLY_REASONS)
+_EARLY_VERDICT_JSON = tuple("false" if code in (_POS, _MORPH) else "null"
+                            for code in range(len(_EARLY_REASONS)))
+
+
+def _record_lines(records: Iterable[ReplacementRecord]) -> Iterator[str]:
+    """The ``provenance.jsonl`` line of each record, newline included: byte
+    for byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+    writes for the record's fields, tuples as lists.
+
+    The records hold one item's ``item_kind`` and ``item_surface`` objects,
+    as the gate loop gives them, so the JSON of those is made once. So is
+    the source insertion when it is the surface, and the target insertion
+    once per object. Each line is then one f-string over the fields that
+    vary.
     """
-    kind = surface = _NO_ITEM
+    item_json = None
     target = target_json = None
-    lines: List[str] = []
     for record in records:
         (accepted, sentence_id, item_kind, item_surface, lm_src, lm_tgt, reason, sent_sim,
          source_inserted, source_span, syntactic_ok, target_inserted, target_span,
          word_sim) = _FIELD_VALUES(record)
-        if item_surface is not surface or item_kind is not kind:
-            if lines:
-                yield "".join(lines)
-                lines = []
-            kind, surface = item_kind, item_surface
-            surface_json = _json(surface)
-            item_json = f'"item_kind": {_json(kind)}, "item_surface": {surface_json}, '
+        if item_json is None:
+            surface = item_surface
+            item_json, surface_json = _item_json(item_kind, item_surface)
         if target_inserted is not target and target_inserted is not None:
             target, target_json = target_inserted, _json(target_inserted)
         if source_inserted is None:
@@ -760,7 +979,7 @@ def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
             sentence_id = _json(sentence_id)
         if type(word_sim) is not float or not -math.inf < word_sim < math.inf:
             word_sim = _json(word_sim)
-        lines.append(
+        yield (
             f'{{"accepted": {accepted}, "base_sentence_id": {sentence_id}, {item_json}'
             f'"lm_ratio_src": {"null" if lm_src is None else _json(lm_src)}, '
             f'"lm_ratio_tgt": {"null" if lm_tgt is None else _json(lm_tgt)}, '
@@ -773,28 +992,48 @@ def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
             f'"target_span": {"null" if target_span is None else _json_span(target_span)}, '
             f'"word_sim": {word_sim}}}\n'
         )
-    if lines:
-        yield "".join(lines)
+
+
+def _item_of(record: ReplacementRecord) -> Tuple[int, int]:
+    return id(record.item_kind), id(record.item_surface)
+
+
+def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
+    """The ``provenance.jsonl`` lines of ``records``, one string per run of
+    consecutive records that hold the same ``item_kind`` and
+    ``item_surface`` objects."""
+    for _, run in itertools.groupby(records, key=_item_of):
+        yield "".join(_record_lines(run))
 
 
 def _provenance_line(record: ReplacementRecord) -> str:
-    """The record's line in ``provenance.jsonl``: the writer on a one-record item."""
-    return "".join(_provenance_items((record,)))
+    """The record's line in ``provenance.jsonl``."""
+    return next(_record_lines((record,)))
 
 
 def write_provenance(
     path: str | Path,
     accepted: Sequence[SyntheticPair],
-    rejected: Sequence[ReplacementRecord],
+    rejected: Iterable[Rejection],
 ) -> None:
     """Write one JSON object per record (accepted first, then rejected).
 
-    The lines are written one item at a time, so the file is never held in
-    memory.
+    ``rejected`` holds records and item outcomes in file order; an outcome
+    writes its rejected records' lines in candidate order, its early
+    rejections formatted from its arrays. The lines are written one item at
+    a time, so the file is never held in memory.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_provenance_items(pair.record for pair in accepted))
-        fh.writelines(_provenance_items(rejected))
+        for outcomes, entries in itertools.groupby(rejected, key=_is_outcome):
+            if outcomes:
+                fh.writelines(outcome.provenance() for outcome in entries)
+            else:
+                fh.writelines(_provenance_items(entries))
+
+
+def _is_outcome(entry: Rejection) -> bool:
+    return isinstance(entry, ItemOutcome)
 
 
 def _rejected_line_pattern() -> "re.Pattern[str]":
@@ -871,16 +1110,3 @@ def read_provenance(path: str | Path) -> List[ReplacementRecord]:
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not UTF-8 ({exc})") from exc
     return records
-
-
-def rejection_counts(
-    records: Iterable[ReplacementRecord], item_kinds: Iterable[str]
-) -> Dict[str, Dict[str, int]]:
-    """Tally rejected records per item kind, then per reason code, in one
-    pass; each of ``item_kinds`` has an entry, reasons in sorted order."""
-    counts: Dict[str, Dict[str, int]] = {kind: {} for kind in item_kinds}
-    for record in records:
-        if not record.accepted and record.reason:
-            tally = counts[record.item_kind]
-            tally[record.reason] = tally.get(record.reason, 0) + 1
-    return {kind: dict(sorted(tally.items())) for kind, tally in counts.items()}

@@ -10,7 +10,7 @@ from corpusaug.aligner import TranslationTable, train_ibm1
 from corpusaug.corpus_io import ParallelCorpus, RareWord, Sentence
 from corpusaug.embeddings import EmbeddingTable
 from corpusaug.lm import TrigramModel, train_lm
-from corpusaug.pipeline import RunInputs
+from corpusaug.pipeline import ItemOutcome, RunInputs
 
 
 def corpus_of(rows) -> ParallelCorpus:
@@ -24,6 +24,18 @@ def inputs_of(corpus, embeddings, table, lm_src, lm_tgt, lexicon, config) -> Run
     return RunInputs.build(
         corpus, embeddings, table, lm_src, lm_tgt, lexicon, config.syntactic_mode()
     )
+
+
+def rejected_records(rejected):
+    """The rejected records that an augmentation call's rejections stand
+    for, in file order: each item outcome's records that are not accepted."""
+    records = []
+    for entry in rejected:
+        if isinstance(entry, ItemOutcome):
+            records += [record for record in entry.records() if not record.accepted]
+        else:
+            records.append(entry)
+    return records
 
 
 def mono_of(lines) -> List[Sentence]:

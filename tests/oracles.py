@@ -8,9 +8,15 @@ bit. The retrieval
 references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit. The dict trigram model is the
 string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
-same ``trigram_prob`` floats. ``provenance_line_reference`` is a record's
+same ``trigram_prob`` floats. ``window_score`` is the LM window score as a
+product of ``trigram_prob`` calls, which the batched ``window_scores`` must
+equal bit for bit. ``provenance_line_reference`` is a record's
 ``provenance.jsonl`` line as json's generic encoder writes it, which the
 pipeline's direct formatter must equal byte for byte.
+``process_item_reference`` is the gate loop as one record per candidate,
+each candidate run through every gate in turn, which the array gates and
+the lazily made records of ``pipeline._process_item`` must equal field for
+field.
 """
 
 import json
@@ -20,11 +26,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from corpusaug.agreement import MODE_OFF
-from corpusaug.aligner import NULL_TOKEN, TranslationTable
+from corpusaug.agreement import MODE_OFF, pos_agree, syntactic_ok
+from corpusaug.aligner import NULL_TOKEN, TranslationTable, target_span
 from corpusaug.corpus_io import Sentence, has_digit, is_punctuation
-from corpusaug.embeddings import SimilarityHit, cosine
-from corpusaug.lm import BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK
+from corpusaug.embeddings import SimilarityHit, best_word_in_sentence, cosine
+from corpusaug.lm import (
+    BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK, lm_ratio_accept, window_scores,
+)
+from corpusaug.pipeline import ReplacementRecord, synthetic_window
 
 
 def eligible_reference(sentence, identity_token, lexicon, mode):
@@ -412,6 +421,123 @@ def train_lm_dict_reference(
     )
 
 
+@dataclass(frozen=True)
+class ContextWindow:
+    """A padded sentence plus the padded coordinates of a replaced span."""
+
+    padded: Tuple[str, ...]
+    span_start: int
+    span_end: int
+
+    @classmethod
+    def build(cls, tokens, span):
+        start, end = span
+        if not (0 <= start <= end < len(tokens)):
+            raise ValueError(f"span {span} out of range for {len(tokens)} tokens")
+        padded = (BOS, BOS) + tuple(tokens) + (EOS, EOS)
+        return cls(padded, start + 2, end + 2)
+
+    def trigram_positions(self):
+        """Indices of every padded trigram whose 3-token window overlaps the span.
+
+        The two pads on each side keep ``span_start - 2`` and ``span_end``
+        inside the padded sentence's trigram indices.
+        """
+        return range(self.span_start - 2, self.span_end + 1)
+
+    def trigrams(self):
+        return [
+            (self.padded[i], self.padded[i + 1], self.padded[i + 2])
+            for i in self.trigram_positions()
+        ]
+
+
+def window_score(model, tokens, span):
+    """Product of trigram probabilities over the windows overlapping ``span``.
+
+    ``model`` is anything with a ``trigram_prob(w1, w2, w3)`` method (the
+    internal model, the dict model or an imported ARPA scorer). Span indices
+    are inclusive and refer to the unpadded tokens.
+    """
+    score = 1.0
+    for w1, w2, w3 in ContextWindow.build(tokens, span).trigrams():
+        score *= model.trigram_prob(w1, w2, w3)
+    return score
+
+
+def lm_ratio_reference(model, original, synthetic, threshold):
+    """``lm_ratio_accept`` on two (tokens, span) windows scored by ``window_score``."""
+    return lm_ratio_accept(
+        (window_score(model, *original), window_score(model, *synthetic)), threshold
+    )
+
+
+def process_item_reference(item, candidates, inputs, config):
+    """One record per candidate tried, in order, until ``max_per_item`` are
+    accepted: each (sentence id, sentence similarity) candidate runs through
+    every enabled gate in turn, and its LM ratios come from its own two
+    windows. The best word of each sentence is the package's, whose parity
+    with a scalar loop is tested on its own."""
+    mode = config.syntactic_mode()
+    lexicon, corpus = inputs.lexicon, inputs.corpus
+    item_annotation = lexicon.get(item.surface[-1]) if lexicon is not None else None
+    positions, scores, found = best_word_in_sentence(
+        inputs.word_index, item.query_vec, [sentence_id for sentence_id, _ in candidates],
+        item.surface[0] if len(item.surface) == 1 else None,
+    )
+    records, accepted = [], 0
+    for (sentence_id, sent_sim), position, score, ok in zip(
+        candidates, positions.tolist(), scores.tolist(), found.tolist()
+    ):
+        record = ReplacementRecord(item.kind, item.surface, sentence_id, sent_sim=sent_sim)
+        records.append(record)
+        if not ok:
+            record.reason = "no_candidate_word"
+            continue
+        source, target = corpus.source[sentence_id], corpus.target[sentence_id]
+        record.word_sim, record.source_span = score, (position, position)
+        if config.use_word_sim and score < config.word_sim_min:
+            record.reason = "word_sim"
+            continue
+        if mode != MODE_OFF:
+            candidate_annotation = lexicon.get(source.tokens[position]) if lexicon else None
+            if item_annotation is None or candidate_annotation is None:
+                record.reason = "unannotated"
+                continue
+            record.syntactic_ok = syntactic_ok(
+                config.src_lang_role, item_annotation, candidate_annotation, mode
+            )
+            if not record.syntactic_ok:
+                agree = pos_agree(item_annotation, candidate_annotation)
+                record.reason = "morph" if agree else "pos"
+                continue
+        span = target_span(inputs.alignments[sentence_id], position, config.max_span)
+        if isinstance(span, str):
+            record.reason = span
+            continue
+        record.target_span = span
+        record.source_inserted, record.target_inserted = item.surface, item.target_insert
+        for side, model, sentence, replaced, insert in (
+            ("src", inputs.lm_src, source, record.source_span, item.surface),
+            ("tgt", inputs.lm_tgt, target, span, item.target_insert),
+        ):
+            windows = [
+                (sentence.tokens, replaced), synthetic_window(sentence.tokens, replaced, insert)
+            ]
+            ok, ratio = lm_ratio_accept(tuple(window_scores(model, windows).tolist()),
+                                        config.lm_threshold)
+            setattr(record, f"lm_ratio_{side}", ratio)
+            if not ok:
+                record.reason = f"lm_{side}"
+                break
+        else:
+            record.accepted = True
+            accepted += 1
+            if accepted == config.max_per_item:
+                break
+    return records
+
+
 # Stored as tuples, written to JSON as lists.
 _TUPLE_FIELDS = ("item_surface", "source_span", "source_inserted", "target_span", "target_inserted")
 
@@ -428,3 +554,9 @@ def to_dict(record):
 def provenance_line_reference(record):
     encoder = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
     return encoder.encode(to_dict(record)) + "\n"
+
+
+def provenance_reference(accepted, rejected):
+    """The ``provenance.jsonl`` text of the records: accepted first, then
+    rejected, each line by json's generic encoder."""
+    return "".join(provenance_line_reference(record) for record in [*accepted, *rejected])

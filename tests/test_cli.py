@@ -19,6 +19,7 @@ from corpusaug.cli import (
     EXIT_STALE_CACHE,
     EXIT_VERIFY,
     RunConfig,
+    _load_run,
     apply_ablation,
     main,
     parse_config_file,
@@ -341,9 +342,41 @@ class TestAugment:
         assert main(
             ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "wordSim_pos_morph"]
         ) == EXIT_OK
-        corpus = load_parallel_corpus(toy.src_corpus, toy.tgt_corpus)
-        assert aligned == list(range(len(corpus)))
+        # Each pair is aligned when first read, and no pair twice.
+        assert aligned and len(aligned) == len(set(aligned))
         assert built == ["pos_morph"]
+
+    def test_only_the_pairs_read_are_aligned(self, toy, tmp_path, monkeypatch):
+        # augment aligns the sentences that reach the target-span gate and
+        # the first host of each rare word; verify the sentences that its
+        # accepted records name and those hosts.
+        cfg, out = prepare_run(toy, tmp_path)
+        config = resolve_config(parse_config_file(cfg))
+        _, rare_words, _ = _load_run(config, out / "cache", "rare")
+        hosts = {min(rare.host_sentence_ids) for rare in rare_words}
+        corpus_size = len(load_parallel_corpus(toy.src_corpus, toy.tgt_corpus))
+        aligned = []
+        viterbi_align = pipeline.viterbi_align
+
+        def counting_align(pair, table):
+            aligned.append(pair[0].id)
+            return viterbi_align(pair, table)
+
+        monkeypatch.setattr(pipeline, "viterbi_align", counting_align)
+        assert main(
+            ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "wordSim"]
+        ) == EXIT_OK
+        records = [json.loads(line) for line in (out / "provenance.jsonl").open(encoding="utf-8")]
+        gated = {r["base_sentence_id"] for r in records
+                 if r["target_span"] is not None or r["reason"] in ("unaligned", "span_too_long")}
+        assert len(aligned) == len(set(aligned)) <= len(gated | hosts)
+        assert len(aligned) < corpus_size
+
+        aligned.clear()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        named = {r["base_sentence_id"] for r in records if r["accepted"]}
+        assert len(aligned) == len(set(aligned)) <= len(named | hosts)
+        assert len(aligned) < corpus_size
 
     def test_outputs_and_manifest_shape(self, toy, tmp_path):
         cfg, out = prepare_run(toy, tmp_path)
@@ -631,6 +664,25 @@ class TestCorruptCache:
         else:
             _truncate(path)
         assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        _one_error_line(capsys.readouterr().err, path)
+
+    @pytest.mark.parametrize("name", ["aligner.bin", "lm.src.bin"])
+    @pytest.mark.parametrize("command", ["augment", "verify"])
+    def test_damaged_npy_header_exit_2(self, prepared, tmp_path, capsys, name, command):
+        # A "[" after the "{" that opens the first array header makes numpy's
+        # header parse raise tokenize.TokenError, outside its ValueError.
+        cfg, source = prepared
+        out = tmp_path / "run"
+        shutil.copytree(source, out)
+        augment = ["augment", "--config", str(cfg), "--out-dir", str(out), "--mode", "rare"]
+        if command == "verify":
+            assert main(augment) == EXIT_OK
+        path = out / "cache" / name
+        data = path.read_bytes()
+        at = data.index(b"{") + 1
+        path.write_bytes(data[:at] + b"[" + data[at:])
+        argv = augment if command == "augment" else ["verify", "--run-dir", str(out)]
+        assert main(argv) == EXIT_INPUT
         _one_error_line(capsys.readouterr().err, path)
 
     @pytest.mark.parametrize("mode", ["dict", "both"])

@@ -407,10 +407,20 @@ class TestTopK:
             top_k_sentences(self.query([1, 0]), sentence_rows([]), 0)
 
 
+def as_pairs(result):
+    """``best_word_in_sentence``'s arrays as one ``(position, score)`` pair,
+    or None, per sentence."""
+    positions, scores, found = result
+    return [
+        (position, score) if ok else None
+        for position, score, ok in zip(positions.tolist(), scores.tolist(), found.tolist())
+    ]
+
+
 def search_one(table, tokens, query, exclude_token=None, lexicon=None, mode=MODE_OFF):
     """``best_word_in_sentence`` on a one-sentence corpus."""
     index = WordIndex.build([Sentence(0, tuple(tokens))], table, lexicon, mode)
-    return best_word_in_sentence(index, query, [0], exclude_token)[0]
+    return as_pairs(best_word_in_sentence(index, query, [0], exclude_token))[0]
 
 
 class TestBestWord:
@@ -432,7 +442,16 @@ class TestBestWord:
 
     def test_no_sentences(self):
         index = WordIndex.build([Sentence(0, ("a",))], self.table, None, MODE_OFF)
-        assert best_word_in_sentence(index, [1, 0], []) == []
+        positions, scores, found = best_word_in_sentence(index, [1, 0], [])
+        assert positions.shape == scores.shape == found.shape == (0,)
+
+    def test_arrays_of_a_sentence_without_a_word(self):
+        index = WordIndex.build([Sentence(0, ("x",)), Sentence(1, ("b", "a"))], self.table,
+                                None, MODE_OFF)
+        positions, scores, found = best_word_in_sentence(index, [1, 0], [1, 0, 1])
+        assert positions.tolist() == [1, 0, 1]
+        assert scores.tolist() == [1.0, -np.inf, 1.0]
+        assert found.tolist() == [True, False, True]
 
 
 # -- parity of the vectorized search with the scalar oracles -------------------
@@ -514,7 +533,7 @@ class TestSearchParity:
     def test_best_word_matches_scalar_loop(self, case):
         table, sentences, lexicon, mode, query, identity, candidates = case
         index = WordIndex.build(sentences, table, lexicon, mode)
-        got = best_word_in_sentence(index, query, candidates, identity)
+        got = as_pairs(best_word_in_sentence(index, query, candidates, identity))
         expected = [
             best_word_reference(
                 query, sentences[i], table,

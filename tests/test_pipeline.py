@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 import json
 import math
 import random
@@ -16,13 +17,17 @@ from corpusaug.aligner import NULL_TOKEN, TranslationTable
 from corpusaug.corpus_io import CorpusFormatError, DictionaryEntry, Sentence
 from corpusaug.embeddings import EmbeddingTable
 from corpusaug import pipeline
-from corpusaug.cli import _load_run, main, parse_config_file, resolve_config
+from corpusaug.cli import (
+    ABLATION_PRESETS, _load_run, apply_ablation, main, parse_config_file, resolve_config,
+)
 from corpusaug.lm import train_lm
 from corpusaug.pipeline import (
     REASON_LM_SRC,
     REASON_LM_TGT,
     AugmentationConfig,
     ConfigError,
+    Candidates,
+    ItemOutcome,
     ReplacementRecord,
     SyntheticPair,
     _REJECTED_LINE,
@@ -33,22 +38,36 @@ from corpusaug.pipeline import (
     merge_and_dedup,
     query_vector,
     read_provenance,
-    rejection_counts,
+    rejections_per_set,
     resolve_dictionary_entry,
     resolve_rare_word,
     synthetic_window,
     write_provenance,
 )
 
-from micro import corpus_of, inputs_of, ledger_fixture, mono_of
-from oracles import provenance_line_reference, to_dict
+from micro import corpus_of, inputs_of, ledger_fixture, mono_of, rejected_records
+from oracles import (
+    process_item_reference, provenance_line_reference, provenance_reference, to_dict,
+)
+
+
+def augment_rare(*args):
+    """``augment_rare_words`` with its rejections made records."""
+    accepted, rejected = augment_rare_words(*args)
+    return accepted, rejected_records(rejected)
+
+
+def augment_dict(*args, **kwargs):
+    """``augment_dictionary`` with its rejections made records."""
+    accepted, rejected = augment_dictionary(*args, **kwargs)
+    return accepted, rejected_records(rejected)
 
 
 def run_rare(fx, config):
     inputs = inputs_of(
         fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config
     )
-    return augment_rare_words(inputs, fx.rare_words, config)
+    return augment_rare(inputs, fx.rare_words, config)
 
 
 class TestAugmentRareWords:
@@ -91,7 +110,7 @@ class TestAugmentRareWords:
             }
         )
         config = AugmentationConfig(use_word_sim=True, use_pos=True, use_morph=True)
-        accepted, rejected = augment_rare_words(
+        accepted, rejected = augment_rare(
             inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, lexicon, config),
             fx.rare_words, config,
         )
@@ -130,7 +149,7 @@ class TestAugmentRareWords:
             mono_of(["das buch fiel", "das kassenbuch fiel", "der stift fiel"]), 1
         )
         config = AugmentationConfig(use_word_sim=False)
-        accepted, rejected = augment_rare_words(
+        accepted, rejected = augment_rare(
             inputs_of(corpus, fx.embeddings, train_ibm1(corpus, 10), fx.lm_src, lm_tgt, fx.lexicon, config),
             fx.rare_words, config,
         )
@@ -155,7 +174,7 @@ class TestAugmentRareWords:
             }
         )
         config = AugmentationConfig(use_pos=True)
-        accepted, rejected = augment_rare_words(
+        accepted, rejected = augment_rare(
             inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, lexicon, config),
             fx.rare_words, config,
         )
@@ -175,7 +194,7 @@ class TestAugmentRareWords:
             }
         )
         config = AugmentationConfig()
-        accepted, rejected = augment_rare_words(
+        accepted, rejected = augment_rare(
             inputs_of(fx.corpus, fx.embeddings, table, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
             fx.rare_words, config,
         )
@@ -186,7 +205,7 @@ class TestAugmentRareWords:
         fx = ledger_fixture()
         embeddings = EmbeddingTable(("book",), np.array([[1.0, 0.0]]))
         config = AugmentationConfig()
-        accepted, rejected = augment_rare_words(
+        accepted, rejected = augment_rare(
             inputs_of(fx.corpus, embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
             fx.rare_words, config,
         )
@@ -286,28 +305,39 @@ class TestLmGatePath:
     @pytest.mark.parametrize("max_per_item", [1, 2, 3])
     def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item):
         inputs, config, items = toy_run
-        models = []
-        score = pipeline.lm_ratio_accept
+        calls = []
+        score, scores_of = pipeline.lm_ratio_accept, pipeline.window_scores
 
-        def gate(model, original, *args):
+        def halving(model, windows):
             # Every toy candidate that reaches the LM gates passes them, so
-            # each queue would end at an accept. Refusing some gates of each
-            # side by the position of their span (the same in every run)
-            # puts refusals between the accepts, and the cut inside a queue.
-            models.append(model)
-            ok, ratio = score(model, original, *args)
-            tokens, (start, _) = original
-            return ok and (start + len(" ".join(tokens))) % 3 != 0, ratio
+            # each queue would end at an accept. Halving the score of some
+            # windows by their length and span (the same in every run), on
+            # each side, puts refusals between the accepts, and the cut
+            # inside a queue.
+            scores = scores_of(model, windows)
+            for i, (tokens, (start, _)) in enumerate(windows):
+                if (start + len(" ".join(tokens))) % 3 == 0:
+                    scores[i] /= 2
+            return scores
 
+        def gate(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(pipeline, "window_scores", halving)
         monkeypatch.setattr(pipeline, "lm_ratio_accept", gate)
-        candidates = [(i, None) for i in range(len(inputs.corpus))]
-        unlimited = dataclasses.replace(config, max_per_item=len(candidates))
-        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1] for item in items]
+        inputs.original_src.clear()
+        inputs.original_tgt.clear()
+        candidates = Candidates(np.arange(len(inputs.corpus)))
+        unlimited = dataclasses.replace(config, max_per_item=len(inputs.corpus))
+        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1].records()
+                for item in items]
         capped = dataclasses.replace(config, max_per_item=max_per_item)
         cut = 0
         for item, all_records in zip(items, full):
-            models.clear()
-            pairs, records = pipeline._process_item(item, candidates, inputs, capped)
+            calls.clear()
+            pairs, outcome = pipeline._process_item(item, candidates, inputs, capped)
+            records = outcome.records()
             assert records == all_records[: len(records)]
             accepted = [r for r in records if r.accepted]
             assert [p.record for p in pairs] == accepted
@@ -316,19 +346,134 @@ class TestLmGatePath:
                 # No record follows the cut.
                 assert records[-1].accepted
                 cut += len(records) < len(all_records)
-            assert models.count(inputs.lm_src) == sum(r.lm_ratio_src is not None for r in records)
-            assert models.count(inputs.lm_tgt) == sum(r.lm_ratio_tgt is not None for r in records)
-            assert len(models) == models.count(inputs.lm_src) + models.count(inputs.lm_tgt)
+            assert len(calls) == sum(
+                (r.lm_ratio_src is not None) + (r.lm_ratio_tgt is not None) for r in records
+            )
         assert cut > 0
         assert any(r.reason == REASON_LM_SRC for records in full for r in records)
         assert any(r.reason == REASON_LM_TGT for records in full for r in records)
+
+
+class TestGateLoopOracle:
+    """On every ablation preset of the toy, the array gates and the records
+    made only for the candidates that reach the target-span gate give what
+    the per-candidate reference gives: ``outcome.records()`` equal to its
+    records field for field, and ``provenance.jsonl`` equal to its lines."""
+
+    @pytest.fixture(scope="class")
+    def toy_inputs(self, toy, tmp_path_factory):
+        root = tmp_path_factory.mktemp("oracle")
+        cfg = toy.write_config(root / "run.cfg", root / "run")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        loaded = {}
+
+        def load(preset):
+            config = resolve_config(parse_config_file(cfg))
+            apply_ablation(config, preset)
+            mode = config.augmentation.syntactic_mode()
+            if mode not in loaded:
+                loaded[mode] = _load_run(config, root / "run" / "cache", "both")
+            return config.augmentation, loaded[mode]
+
+        return load, root
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_records_and_file_equal_reference(self, toy_inputs, preset):
+        load, root = toy_inputs
+        base, (inputs, rare_words, dictionary) = load(preset)
+        word_sims = (0.3, 0.5, 0.8) if base.use_word_sim else (base.word_sim_min,)
+        checked = 0
+        for max_per_item in (1, 2, 3, 100000):
+            for word_sim_min in word_sims:
+                config = dataclasses.replace(
+                    base, max_per_item=max_per_item, word_sim_min=word_sim_min
+                )
+                runs = [augment_rare_words(inputs, rare_words, config)]
+                if not config.use_sent_sim:
+                    runs.append(augment_dictionary(inputs, dictionary, config, "all"))
+                for accepted, rejected in runs:
+                    outcomes = [e for e in rejected if isinstance(e, ItemOutcome)]
+                    item_level = [e for e in rejected if not isinstance(e, ItemOutcome)]
+                    # Item-level rejections come first.
+                    assert rejected[len(item_level):] == outcomes
+                    expected_accepted, expected_rejected = [], list(item_level)
+                    for outcome in outcomes:
+                        ids, sims = outcome.candidates
+                        candidates = list(zip(ids.tolist(), sims or [None] * len(ids)))
+                        expected = process_item_reference(outcome.item, candidates, inputs, config)
+                        assert outcome.records() == expected
+                        expected_accepted += [r for r in expected if r.accepted]
+                        expected_rejected += [r for r in expected if not r.accepted]
+                        checked += len(expected)
+                    assert [pair.record for pair in accepted] == expected_accepted
+                    path = root / "provenance.jsonl"
+                    write_provenance(path, accepted, rejected)
+                    assert path.read_bytes() == provenance_reference(
+                        expected_accepted, expected_rejected
+                    ).encode("utf-8")
+        assert checked > 0
+
+
+@st.composite
+def _outcomes(draw):
+    """An item outcome drawn field by field: early rejections of every code
+    on some candidates, and rejected records, holding the item's objects,
+    on some others."""
+    kind = draw(st.sampled_from(["rare_word", "dictionary"]) | _STRINGS)
+    item = _Item(kind, tuple(draw(st.lists(_STRINGS, max_size=3))), np.zeros(1), ("t",))
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
+    sims = draw(st.none() | st.lists(st.none() | _FLOATS, min_size=n, max_size=n))
+    at = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))
+    early = [i for i in at if draw(st.booleans())]
+    rejected = [
+        (i, ReplacementRecord(
+            item.kind, item.surface, ids[i],
+            reason=draw(st.sampled_from(["unaligned", "span_too_long", "lm_src", "lm_tgt"])),
+            source_span=(0, 0), word_sim=draw(st.floats(-1.0, 1.0)),
+            sent_sim=None if sims is None else sims[i],
+        ))
+        for i in at if i not in early
+    ]
+    return ItemOutcome(
+        item,
+        Candidates(np.array(ids, dtype=np.intp), sims),
+        np.array(early, dtype=np.intp),
+        np.array([draw(st.integers(0, 3)) for _ in early], dtype=np.int8),
+        np.array([draw(st.integers(0, 2**62)) for _ in early], dtype=np.intp),
+        # The best word's score is a clamped cosine.
+        np.array([draw(st.floats(-1.0, 1.0)) for _ in early], dtype=np.float64),
+        rejected,
+        rejected,
+    )
+
+
+class TestEarlyRejectionLines:
+    @settings(max_examples=300, deadline=None)
+    @given(_outcomes())
+    def test_each_line_equals_reference_of_its_record(self, outcome):
+        survivors = [record for _, record in outcome.rejected]
+        early = [r for r in outcome.records() if not any(r is s for s in survivors)]
+        lines = outcome.early_lines()
+        assert len(lines) == len(early) == len(outcome.early_at)
+        for line, record in zip(lines, early):
+            assert line == provenance_line_reference(record)
+            assert _REJECTED_LINE.fullmatch(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_outcomes())
+    def test_item_text_and_counts_equal_its_records(self, outcome):
+        # Every survivor drawn is rejected, so every record is.
+        records = outcome.records()
+        assert outcome.provenance() == "".join(map(provenance_line_reference, records))
+        assert outcome.counts() == Counter(record.reason for record in records)
 
 
 class TestAugmentDictionary:
     def test_phrase_replacement_grows_sentence(self):
         corpus, entries, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         config = AugmentationConfig(use_word_sim=True, use_pos=True)
-        accepted, rejected = augment_dictionary(
+        accepted, rejected = augment_dict(
             inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert len(accepted) == 1
@@ -345,7 +490,7 @@ class TestAugmentDictionary:
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("unknowntok", "report"), ("x",))]
         config = AugmentationConfig()
-        accepted, rejected = augment_dictionary(
+        accepted, rejected = augment_dict(
             inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert accepted == []
@@ -355,7 +500,7 @@ class TestAugmentDictionary:
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("statement",), ("erklaerung",))]
         config = AugmentationConfig()
-        accepted, rejected = augment_dictionary(
+        accepted, rejected = augment_dict(
             inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         assert accepted == []
@@ -365,7 +510,7 @@ class TestAugmentDictionary:
         corpus, _, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         entries = [DictionaryEntry(("statement",), ("erklaerung",))]
         config = AugmentationConfig()
-        accepted, rejected = augment_dictionary(
+        accepted, rejected = augment_dict(
             inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config,
             scope="all",
         )
@@ -385,7 +530,7 @@ class TestAugmentDictionary:
     def test_all_sentences_are_candidates(self):
         corpus, entries, emb, table, lm_src, lm_tgt, lex = dict_fixture()
         config = AugmentationConfig(use_word_sim=False)
-        accepted, rejected = augment_dictionary(
+        accepted, rejected = augment_dict(
             inputs_of(corpus, emb, table, lm_src, lm_tgt, lex, config), entries, config
         )
         touched = {p.record.base_sentence_id for p in accepted}
@@ -538,8 +683,14 @@ class TestProvenance:
 
     def test_rejection_counts(self):
         fx = ledger_fixture()
-        _, rejected = run_rare(fx, AugmentationConfig())
-        assert rejection_counts(rejected, ["rare_word", "dictionary"]) == {
+        config = AugmentationConfig()
+        _, rejected = augment_rare_words(
+            inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon,
+                      config),
+            fx.rare_words, config,
+        )
+        assert [type(entry) for entry in rejected] == [ItemOutcome]
+        assert rejections_per_set(rejected, ["rare_word", "dictionary"]) == {
             "rare_word": {"word_sim": 1}, "dictionary": {},
         }
 

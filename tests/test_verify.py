@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from corpusaug import pipeline
@@ -11,13 +12,14 @@ from corpusaug.cli import (
 )
 from corpusaug.corpus_io import load_parallel_corpus
 from corpusaug.embeddings import cosine, load_embeddings
-from corpusaug.lm import lm_ratio_accept, load_lm
+from corpusaug.lm import load_lm
 from corpusaug.pipeline import (
-    AugmentationConfig, augment_rare_words, query_vector, synthetic_window,
+    AugmentationConfig, Candidates, augment_rare_words, query_vector, synthetic_window,
 )
 from corpusaug.verify import verify_records
 
-from micro import inputs_of, ledger_fixture
+from micro import inputs_of, ledger_fixture, rejected_records
+from oracles import lm_ratio_reference
 
 
 def run(config=None):
@@ -27,7 +29,7 @@ def run(config=None):
         inputs_of(fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
         fx.rare_words, config,
     )
-    records = [p.record for p in accepted] + list(rejected)
+    records = [p.record for p in accepted] + rejected_records(rejected)
     return fx, config, records
 
 
@@ -93,16 +95,17 @@ class TestVerifyRecords:
         # verify re-runs the pipeline's item step, so the traced benchmark's
         # pipeline.lm_ratio_accept counts verify's LM-gate work too.
         fx, config, records = run()
-        models = []
+        calls = []
         score = pipeline.lm_ratio_accept
 
-        def counting(model, *args):
-            models.append(model)
-            return score(model, *args)
+        def counting(*args):
+            calls.append(args)
+            return score(*args)
 
         monkeypatch.setattr(pipeline, "lm_ratio_accept", counting)
         assert verify(fx, config, records) == []
-        assert models == [fx.lm_src, fx.lm_tgt] * sum(r.accepted for r in records)
+        # One source and one target gate per accepted record.
+        assert len(calls) == 2 * sum(r.accepted for r in records)
 
 
 def finished_run(toy, tmp_path, mode):
@@ -210,7 +213,7 @@ class TestVerifyTamper:
     def lm_ratio(self, run_dir, side, tokens, span, inserted):
         model = load_lm(run_dir / "cache" / f"lm.{side}.bin")
         window = synthetic_window(tokens, tuple(span), inserted)
-        return lm_ratio_accept(model, (tokens, tuple(span)), window, self.THRESHOLD)[1]
+        return lm_ratio_reference(model, (tokens, tuple(span)), window, self.THRESHOLD)[1]
 
     def verify_fails_with(self, run_dir, capsys, text):
         capsys.readouterr()
@@ -292,8 +295,9 @@ class TestVerifyTamper:
         def on_host(first):
             rare = next(r for r in rare_words if (r.surface,) == tuple(first["item_surface"]))
             item = pipeline.resolve_rare_word(rare, inputs, config.augmentation.max_span)
-            host = (min(rare.host_sentence_ids), None)
-            _, [record] = pipeline._process_item(item, [host], inputs, config.augmentation)
+            host = Candidates(np.array([min(rare.host_sentence_ids)]))
+            _, outcome = pipeline._process_item(item, host, inputs, config.augmentation)
+            [record] = outcome.records()
             assert record.accepted
             return pipeline._provenance_line(record)
 
