@@ -8,19 +8,21 @@ target-side word or phrase corresponding to a source position.
 Only t(target | source) is trained, the one direction that locating a
 target span needs: the source side is the conditioning side throughout.
 
-The trained table is cached in a binary file: both vocabularies, sorted,
-then one (conditioning id, generated id, probability) row per entry in
-sorted order. Each probability is stored as the value its 12-significant-
-digit text form parses back to, so the loaded table holds the values, and
-the key order, of a table read back from sorted text rows.
+A table is held as the arrays its cache file stores: two sorted
+vocabularies, then one sorted int64 key and one probability per entry.
+Training, saving, loading and Viterbi alignment build no dict of rows;
+probabilities are found with ``np.searchsorted``. The cache stores each
+probability as the value its 12-significant-digit text parses back to.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
 from .corpus_io import ParallelCorpus, RareWord, Sentence
+from .lm import _find
 
 log = logging.getLogger(__name__)
 
@@ -47,19 +50,63 @@ class PharaohFormatError(ValueError):
     """Malformed alignment interchange text or cached translation table."""
 
 
-@dataclass
 class TranslationTable:
-    """t[conditioning_token][generated_token] -> probability.
+    """t(generated | conditioning) as sorted arrays.
 
-    The conditioning vocabulary includes :data:`NULL_TOKEN`. Per-iteration
-    corpus log-likelihoods are kept for convergence reporting.
+    ``cond_vocab`` (with :data:`NULL_TOKEN`) and ``gen_vocab`` are strictly
+    sorted and keep only tokens that have an entry; ``cond_index`` and
+    ``gen_index`` give a token's id. Entry ``i`` has the strictly increasing
+    key ``cond_id * stride + gen_id`` and the probability ``probs[i]``. With
+    ``stride = len(gen_vocab) + 1``, the ids -1 and ``len(gen_vocab)`` of
+    unseen tokens are in no key. Only the ``t`` view builds a dict of rows.
     """
 
-    t: Dict[str, Dict[str, float]]
-    log_likelihoods: Tuple[float, ...] = ()
+    def __init__(self, cond_vocab: Sequence[str], gen_vocab: Sequence[str],
+                 cond_ids: np.ndarray, gen_ids: np.ndarray, probs: np.ndarray,
+                 log_likelihoods: Sequence[float] = ()) -> None:
+        if not len(cond_ids) == len(gen_ids) == len(probs):
+            raise ValueError(f"array lengths differ: {len(cond_ids)}, {len(gen_ids)}, {len(probs)}")
+        probs = np.asarray(probs, dtype=np.float64)
+        kept = []
+        for ids, vocab in ((cond_ids, cond_vocab), (gen_ids, gen_vocab)):
+            ids = np.asarray(ids, dtype=np.int64)
+            if any(a >= b for a, b in zip(vocab, vocab[1:])):
+                raise ValueError("vocabulary is not strictly sorted")
+            if len(ids) and (ids.min() < 0 or ids.max() >= len(vocab)):
+                raise ValueError("token id out of range")
+            # Tokens without an entry are dropped; renumbering keeps the order.
+            used = np.bincount(ids, minlength=len(vocab)) > 0
+            kept.append((tuple(itertools.compress(vocab, used.tolist())), np.cumsum(used)[ids] - 1))
+        (cond_vocab, cond_ids), (gen_vocab, gen_ids) = kept
+        self.stride = len(gen_vocab) + 1
+        self.keys = cond_ids * self.stride + gen_ids
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ValueError("entries not strictly increasing by (conditioning, generated) id")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite probability")
+        self.cond_vocab, self.gen_vocab, self.probs = cond_vocab, gen_vocab, probs
+        self.cond_index = {token: i for i, token in enumerate(cond_vocab)}
+        self.gen_index = {token: i for i, token in enumerate(gen_vocab)}
+        self.log_likelihoods = tuple(log_likelihoods)
+
+    @cached_property
+    def t(self) -> Dict[str, Dict[str, float]]:
+        """t[conditioning_token][generated_token] -> probability."""
+        entries = zip(self.keys.tolist(), self.probs.tolist())
+        return {self.cond_vocab[e]: {self.gen_vocab[key % self.stride]: p for key, p in row}
+                for e, row in itertools.groupby(entries, lambda entry: entry[0] // self.stride)}
+
+    def lookup(self, cond_ids: np.ndarray, gen_ids: np.ndarray) -> np.ndarray:
+        """Each id pair's probability (the ids broadcast); 0 where no entry."""
+        query = cond_ids * self.stride + gen_ids
+        if not len(self.keys):
+            return np.zeros(np.shape(query))
+        at, found = _find(self.keys, query)
+        return np.where(found, self.probs[at], 0.0)
 
     def prob(self, generated: str, conditioning: str) -> float:
-        return self.t.get(conditioning, {}).get(generated, 0.0)
+        return float(self.lookup(self.cond_index.get(conditioning, -1),
+                                 self.gen_index.get(generated, len(self.gen_vocab))))
 
 
 @dataclass(frozen=True)
@@ -75,7 +122,8 @@ def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> 
     Probabilities start uniform over co-occurring pairs. Every (generated,
     conditioning) token pair of every sentence pair is one link in a flat
     array, laid out pair by pair, generated token outer and conditioning
-    token inner, NULL first; each link points at its (e, f) key. An
+    token inner, NULL first; each link points at its (e, f) key, whose ids
+    are the tokens' ranks in the sorted vocabularies. An
     iteration is then a few numpy passes over that array. ``np.bincount``
     adds its weights in input order, so each denominator, count and total
     is summed in the same order as a per-sentence dict loop would sum it,
@@ -88,12 +136,14 @@ def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> 
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
 
-    cond_vocab: Dict[str, int] = {NULL_TOKEN: 0}
-    gen_vocab: Dict[str, int] = {}
+    cond_vocab = sorted({NULL_TOKEN}.union(*(s.tokens for s in corpus.source)))
+    gen_vocab = sorted(set().union(*(s.tokens for s in corpus.target)))
+    cond_index = {e: i for i, e in enumerate(cond_vocab)}
+    gen_index = {f: i for i, f in enumerate(gen_vocab)}
     pair_ids = []
     for cond, gen in corpus.pairs():
-        cond_ids = [0] + [cond_vocab.setdefault(e, len(cond_vocab)) for e in cond.tokens]
-        gen_ids = [gen_vocab.setdefault(f, len(gen_vocab)) for f in gen.tokens]
+        cond_ids = [cond_index[e] for e in (NULL_TOKEN, *cond.tokens)]
+        gen_ids = [gen_index[f] for f in gen.tokens]
         pair_ids.append(
             (np.array(cond_ids, dtype=np.int64), np.array(gen_ids, dtype=np.int64))
         )
@@ -144,22 +194,11 @@ def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> 
         t = np.where(renew, counts / np.where(renew, totals[key_e], 1.0), t)
         log.debug("EM iteration %d: log-likelihood %.6f", len(logliks), loglik)
 
-    # Keys are sorted e-major, so each conditioning token's row is one slice.
-    row_e = key_e[present]
-    gen_tokens = np.array(list(gen_vocab), dtype=object)
-    gen_names = gen_tokens[keys[present] % n_gen].tolist()
-    probs = t[present].tolist()
-    bounds = np.searchsorted(row_e, np.arange(n_cond + 1)).tolist()
-    table = {
-        e: dict(zip(gen_names[lo:hi], probs[lo:hi]))
-        for e, lo, hi in zip(cond_vocab, bounds, bounds[1:])
-    }
-    return TranslationTable(t=table, log_likelihoods=tuple(logliks))
+    cond_ids, gen_ids = np.divmod(keys[present], n_gen)
+    return TranslationTable(cond_vocab, gen_vocab, cond_ids, gen_ids, t[present], logliks)
 
 
-def viterbi_align(
-    pair: Tuple[Sentence, Sentence], table: TranslationTable
-) -> SentenceAlignment:
+def viterbi_align(pair: Tuple[Sentence, Sentence], table: TranslationTable) -> SentenceAlignment:
     """Best-link alignment of one sentence pair (one target choice per source).
 
     Each source token picks the target position maximizing t(target|source),
@@ -168,26 +207,19 @@ def viterbi_align(
     target word; otherwise the source word stays unaligned. Source tokens
     unseen in training align to NULL with a warning.
     """
-    source, target = pair
-    null_row = table.t.get(NULL_TOKEN, {})
-    links: List[Tuple[int, int]] = []
-    for i, e in enumerate(source.tokens):
-        row = table.t.get(e)
-        if row is None:
-            log.warning("source token %r absent from translation table", e)
-            continue
-        best_j = -1
-        best_p = 0.0
-        for j, f in enumerate(target.tokens):
-            p = row.get(f, 0.0)
-            if p > best_p:
-                best_p = p
-                best_j = j
-        if best_j < 0:
-            continue
-        if best_p >= null_row.get(target.tokens[best_j], 0.0):
-            links.append((i, best_j))
-    return SentenceAlignment(tuple(links))
+    (source, target), index = pair, table.cond_index
+    for unseen in (e for e in source.tokens if e not in index):
+        log.warning("source token %r absent from translation table", unseen)
+    positions = [i for i, e in enumerate(source.tokens) if e in index]
+    rows = [index.get(NULL_TOKEN, -1)] + [index[source.tokens[i]] for i in positions]
+    cols = np.array([table.gen_index.get(f, len(table.gen_vocab)) for f in target.tokens])
+    # Row 0 is NULL's; argmax takes the first of equal maxima.
+    grid = table.lookup(np.array(rows)[:, None], cols)
+    best = grid[1:].argmax(axis=1)
+    best_p = grid[np.arange(1, len(rows)), best]
+    keep = (best_p > 0.0) & (best_p >= grid[0, best])
+    return SentenceAlignment(tuple(
+        (i, j) for i, j, k in zip(positions, best.tolist(), keep.tolist()) if k))
 
 
 def target_span(
@@ -256,59 +288,17 @@ def import_pharaoh(line: str) -> SentenceAlignment:
 
 
 def save_translation_table(table: TranslationTable, path: str | Path) -> None:
-    """Cache the table as ``ALIGNER_MAGIC`` followed by five ``.npy`` arrays.
-
-    In order: the sorted conditioning and generated vocabularies (each as
-    newline-ended UTF-8), then the conditioning id, generated id and
-    probability of every entry, sorted by (conditioning, generated) token. Each probability is stored as ``float(f"{p:.12g}")``.
-    Equal tables give equal bytes.
+    """Cache the table as ``ALIGNER_MAGIC`` followed by five ``.npy`` arrays:
+    the two vocabularies (each as newline-ended UTF-8), then each entry's
+    conditioning id, generated id and probability, stored as
+    ``float(f"{p:.12g}")``, in key order. Equal tables give equal bytes.
     """
-    cond = sorted(e for e, row in table.t.items() if row)
-    gen = sorted({f for row in table.t.values() for f in row})
-    gen_ids = {f: i for i, f in enumerate(gen)}
-    e_ids: List[int] = []
-    f_ids: List[int] = []
-    probs: List[float] = []
-    for e_id, e in enumerate(cond):
-        row = table.t[e]
-        for f in sorted(row):
-            e_ids.append(e_id)
-            f_ids.append(gen_ids[f])
-            probs.append(float(f"{row[f]:.12g}"))
+    cond_ids, gen_ids = np.divmod(table.keys, table.stride)
+    probs = [float(f"{p:.12g}") for p in table.probs.tolist()]
     write_arrays(path, ALIGNER_MAGIC, (
-        encode_tokens(cond),
-        encode_tokens(gen),
-        narrow(np.array(e_ids, dtype=np.int64)),
-        narrow(np.array(f_ids, dtype=np.int64)),
-        np.array(probs, dtype="<f8"),
+        encode_tokens(table.cond_vocab), encode_tokens(table.gen_vocab),
+        narrow(cond_ids), narrow(gen_ids), np.array(probs, dtype="<f8"),
     ))
-
-
-def _read_table(path: Path) -> TranslationTable:
-    cond, gen, e_ids, f_ids, probs = read_arrays(path, ALIGNER_MAGIC, 5)
-    cond, gen = decode_tokens(cond), decode_tokens(gen)
-    if any(a.ndim != 1 or a.dtype.kind != "u" for a in (e_ids, f_ids)):
-        raise ValueError("bad id array type or shape")
-    if probs.ndim != 1 or probs.dtype != np.float64:
-        raise ValueError("bad probability array type or shape")
-    if not len(e_ids) == len(f_ids) == len(probs):
-        raise ValueError(f"array lengths differ: {len(e_ids)}, {len(f_ids)}, {len(probs)}")
-    if len(e_ids) and (int(e_ids.max()) >= len(cond) or int(f_ids.max()) >= len(gen)):
-        raise ValueError("token id out of range")
-    keys = e_ids.astype(np.int64) * len(gen) + f_ids.astype(np.int64)
-    if np.any(keys[1:] <= keys[:-1]):
-        raise ValueError("entries not strictly increasing by (conditioning, generated) id")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("non-finite probability")
-    gen_names = [gen[i] for i in f_ids.tolist()]
-    values = probs.tolist()
-    bounds = np.searchsorted(e_ids, np.arange(len(cond) + 1)).tolist()
-    t = {
-        e: dict(zip(gen_names[lo:hi], values[lo:hi]))
-        for e, lo, hi in zip(cond, bounds, bounds[1:])
-        if hi > lo
-    }
-    return TranslationTable(t=t)
 
 
 def load_translation_table(path: str | Path) -> TranslationTable:
@@ -317,10 +307,16 @@ def load_translation_table(path: str | Path) -> TranslationTable:
     A truncated or malformed file raises :class:`PharaohFormatError` naming
     the path: wrong magic, a missing array, trailing bytes, a wrong dtype or
     shape, arrays of different lengths, ids out of range or out of order,
-    non-finite probabilities, or a vocabulary that is not UTF-8.
+    non-finite probabilities, or a vocabulary that is not UTF-8 or not
+    sorted.
     """
     p = Path(path)
     try:
-        return _read_table(p)
+        cond, gen, cond_ids, gen_ids, probs = read_arrays(p, ALIGNER_MAGIC, 5)
+        if any(a.ndim != 1 or a.dtype.kind != "u" for a in (cond_ids, gen_ids)):
+            raise ValueError("bad id array type or shape")
+        if probs.ndim != 1 or probs.dtype != np.float64:
+            raise ValueError("bad probability array type or shape")
+        return TranslationTable(decode_tokens(cond), decode_tokens(gen), cond_ids, gen_ids, probs)
     except ValueError as exc:
         raise PharaohFormatError(f"{p}: {exc}") from exc

@@ -4,9 +4,9 @@ Runs are driven by a flat ``key = value`` config file with CLI overrides
 (flags win). ``prepare`` trains and caches the heavyweight artifacts under
 ``<out_dir>/cache`` keyed by input-content hashes. One predicate,
 ``_fresh``, decides whether a cached artifact may be used: ``prepare``
-rebuilds what it rejects and ``augment`` refuses to run on it. Exit codes
-are a stable contract: 0 success, 2 input error, 3 numeric error, 4 stale
-cache, 5 verification failure.
+rebuilds what it rejects; ``augment``, and ``verify`` against the run's
+recorded fingerprints, refuse to run on it. Exit codes are a stable
+contract: 0 success, 2 input error, 3 numeric error, 4 stale cache, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -285,9 +285,13 @@ def _load_fingerprints(cache_dir: Path) -> Dict[str, Dict[str, object]]:
         stored = json.loads(fp_path.read_text(encoding="utf-8"))
     except ValueError:  # not UTF-8 or not JSON
         stored = None
-    if not isinstance(stored, dict) or not all(isinstance(v, dict) for v in stored.values()):
+    if not _is_fingerprints(stored):
         raise StaleCacheError(f"{fp_path}: not a JSON object of artifact fingerprints")
     return stored
+
+
+def _is_fingerprints(value: object) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, dict) for v in value.values())
 
 
 def _fresh(stored: Optional[Dict[str, object]], spec: Dict[str, object], path: Path) -> bool:
@@ -372,15 +376,14 @@ _LOADERS = {
 }
 
 
-def _check_cache(config: RunConfig) -> Path:
-    """The cache directory, when every artifact is :func:`_fresh`.
+def _check_cache(config: RunConfig, cache_dir: Path, stored: Dict[str, Dict[str, object]]) -> None:
+    """Return when every artifact under ``cache_dir`` is :func:`_fresh` per
+    its ``stored`` fingerprint.
 
     Otherwise raise StaleCacheError naming the first artifact that is not,
     except that a file whose fingerprint still matches its inputs but whose
     bytes changed and no longer parse raises its loader's error naming it.
     """
-    cache_dir = _cache_dir(config)
-    stored = _load_fingerprints(cache_dir)
     for artifact, spec in _expected_fingerprints(config).items():
         out_path = cache_dir / str(spec["output"])
         entry = stored.get(artifact, {})
@@ -390,7 +393,6 @@ def _check_cache(config: RunConfig) -> Path:
             raise StaleCacheError(
                 f"cache artifact {artifact!r} is stale, missing or altered; rerun prepare"
             )
-    return cache_dir
 
 
 def _check_mode(config: RunConfig, mode: str) -> None:
@@ -432,7 +434,9 @@ def _load_run(
 
 def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
     _check_mode(config, mode)
-    cache_dir = _check_cache(config)
+    cache_dir = _cache_dir(config)
+    fingerprints = _load_fingerprints(cache_dir)
+    _check_cache(config, cache_dir, fingerprints)
     inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
     aug, corpus = config.augmentation, inputs.corpus
 
@@ -466,7 +470,7 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         "mode": mode,
         "ablation": ablation,
         "resolved_config": config.resolved(),
-        "fingerprints": _load_fingerprints(cache_dir),
+        "fingerprints": fingerprints,
         "merge": merge_manifest,
         "rejections_per_set": tallies,
         "outputs": {
@@ -499,6 +503,7 @@ def cmd_verify(run_dir: str | Path) -> int:
         # The settings augment ran with go through augment's own parser.
         values = {key: resolved[key] for key in RunConfig().resolved()}
         mode = manifest["mode"]
+        fingerprints = manifest["fingerprints"]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{manifest_path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -512,8 +517,12 @@ def cmd_verify(run_dir: str | Path) -> int:
         _check_mode(config, mode)
     except ConfigError as exc:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
+    if not _is_fingerprints(fingerprints):
+        raise ConfigError(f"{manifest_path}: 'fingerprints' is not a JSON object of objects")
 
-    inputs, rare_words, dictionary = _load_run(config, run_path / "cache", mode)
+    cache_dir = run_path / "cache"
+    _check_cache(config, cache_dir, fingerprints)
+    inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
     records = read_provenance(run_path / "provenance.jsonl")
     violations = verify_records(
         records, inputs, rare_words or (), dictionary or (), config.augmentation, config.dict_scope

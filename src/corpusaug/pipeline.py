@@ -302,9 +302,6 @@ class Alignments:
         self._table = table
         self._made: List[Optional[SentenceAlignment]] = [None] * len(corpus)
 
-    def __len__(self) -> int:
-        return len(self._made)
-
     def __getitem__(self, index: int) -> SentenceAlignment:
         alignment = self._made[index]
         if alignment is None:

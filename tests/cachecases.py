@@ -76,6 +76,11 @@ def _layout_1(magic, arrays):
     return pack(magic.replace(b" 2\n", b" 1\n"), [direction] + list(arrays))
 
 
+def _reversed_tokens(array):
+    tokens = array.tobytes().decode("utf-8").split("\n")[:-1]
+    return np.frombuffer("".join(t + "\n" for t in reversed(tokens)).encode("utf-8"), dtype=np.uint8)
+
+
 def _common(token_index):
     """Cases that every cache file shares; ``token_index`` is a token array."""
     return [
@@ -114,6 +119,7 @@ ALIGNER_CASES = _common(0) + [
     ("generated_id_out_of_range", _id_past_end(3, 1, 0), "out of range"),
     ("out_of_order", _replace(3, lambda x: x[::-1].copy()), "strictly increasing"),
     ("non_finite", _set(4, 0, np.inf), "non-finite"),
+    ("unsorted_vocabulary", _replace(1, _reversed_tokens), "not strictly sorted"),
 ]
 
 # (artifact, cache file, magic, array count, damage) for each artifact.

@@ -4,7 +4,9 @@ These deliberately avoid the code paths of the package under test: the
 eigensolver is a plain cyclic Jacobi iteration, and the EM reference uses
 dense numpy arrays over explicit vocabulary indices. The dict EM is the
 per-sentence loop the array-backed ``train_ibm1`` must reproduce bit for
-bit. The retrieval
+bit. ``table_from_rows`` builds a ``TranslationTable`` from such a
+dict-of-dict table, and ``viterbi_reference`` is the Viterbi alignment as a
+loop over its rows, which the array ``viterbi_align`` must equal. The retrieval
 references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit. The dict trigram model is the
 string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
@@ -27,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from corpusaug.agreement import MODE_OFF, pos_agree, syntactic_ok
-from corpusaug.aligner import NULL_TOKEN, TranslationTable, target_span
+from corpusaug.aligner import NULL_TOKEN, SentenceAlignment, TranslationTable, target_span
 from corpusaug.corpus_io import Sentence, has_digit, is_punctuation
 from corpusaug.embeddings import SimilarityHit, best_word_in_sentence, cosine
 from corpusaug.lm import (
@@ -209,7 +211,52 @@ def ibm1_dict_reference(corpus, iterations):
             total = totals[e]
             if total > 0.0:
                 t[e] = {f: value / total for f, value in row.items()}
-    return TranslationTable(t=t, log_likelihoods=tuple(logliks))
+    return table_from_rows(t, logliks)
+
+
+def table_from_rows(rows, log_likelihoods=()):
+    """The ``TranslationTable`` with ``rows[e][f]`` = t(f | e); empty rows add nothing."""
+    entries = sorted(((e, f), p) for e, row in rows.items() for f, p in row.items())
+    cond = sorted({e for (e, _), _ in entries})
+    gen = sorted({f for (_, f), _ in entries})
+    cond_ids = {e: i for i, e in enumerate(cond)}
+    gen_ids = {f: i for i, f in enumerate(gen)}
+    return TranslationTable(
+        cond, gen,
+        [cond_ids[e] for (e, _), _ in entries],
+        [gen_ids[f] for (_, f), _ in entries],
+        [p for _, p in entries],
+        log_likelihoods,
+    )
+
+
+def viterbi_reference(pair, table):
+    """Best-link alignment as a loop over the rows of ``table.t``.
+
+    Each source token picks the target position with the highest positive
+    t(target | source), the first on ties; the link stands if that is at
+    least NULL's probability for the target word. Unseen source tokens stay
+    unaligned.
+    """
+    source, target = pair
+    null_row = table.t.get(NULL_TOKEN, {})
+    links = []
+    for i, e in enumerate(source.tokens):
+        row = table.t.get(e)
+        if row is None:
+            continue
+        best_j = -1
+        best_p = 0.0
+        for j, f in enumerate(target.tokens):
+            p = row.get(f, 0.0)
+            if p > best_p:
+                best_p = p
+                best_j = j
+        if best_j < 0:
+            continue
+        if best_p >= null_row.get(target.tokens[best_j], 0.0):
+            links.append((i, best_j))
+    return SentenceAlignment(tuple(links))
 
 
 def trigram_prob_reference(sentences, discount, w1, w2, w3, bos="<s>", eos="</s>", unk="<unk>"):

@@ -2,7 +2,9 @@ import logging
 import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,8 @@ from corpusaug.aligner import (
 )
 from corpusaug.corpus_io import ParallelCorpus, RareWord, Sentence
 
-from cachecases import ALIGNER_CASES, read_cache
-from oracles import ibm1_dict_reference, ibm1_reference
+from cachecases import ALIGNER_CASES, pack, read_cache
+from oracles import ibm1_dict_reference, ibm1_reference, table_from_rows, viterbi_reference
 
 
 def make_corpus(pairs):
@@ -143,11 +145,15 @@ class TestDictParity:
         reference = ibm1_dict_reference(corpus, iterations)
         assert table.t == reference.t
         assert table.log_likelihoods == reference.log_likelihoods
+        # The arrays are canonical: equal tables hold equal arrays.
+        assert (table.cond_vocab, table.gen_vocab) == (reference.cond_vocab, reference.gen_vocab)
+        assert np.array_equal(table.keys, reference.keys)
+        assert np.array_equal(table.probs, reference.probs)
 
 
 class TestViterbi:
-    def table(self, t):
-        return TranslationTable(t=t)
+    def table(self, rows):
+        return table_from_rows(rows)
 
     def test_argmax_link(self):
         table = self.table({"house": {"haus": 0.95}, NULL_TOKEN: {"haus": 0.01}})
@@ -176,6 +182,43 @@ class TestViterbi:
             alignment = viterbi_align(pair, table)
         assert alignment.links == ()
         assert any("mystery" in rec.message for rec in caplog.records)
+
+
+# Few tokens and few values, so sentences meet table rows and rows tie.
+_vocab = st.sampled_from(["a", "b", "c", NULL_TOKEN])
+_values = st.sampled_from([-0.5, 0.0, 0.1, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def viterbi_cases(draw):
+    """(table, sentence pair): a random table over few tokens, and sentences
+    that may hold tokens it lacks on either side; the source may be empty."""
+    rows = draw(st.dictionaries(_vocab, st.dictionaries(_vocab, _values, max_size=4), max_size=4))
+    words = st.sampled_from(["a", "b", "c", "unseen"])
+    source = draw(st.lists(words, max_size=6))
+    target = draw(st.lists(words, min_size=1, max_size=6))
+    return table_from_rows(rows), (_sentence(source), Sentence(0, tuple(target)))
+
+
+def _sentence(tokens):
+    # Sentence refuses an empty token list, so no pair the program aligns has
+    # an empty side; an empty source still checks the path with no rows.
+    return Sentence(0, tuple(tokens)) if tokens else SimpleNamespace(tokens=())
+
+
+class TestViterbiParity:
+    """The array Viterbi equals the loop over the rows of ``t``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(viterbi_cases())
+    @example((table_from_rows({"a": {"b": 0.5}, NULL_TOKEN: {"b": 0.5}}),
+              (Sentence(0, ("a",)), Sentence(0, ("b", "b")))))
+    @example((table_from_rows({"a": {"b": -0.5, "c": 0.0}}),
+              (Sentence(0, ("a",)), Sentence(0, ("b", "c")))))
+    @example((table_from_rows({}), (_sentence([]), _sentence(["a"]))))
+    def test_links_equal_reference(self, case):
+        table, pair = case
+        assert viterbi_align(pair, table) == viterbi_reference(pair, table)
 
 
 class TestTargetSpan:
@@ -207,9 +250,7 @@ class TestTranslateRareWord:
 
     def test_unaligned_reason(self):
         corpus = make_corpus([("a b", "x")])
-        table = TranslationTable(
-            t={"a": {"x": 0.1}, "b": {"x": 0.2}, NULL_TOKEN: {"x": 0.9}}
-        )
+        table = table_from_rows({"a": {"x": 0.1}, "b": {"x": 0.2}, NULL_TOKEN: {"x": 0.9}})
         rare = RareWord("a", 1, (0,))
         tokens, reason = translate_rare_word(rare, corpus, align_all(corpus, table))
         assert tokens is None
@@ -219,13 +260,11 @@ class TestTranslateRareWord:
         # In host 0 the rare word has no good target, in host 1 it would
         # align; the lowest host id decides, so the result is "unaligned".
         corpus = make_corpus([("house big", "gross dach"), ("house big", "haus gross")])
-        table = TranslationTable(
-            t={
-                "house": {"haus": 0.9, "dach": 0.001, "gross": 0.001},
-                "big": {"gross": 0.9},
-                NULL_TOKEN: {"dach": 0.5, "gross": 0.5, "haus": 0.01},
-            }
-        )
+        table = table_from_rows({
+            "house": {"haus": 0.9, "dach": 0.001, "gross": 0.001},
+            "big": {"gross": 0.9},
+            NULL_TOKEN: {"dach": 0.5, "gross": 0.5, "haus": 0.01},
+        })
         rare = RareWord("house", 2, (1, 0))
         tokens, reason = translate_rare_word(rare, corpus, align_all(corpus, table))
         assert tokens is None
@@ -278,14 +317,11 @@ def ordered(t):
 _tokens = st.text(
     st.characters(exclude_characters="\n", exclude_categories=("Cs",)), min_size=1, max_size=3
 )
-_tables = st.builds(
-    TranslationTable,
-    st.dictionaries(
-        _tokens,
-        st.dictionaries(_tokens, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
-        max_size=5,
-    ),
-)
+_tables = st.dictionaries(
+    _tokens,
+    st.dictionaries(_tokens, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    max_size=5,
+).map(table_from_rows)
 
 
 class TestTablePersistence:
@@ -303,21 +339,36 @@ class TestTablePersistence:
         lambda case: train_ibm1(make_corpus([(" ".join(s), " ".join(t)) for s, t in case[0]]),
                                 case[1])
     )))
-    @example(TranslationTable({"é": {"b": 0.1 + 0.2, "a": 1 / 3}, NULL_TOKEN: {"b": 0.0}, "z": {}}))
+    @example(table_from_rows({"é": {"b": 0.1 + 0.2, "a": 1 / 3}, NULL_TOKEN: {"b": 0.0}, "z": {}}))
     def test_loaded_table_equals_text_round_trip(self, table):
         with tempfile.TemporaryDirectory() as tmp:
             save_translation_table(table, Path(tmp) / "t.bin")
             again = load_translation_table(Path(tmp) / "t.bin")
         assert ordered(again.t) == ordered(text_round_trip(table))
 
+    def test_tokens_without_an_entry_are_dropped(self, tmp_path):
+        table = TranslationTable(("a", "b", "c"), ("x", "y"), [0, 2], [1, 1], [0.5, 0.25])
+        assert (table.cond_vocab, table.gen_vocab) == (("a", "c"), ("y",))
+        assert table.t == {"a": {"y": 0.5}, "c": {"y": 0.25}}
+        path = tmp_path / "t.bin"
+        save_translation_table(table, path)
+        saved = path.read_bytes()
+        # A file that names a token without an entry loads as if it did not.
+        arrays = read_cache(path, ALIGNER_MAGIC, 5)
+        arrays[1] = np.frombuffer(b"w\n" + arrays[1].tobytes(), dtype=np.uint8)
+        arrays[3] = arrays[3] + 1
+        path.write_bytes(pack(ALIGNER_MAGIC, arrays))
+        save_translation_table(load_translation_table(path), path)
+        assert path.read_bytes() == saved
+
     def test_surrogate_token_refused_without_a_file(self, tmp_path):
         with pytest.raises(ValueError):
-            save_translation_table(TranslationTable({"a": {"\ud800": 0.5}}), tmp_path / "t.bin")
+            save_translation_table(table_from_rows({"a": {"\ud800": 0.5}}), tmp_path / "t.bin")
         assert not (tmp_path / "t.bin").exists()
 
     def test_equal_tables_save_equal_bytes(self, tmp_path):
         table = train_ibm1(make_corpus(CLASSIC), 3)
-        reversed_rows = TranslationTable(
+        reversed_rows = table_from_rows(
             {e: dict(reversed(row.items())) for e, row in reversed(table.t.items())}
         )
         save_translation_table(table, tmp_path / "one.bin")

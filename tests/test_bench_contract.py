@@ -11,7 +11,10 @@ every counter hook to succeed.
 import importlib
 from pathlib import Path
 
+from corpusaug.aligner import ALIGNER_MAGIC
 from corpusaug.cli import EXIT_OK, main
+
+from cachecases import read_cache
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,6 +37,9 @@ def test_every_traced_layer_reports(toy, tmp_path, monkeypatch):
     assert tracer.counters["pipeline.items"] > 0
     # The LM gates still decide through the hooked pipeline.lm_ratio_accept.
     assert any(span[0] == "lm.ratio" for span in tracer.spans)
+    # The entry count read through the table's ``t`` view is the saved one.
+    probs = read_cache(out / "cache" / "aligner.bin", ALIGNER_MAGIC, 5)[4]
+    assert tracer.counters["aligner.t_entries"] == probs.size > 0
 
 
 # Wrapped names that the package no longer has, each with the reason it is

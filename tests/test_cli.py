@@ -477,6 +477,14 @@ class TestAugment:
         assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
         tiny = toy.write_config(tmp_path / "tiny.cfg", out, lm_discount="1e-320")
         assert main(["prepare", "--config", str(tiny)]) == EXIT_OK
+        # The run's manifest still names the LMs it used, which are gone.
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_STALE_CACHE
+        # Record the new cache in it, as an augment that got that far would.
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["resolved_config"]["lm_discount"] = 1e-320
+        manifest["fingerprints"] = json.loads((out / "cache" / "fingerprints.json").read_text())
+        path.write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         for argv in (
             ["augment", "--config", str(tiny), "--mode", "both"],
@@ -651,20 +659,44 @@ class TestCorruptCache:
         assert str(path) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
-    def test_bad_aligner_verify_exit_2(self, prepared, tmp_path, capsys, damage):
+    def augmented(self, prepared, tmp_path):
+        """A copy of the prepared run, augmented in rare mode."""
         cfg, source = prepared
         out = tmp_path / "run"
         shutil.copytree(source, out)
         argv = ["augment", "--config", str(cfg), "--out-dir", str(out), "--mode", "rare"]
         assert main(argv) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("damage", ["truncated"])
+    def test_bad_aligner_verify_exit_2(self, prepared, tmp_path, capsys, damage):
+        out = self.augmented(prepared, tmp_path)
         path = out / "cache" / "aligner.bin"
-        if damage == "missing":
-            path.unlink()
-        else:
-            _truncate(path)
+        _truncate(path)
         assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
         _one_error_line(capsys.readouterr().err, path)
+
+    def _assert_stale(self, err, artifact):
+        assert f"cache artifact {artifact!r}" in err and "rerun prepare" in err
+        assert "Traceback" not in err
+
+    def test_missing_aligner_verify_exit_4(self, prepared, tmp_path, capsys):
+        out = self.augmented(prepared, tmp_path)
+        (out / "cache" / "aligner.bin").unlink()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_STALE_CACHE
+        self._assert_stale(capsys.readouterr().err, "aligner")
+
+    @pytest.mark.parametrize(
+        "artifact, name, magic, count, damage", ALTERED_CASES, ids=[c[0] for c in ALTERED_CASES]
+    )
+    def test_altered_artifact_verify_exit_4(
+        self, prepared, tmp_path, capsys, artifact, name, magic, count, damage
+    ):
+        out = self.augmented(prepared, tmp_path)
+        path = out / "cache" / name
+        path.write_bytes(damage(magic, read_cache(path, magic, count)))
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_STALE_CACHE
+        self._assert_stale(capsys.readouterr().err, artifact)
 
     @pytest.mark.parametrize("name", ["aligner.bin", "lm.src.bin"])
     @pytest.mark.parametrize("command", ["augment", "verify"])

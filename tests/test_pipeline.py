@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusaug.agreement import AnnotatedLexicon, TokenAnnotation
-from corpusaug.aligner import NULL_TOKEN, TranslationTable
+from corpusaug.aligner import NULL_TOKEN
 from corpusaug.corpus_io import CorpusFormatError, DictionaryEntry, Sentence
 from corpusaug.embeddings import EmbeddingTable
 from corpusaug import pipeline
@@ -47,7 +47,8 @@ from corpusaug.pipeline import (
 
 from micro import corpus_of, inputs_of, ledger_fixture, mono_of, rejected_records
 from oracles import (
-    process_item_reference, provenance_line_reference, provenance_reference, to_dict,
+    process_item_reference, provenance_line_reference, provenance_reference, table_from_rows,
+    to_dict,
 )
 
 
@@ -183,16 +184,14 @@ class TestAugmentRareWords:
 
     def test_unaligned_rare_word_dropped_with_reason(self):
         fx = ledger_fixture()
-        table = TranslationTable(
-            t={
-                "the": {"das": 0.9},
-                "fell": {"fiel": 0.9},
-                "ledger": {"kassenbuch": 0.001},
-                "book": {"buch": 0.9},
-                "pen": {"stift": 0.9},
-                NULL_TOKEN: {"kassenbuch": 0.9, "das": 0.01, "fiel": 0.01},
-            }
-        )
+        table = table_from_rows({
+            "the": {"das": 0.9},
+            "fell": {"fiel": 0.9},
+            "ledger": {"kassenbuch": 0.001},
+            "book": {"buch": 0.9},
+            "pen": {"stift": 0.9},
+            NULL_TOKEN: {"kassenbuch": 0.9, "das": 0.01, "fiel": 0.01},
+        })
         config = AugmentationConfig()
         accepted, rejected = augment_rare(
             inputs_of(fx.corpus, fx.embeddings, table, fx.lm_src, fx.lm_tgt, fx.lexicon, config),
@@ -266,15 +265,13 @@ def dict_fixture():
             "annual": TokenAnnotation("ADJ", {}),
         }
     )
-    alignment = TranslationTable(
-        t={
-            "the": {"die": 0.5, "der": 0.4},
-            "statement": {"erklaerung": 0.9},
-            "pen": {"stift": 0.9},
-            "fell": {"fiel": 0.9},
-            NULL_TOKEN: {"die": 0.1, "der": 0.1, "erklaerung": 0.01, "stift": 0.01, "fiel": 0.1},
-        }
-    )
+    alignment = table_from_rows({
+        "the": {"die": 0.5, "der": 0.4},
+        "statement": {"erklaerung": 0.9},
+        "pen": {"stift": 0.9},
+        "fell": {"fiel": 0.9},
+        NULL_TOKEN: {"die": 0.1, "der": 0.1, "erklaerung": 0.01, "stift": 0.01, "fiel": 0.1},
+    })
     lm_src = train_lm(
         mono_of(["the statement fell"] + ["the annual report fell"] * 3), 1
     )

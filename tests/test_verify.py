@@ -156,6 +156,22 @@ class TestVerifyBadManifest:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "value", [DELETE, [], {"aligner": "abc"}], ids=["missing", "list", "entry_not_object"]
+    )
+    def test_bad_fingerprints_exit_2(self, run_dir, capsys, value):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if value is DELETE:
+            del manifest["fingerprints"]
+        else:
+            manifest["fingerprints"] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'fingerprints'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "key, value",
         [("word_sim_min", "abc"), ("lm_threshold", 0), ("max_span", DELETE),
          ("dict_scope", "bogus")],
