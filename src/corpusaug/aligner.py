@@ -28,7 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
+from .cachefile import (
+    decode_tokens, encode_tokens, narrow, read_arrays, rint_clear, write_arrays,
+)
 from .corpus_io import ParallelCorpus, RareWord, Sentence
 from .lm import _find
 
@@ -291,14 +293,45 @@ def save_translation_table(table: TranslationTable, path: str | Path) -> None:
     """Cache the table as ``ALIGNER_MAGIC`` followed by five ``.npy`` arrays:
     the two vocabularies (each as newline-ended UTF-8), then each entry's
     conditioning id, generated id and probability, stored as
-    ``float(f"{p:.12g}")``, in key order. Equal tables give equal bytes.
+    ``float(f"{p:.12g}")`` (:func:`round_12g`), in key order. Equal tables
+    give equal bytes.
     """
     cond_ids, gen_ids = np.divmod(table.keys, table.stride)
-    probs = [float(f"{p:.12g}") for p in table.probs.tolist()]
     write_arrays(path, ALIGNER_MAGIC, (
         encode_tokens(table.cond_vocab), encode_tokens(table.gen_vocab),
-        narrow(cond_ids), narrow(gen_ids), np.array(probs, dtype="<f8"),
+        narrow(cond_ids), narrow(gen_ids), round_12g(table.probs).astype("<f8"),
     ))
+
+
+# 10**k, exact in float64 for every k up to 22.
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
+
+
+def round_12g(values: np.ndarray) -> np.ndarray:
+    """``float(f"{p:.12g}")`` of each value, bit for bit, in one array pass.
+
+    With ``k = 11 - floor(log10|p|)``, the 12 significant digits of ``p`` are
+    the integer ``n = rint(|p| * 10**k)`` when ``|p| * 10**k`` is at least
+    1e11, ``n`` is below 1e12 and :func:`rint_clear` finds no tie. For
+    ``0 <= k <= 22`` both ``n`` and ``10**k`` are exact, so ``n / 10**k`` is
+    the correctly rounded value of the digits, which is what parsing the text
+    gives. Every other value is formatted as text: zero, a subnormal, a
+    magnitude below 1e-11 or at least 1e12, a near-tie, or a ``k`` that
+    ``log10`` put one off near a power of ten.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore"):  # log10(0) is -inf
+        k = 11.0 - np.floor(np.log10(magnitude))
+    usable = (k >= 0.0) & (k <= 22.0)
+    power = _POWERS_OF_TEN[np.where(usable, k, 0.0).astype(np.intp)]
+    scaled = magnitude * power
+    rounded, clear = rint_clear(scaled)
+    exact = usable & clear & (scaled >= 1e11) & (rounded < 1e12)
+    out = np.copysign(rounded / power, values)
+    formatted = np.flatnonzero(~exact)
+    out[formatted] = [float(f"{p:.12g}") for p in values[formatted].tolist()]
+    return out
 
 
 def load_translation_table(path: str | Path) -> TranslationTable:

@@ -5,6 +5,10 @@ then a fixed number of ``.npy`` arrays written with ``allow_pickle=False``,
 and nothing after them. A list of tokens is one uint8 array of UTF-8 text
 with each token ended by a newline. Equal arrays give equal bytes.
 
+A cache stores a float as the value its text form parses back to, so that
+loading it equals a text round trip bit for bit; :func:`rint_clear` is the
+test that tells when arithmetic alone finds that value.
+
 Readers raise ``ValueError`` (``UnicodeDecodeError`` included) on any
 malformation, whatever numpy's own parse of an array raised; each loader
 turns it into its own error naming the path.
@@ -13,7 +17,7 @@ turns it into its own error naming the path.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,3 +72,19 @@ def narrow(array: np.ndarray) -> np.ndarray:
     """The array in the narrowest unsigned type that holds its largest value."""
     top = int(array.max()) if array.size else 0
     return array.astype(np.min_scalar_type(top).newbyteorder("<"))
+
+
+def rint_clear(scaled: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.rint(scaled)``, and where it is surely the rounding of the exact
+    product that ``scaled`` approximates.
+
+    A product of two floats is off by at most a relative ``2**-53``. Where
+    ``scaled`` lies farther than ``max(1e-6, |scaled| * 2**-50)`` from a
+    half-integer, the exact product rounds to the same integer, and no text
+    formatter could round it otherwise. Near a tie, and where ``scaled`` is
+    not finite, the value is not clear and the caller formats it as text.
+    """
+    with np.errstate(invalid="ignore"):
+        rounded = np.rint(scaled)
+        clear = 0.5 - np.abs(scaled - rounded) >= np.maximum(1e-6, np.abs(scaled) * 2.0**-50)
+    return rounded, clear

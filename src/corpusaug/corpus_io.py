@@ -119,10 +119,12 @@ def is_punctuation(token: str) -> bool:
 def iter_lines(path: Path, error: Type[Exception]) -> Iterator[str]:
     """Stream the lines of a UTF-8 file without their ``\\n`` or ``\\r\\n`` ending.
 
-    An undecodable byte raises ``error`` with its byte offset in the file.
+    A byte order mark (U+FEFF) that starts the file is dropped, so the file
+    reads as its twin without one. An undecodable byte raises ``error`` with
+    its byte offset in the file.
     """
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for line in fh:
                 yield line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError:

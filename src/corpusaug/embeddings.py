@@ -32,7 +32,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .agreement import MODE_OFF, AnnotatedLexicon
-from .cachefile import decode_tokens, encode_tokens, has_magic, read_arrays, write_arrays
+from .cachefile import (
+    decode_tokens, encode_tokens, has_magic, read_arrays, rint_clear, write_arrays,
+)
 from .corpus_io import Sentence, has_digit, is_punctuation, iter_lines
 
 log = logging.getLogger(__name__)
@@ -42,7 +44,8 @@ EXPORT_DECIMALS = 6
 # First bytes of a cached table. The first byte is not valid UTF-8, so no
 # textual vector file starts with it; the format number changes with the layout.
 EMBEDDINGS_MAGIC = b"\x93corpusaug-embeddings 1\n"
-# Rows rounded per block when saving, which bounds the temporaries.
+# Rows parsed per block when reading text, and rounded per block when saving;
+# it bounds the temporaries.
 SAVE_BLOCK_ROWS = 1024
 # A vectorized cosine differs from the scalar one by a few ulps times the
 # dimension, far less than this window, so re-scoring every row inside it
@@ -119,53 +122,115 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             return _read_cache(p)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{p}: {exc}") from exc
-    tokens: List[str] = []
-    rows: List[np.ndarray] = []
-    seen: Set[str] = set()
-    dim: Optional[int] = None
+    rows: Optional[_TextRows] = None
     for lineno, line in enumerate(iter_lines(p, EmbeddingFormatError), start=1):
-        parts = line.split()
+        parts = line.split(None, 1)
         if not parts:
             continue
-        if lineno == 1 and len(parts) == 2:
+        if lineno == 1 and len(header := line.split()) == 2:
             try:
-                int(parts[0]), int(parts[1])
+                int(header[0]), int(header[1])
             except ValueError:
                 pass
             else:
-                dim = int(parts[1])
+                dim = int(header[1])
                 if dim < 1:
                     raise EmbeddingFormatError(f"{p}:1: dimension must be at least 1, got {dim}")
+                rows = _TextRows(p, dim)
                 continue
-        token, comps = parts[0], parts[1:]
-        if dim is None:
-            if not comps:
+        if len(parts) == 1:
+            if rows is None:
                 log.warning("%s:%d: no vector components; row skipped", p, lineno)
-                continue
-            dim = len(comps)
-        if len(comps) != dim:
-            log.warning(
-                "%s:%d: expected %d components, got %d; row skipped",
-                p, lineno, dim, len(comps),
-            )
+            else:
+                rows.skip(lineno, "expected %d components, got 0; row skipped", rows.dim)
             continue
-        try:
-            vec = np.array([float(c) for c in comps], dtype=np.float64)
-        except ValueError:
-            log.warning("%s:%d: unparseable vector component; row skipped", p, lineno)
-            continue
-        if not np.all(np.isfinite(vec)):
-            log.warning("%s:%d: non-finite vector component; row skipped", p, lineno)
-            continue
-        if token in seen:
-            log.warning("%s:%d: duplicate token %r; first kept", p, lineno, token)
-            continue
-        seen.add(token)
-        tokens.append(token)
-        rows.append(vec)
-    if not rows:
+        if rows is None:
+            rows = _TextRows(p, len(parts[1].split()))
+        rows.add(lineno, parts[0], parts[1])
+    if rows is not None:
+        rows.flush()
+    if rows is None or not rows.tokens:
         raise EmbeddingFormatError(f"{p}: no parseable embedding rows")
-    return EmbeddingTable(tuple(tokens), np.stack(rows))
+    return EmbeddingTable(tuple(rows.tokens), np.concatenate(rows.blocks))
+
+
+class _TextRows:
+    """The data rows of a textual vector file, parsed ``SAVE_BLOCK_ROWS`` at a time.
+
+    Each block's component texts are parsed by one ``np.loadtxt`` call, which
+    reads a number as ``float()`` does and splits on the same whitespace as
+    ``str.split``. A block that numpy refuses, or that comes out in another
+    shape (a row of the wrong length, a spelling such as ``1_0`` that only
+    ``float()`` accepts, a ``\\r`` inside a line), is parsed again row by row
+    with ``float()``. Either way each skipped row gets its own warning, in
+    line order.
+    """
+
+    def __init__(self, path: Path, dim: int) -> None:
+        self.path, self.dim = path, dim
+        self.tokens: List[str] = []
+        self.blocks: List[np.ndarray] = []
+        self.seen: Set[str] = set()
+        self.pending: List[Tuple[int, str, str]] = []  # (line number, token, components)
+
+    def add(self, lineno: int, token: str, components: str) -> None:
+        self.pending.append((lineno, token, components))
+        if len(self.pending) == SAVE_BLOCK_ROWS:
+            self.flush()
+
+    def skip(self, lineno: int, message: str, *args: object) -> None:
+        self.flush()  # the rows before it warn first
+        log.warning("%s:%d: " + message, self.path, lineno, *args)
+
+    def flush(self) -> None:
+        """Parse the pending rows."""
+        block, self.pending = self.pending, []
+        if not block:
+            return
+        try:
+            matrix = np.loadtxt(
+                [components for _, _, components in block],
+                dtype=np.float64, comments=None, ndmin=2,
+            )
+        except ValueError:
+            matrix = None
+        if matrix is None or matrix.shape != (len(block), self.dim):
+            self.blocks.append(self._parse_rows(block))
+            return
+        finite = np.isfinite(matrix).all(axis=1).tolist()
+        kept = [self._keep(lineno, token, ok) for (lineno, token, _), ok in zip(block, finite)]
+        self.blocks.append(matrix[np.array(kept)])
+
+    def _parse_rows(self, block: List[Tuple[int, str, str]]) -> np.ndarray:
+        vectors = []
+        for lineno, token, components in block:
+            comps = components.split()
+            if len(comps) != self.dim:
+                log.warning(
+                    "%s:%d: expected %d components, got %d; row skipped",
+                    self.path, lineno, self.dim, len(comps),
+                )
+                continue
+            try:
+                vec = [float(c) for c in comps]
+            except ValueError:
+                log.warning("%s:%d: unparseable vector component; row skipped", self.path, lineno)
+                continue
+            if self._keep(lineno, token, all(map(math.isfinite, vec))):
+                vectors.append(vec)
+        return np.array(vectors, dtype=np.float64).reshape(-1, self.dim)
+
+    def _keep(self, lineno: int, token: str, finite: bool) -> bool:
+        """Whether a parsed row is kept; a skipped row is warned about."""
+        if not finite:
+            log.warning("%s:%d: non-finite vector component; row skipped", self.path, lineno)
+            return False
+        if token in self.seen:
+            log.warning("%s:%d: duplicate token %r; first kept", self.path, lineno, token)
+            return False
+        self.seen.add(token)
+        self.tokens.append(token)
+        return True
 
 
 def export_vec(table: EmbeddingTable, path: str | Path) -> None:
@@ -184,19 +249,18 @@ def export_vec(table: EmbeddingTable, path: str | Path) -> None:
 def _round_as_text(block: np.ndarray) -> None:
     """Replace each value in place by ``float(f"{x:.6f}")``.
 
-    ``n = rint(x * 1e6)`` is the 6-decimal rounding of ``x`` unless ``x * 1e6``
-    lies within its own rounding error of a half-integer, or is too large to
+    ``n = rint(x * 1e6)`` is the 6-decimal rounding of ``x`` unless
+    :func:`rint_clear` finds ``x * 1e6`` near a tie, or it is too large to
     carry a fraction; those values are rounded by the text formatter instead.
     ``n / 1e6`` is then the correctly rounded quotient of two exact values,
     which is what parsing the text gives. ``rint`` keeps the sign of a value
     rounded to zero, as the text ``-0.000000`` does.
     """
     scale = 10.0**EXPORT_DECIMALS
-    # x * 1e6 overflows for |x| > 1.8e302; such values compare as not clear.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # x * 1e6 overflows for |x| > 1.8e302; such values are not clear.
+    with np.errstate(over="ignore"):
         scaled = block * scale
-        rounded = np.rint(scaled)
-        clear = 0.5 - np.abs(scaled - rounded) >= np.maximum(1e-6, np.abs(scaled) * 2.0**-50)
+    rounded, clear = rint_clear(scaled)
     near_tie = ~clear
     exact = [float(f"{x:.{EXPORT_DECIMALS}f}") for x in block[near_tie].tolist()]
     np.divide(rounded, scale, out=block)

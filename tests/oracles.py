@@ -18,20 +18,26 @@ pipeline's direct formatter must equal byte for byte.
 ``process_item_reference`` is the gate loop as one record per candidate,
 each candidate run through every gate in turn, which the array gates and
 the lazily made records of ``pipeline._process_item`` must equal field for
-field.
+field. ``load_embeddings_reference`` is the textual ``.vec`` parse as one
+``float()`` call per component, which the block parse of ``load_embeddings``
+must equal: the same tokens, matrix bits and warnings.
 """
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from corpusaug.agreement import MODE_OFF, pos_agree, syntactic_ok
 from corpusaug.aligner import NULL_TOKEN, SentenceAlignment, TranslationTable, target_span
-from corpusaug.corpus_io import Sentence, has_digit, is_punctuation
-from corpusaug.embeddings import SimilarityHit, best_word_in_sentence, cosine
+from corpusaug.corpus_io import Sentence, has_digit, is_punctuation, iter_lines
+from corpusaug.embeddings import (
+    EmbeddingFormatError, EmbeddingTable, SimilarityHit, best_word_in_sentence, cosine,
+)
 from corpusaug.lm import (
     BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK, lm_ratio_accept, window_scores,
 )
@@ -607,3 +613,60 @@ def provenance_reference(accepted, rejected):
     """The ``provenance.jsonl`` text of the records: accepted first, then
     rejected, each line by json's generic encoder."""
     return "".join(provenance_line_reference(record) for record in [*accepted, *rejected])
+
+
+def load_embeddings_reference(path):
+    """A textual vector file parsed row by row, each component with ``float()``.
+
+    Warnings go to the ``oracles`` logger with the messages that
+    ``load_embeddings`` logs.
+    """
+    log = logging.getLogger("oracles")
+    p = Path(path)
+    tokens: List[str] = []
+    rows: List[np.ndarray] = []
+    seen: Set[str] = set()
+    dim: Optional[int] = None
+    for lineno, line in enumerate(iter_lines(p, EmbeddingFormatError), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
+            try:
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                dim = int(parts[1])
+                if dim < 1:
+                    raise EmbeddingFormatError(f"{p}:1: dimension must be at least 1, got {dim}")
+                continue
+        token, comps = parts[0], parts[1:]
+        if dim is None:
+            if not comps:
+                log.warning("%s:%d: no vector components; row skipped", p, lineno)
+                continue
+            dim = len(comps)
+        if len(comps) != dim:
+            log.warning(
+                "%s:%d: expected %d components, got %d; row skipped",
+                p, lineno, dim, len(comps),
+            )
+            continue
+        try:
+            vec = np.array([float(c) for c in comps], dtype=np.float64)
+        except ValueError:
+            log.warning("%s:%d: unparseable vector component; row skipped", p, lineno)
+            continue
+        if not np.all(np.isfinite(vec)):
+            log.warning("%s:%d: non-finite vector component; row skipped", p, lineno)
+            continue
+        if token in seen:
+            log.warning("%s:%d: duplicate token %r; first kept", p, lineno, token)
+            continue
+        seen.add(token)
+        tokens.append(token)
+        rows.append(vec)
+    if not rows:
+        raise EmbeddingFormatError(f"{p}: no parseable embedding rows")
+    return EmbeddingTable(tuple(tokens), np.stack(rows))

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from corpusaug.aligner import (
     export_pharaoh,
     import_pharaoh,
     load_translation_table,
+    round_12g,
     save_translation_table,
     target_span,
     train_ibm1,
@@ -389,3 +391,39 @@ class TestTablePersistence:
         with pytest.raises(PharaohFormatError, match=message) as info:
             load_translation_table(path)
         assert str(info.value).startswith(f"{path}: ")
+
+
+# 13-digit decimals ending in 5: halfway between two 12-digit values.
+_12G_TIES = st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-40, 20)).map(
+    lambda ne: float(f"{ne[0]}5e{ne[1]}")
+)
+_12g_values = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(0.0, 1.0),
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals and both zeros
+    st.sampled_from([0.0, -0.0, 5e-324, 1e12, 1e-11, 9.999999999995e11, 1e22, 1e-12]),
+    st.floats(min_value=1e12, allow_infinity=False),
+    st.floats(-1e-11, 1e-11),
+    _12G_TIES,
+    _12G_TIES.map(lambda x: math.nextafter(x, math.inf)),
+    _12G_TIES.map(lambda x: math.nextafter(x, -math.inf)),
+    _12G_TIES.map(lambda x: -x),
+)
+
+
+class TestRound12g:
+    """The array rounding of the saved probabilities equals the text round
+    trip ``float(f"{p:.12g}")`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_12g_values, max_size=20))
+    @example([float("0.1234567890125"), math.nextafter(float("0.1234567890125"), 1.0),
+              math.nextafter(float("0.1234567890125"), 0.0), -0.0, 5e-324, 1e12, 9.99999999999e-12])
+    def test_equals_text_round_trip(self, values):
+        expected = np.array([float(f"{p:.12g}") for p in values], dtype=np.float64)
+        assert round_12g(np.array(values, dtype=np.float64)).tobytes() == expected.tobytes()
+
+    def test_trained_table_equals_text_round_trip(self):
+        probs = train_ibm1(make_corpus(CLASSIC * 3 + [("a house", "ein haus")]), 10).probs
+        expected = np.array([float(f"{p:.12g}") for p in probs.tolist()])
+        assert round_12g(probs).tobytes() == expected.tobytes()

@@ -28,7 +28,9 @@ from corpusaug.cli import (
 from corpusaug import pipeline
 from corpusaug.aligner import ALIGNER_MAGIC, load_translation_table
 from corpusaug.corpus_io import load_parallel_corpus
-from corpusaug.embeddings import EMBEDDINGS_MAGIC, WordIndex, export_vec, load_embeddings
+from corpusaug.embeddings import (
+    EMBEDDINGS_MAGIC, WordIndex, _TextRows, export_vec, load_embeddings,
+)
 from corpusaug.lm import TrigramModel
 from corpusaug.pipeline import ConfigError
 
@@ -232,6 +234,30 @@ class TestPrepare:
         assert set(fingerprints) == {"aligner", "lm_src", "lm_tgt", "embeddings_src"}
         for spec in fingerprints.values():
             assert all(len(h) == 64 for h in spec["inputs"].values())
+
+    # The toy's cache bytes as written when the text parse called float() per
+    # component and the table was rounded one value at a time; the array
+    # parse and rounding must not move a byte.
+    TOY_CACHE_SHA256 = {
+        "aligner.bin": "b282acb1cb7583a650630a9b3a5bfe86131f046a2a07d2b2d8f1a0c0a150950d",
+        "embeddings.src.bin": "3ff4f4f5825b343bdac890cb6f8799a281dfa20acd404865d737ffbbbd3ce484",
+        "lm.src.bin": "c4ff9857eaa7c59eba042bc263b2f491b96db5882efe4b77dcf53df32eea49e8",
+        "lm.tgt.bin": "6df35f29bb3fb95870dc53c9e023812388efecca3a931f6ee0e40b1f04dccf15",
+    }
+
+    def test_toy_cache_bytes_are_pinned(self, toy, tmp_path):
+        _, out = prepare_run(toy, tmp_path)
+        digests = {name: hashlib.sha256((out / "cache" / name).read_bytes()).hexdigest()
+                   for name in self.TOY_CACHE_SHA256}
+        assert digests == self.TOY_CACHE_SHA256
+
+    def test_clean_vectors_never_parse_row_by_row(self, toy, tmp_path, monkeypatch):
+        def refuse(self, block):
+            raise AssertionError("a clean block was parsed row by row")
+
+        monkeypatch.setattr(_TextRows, "_parse_rows", refuse)
+        _, out = prepare_run(toy, tmp_path)
+        assert (out / "cache" / "embeddings.src.bin").is_file()
 
     def test_rerun_reuses_cache(self, toy, tmp_path, caplog):
         cfg, out = prepare_run(toy, tmp_path)

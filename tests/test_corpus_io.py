@@ -68,6 +68,23 @@ class TestLoadParallelCorpus:
         with pytest.raises(CorpusFormatError, match="offset 3"):
             load_parallel_corpus(tmp_path / "s", tmp_path / "t")
 
+    def test_undecodable_byte_after_a_bom_names_its_file_offset(self, tmp_path):
+        (tmp_path / "s").write_bytes(b"\xef\xbb\xbfok\n\xff\n")
+        write(tmp_path / "t", ["x", "y"])
+        with pytest.raises(CorpusFormatError, match="offset 6"):
+            load_parallel_corpus(tmp_path / "s", tmp_path / "t")
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        write(tmp_path / "s", ["a b", "c"])
+        write(tmp_path / "t", ["x", "\ufeffy"])
+        (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "s").read_bytes())
+        plain = load_parallel_corpus(tmp_path / "s", tmp_path / "t")
+        bom = load_parallel_corpus(tmp_path / "bom", tmp_path / "t")
+        assert bom == plain
+        assert bom.source[0].tokens == ("a", "b")
+        # Only the mark that starts the file is dropped.
+        assert bom.target[1].tokens == ("\ufeffy",)
+
     def test_missing_file_fatal(self, tmp_path):
         write(tmp_path / "t", ["x"])
         with pytest.raises(CorpusFormatError, match="not found"):

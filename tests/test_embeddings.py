@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corpusaug.agreement import MODE_OFF, MODE_POS, AnnotatedLexicon, TokenAnnotation
 from corpusaug.corpus_io import Sentence
+from corpusaug import embeddings
 from corpusaug.embeddings import (
     EMBEDDINGS_MAGIC,
     EmbeddingFormatError,
@@ -32,6 +33,7 @@ from oracles import (
     best_word_reference,
     eligible_reference,
     jacobi_eigenvalues,
+    load_embeddings_reference,
     top_k_reference,
 )
 
@@ -100,6 +102,47 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="dimension must be at least 1") as info:
             load_embeddings(path)
         assert str(info.value).startswith(f"{path}:1: ")
+
+    def test_leading_bom_is_dropped(self, tmp_path, caplog):
+        text = "3 2\na 1 0\nb 0 1\nc 0.5 0.5\n".encode("utf-8")
+        (tmp_path / "bom.vec").write_bytes(b"\xef\xbb\xbf" + text)
+        (tmp_path / "plain.vec").write_bytes(text)
+        with caplog.at_level(logging.WARNING):
+            table = load_embeddings(tmp_path / "bom.vec")
+        assert _table_bits(table) == _table_bits(load_embeddings(tmp_path / "plain.vec"))
+        assert table.tokens == ("a", "b", "c") and not caplog.records
+
+    def test_bad_row_in_a_later_block_keeps_its_line_number(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr("corpusaug.embeddings.SAVE_BLOCK_ROWS", 2)
+        path = tmp_path / "e.vec"
+        path.write_text("5 1\na 1\nb 2\nc 3\nd inf\ne 1_0\nf 6\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            table = load_embeddings(path)
+        assert table.tokens == ("a", "b", "c", "e", "f")
+        assert table.matrix.ravel().tolist() == [1.0, 2.0, 3.0, 10.0, 6.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:5: non-finite vector component; row skipped"
+        ]
+
+    def test_clean_text_never_parses_row_by_row(self, tmp_path, monkeypatch):
+        def refuse(self, block):
+            raise AssertionError("a clean block was parsed row by row")
+
+        blocks, loadtxt = [], np.loadtxt
+
+        def counting_loadtxt(lines, **kwargs):
+            blocks.append(len(lines))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(embeddings._TextRows, "_parse_rows", refuse)
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        size = embeddings.SAVE_BLOCK_ROWS
+        table = random_table(np.random.default_rng(5), 2 * size + 3, 3)
+        export_vec(table, tmp_path / "e.vec")
+        loaded = load_embeddings(tmp_path / "e.vec")
+        assert blocks == [size, size, 3]
+        assert loaded.tokens == table.tokens
+        assert loaded.matrix.tobytes() == _rounded_as_text(table.matrix).tobytes()
 
     def test_export_round_trip_is_stable(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -248,7 +291,7 @@ class TestLoadFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(
         st.binary(max_size=64),
-        st.text(st.sampled_from("ab2 -.e0\n\t\r\u00a0\u2028"), max_size=40).map(str.encode),
+        st.text(st.sampled_from("ab0123456789 -.e\n\t\r\u00a0\u2028"), max_size=40).map(str.encode),
     ))
     @example(b"2 0\na\nb\n")
     def test_vec_text(self, data):
@@ -258,6 +301,62 @@ class TestLoadFuzz:
     @given(st.binary(max_size=64))
     def test_after_cache_magic(self, data):
         self.check(EMBEDDINGS_MAGIC + data)
+
+
+# Spellings that float() alone accepts, that both float() and numpy accept,
+# and that neither does.
+_SPELLINGS = ["1_0", "\u0661\u0662", "inf", "-nan", "1e400", "+.5", "1.", "-0", "1e-400",
+              "Infinity", "0x10", "1e", "abc", "."]
+_SEPARATORS = [" ", "  ", "\t", "\r", "\xa0", "\u3000", "\x1c"]
+
+
+@st.composite
+def vec_lines(draw):
+    component = st.one_of(
+        st.sampled_from(_SPELLINGS),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-99, 99).map(str),
+    )
+    row = st.tuples(
+        st.sampled_from(["a", "b", "c", "é", "#", "1"]),
+        st.lists(st.tuples(st.sampled_from(_SEPARATORS), component), max_size=3),
+        st.sampled_from(["", " ", "\r", "\t"]),
+    ).map(lambda r: r[0] + "".join(sep + c for sep, c in r[1]) + r[2])
+    line = st.one_of(row, row, row, st.sampled_from(["", " ", "\t", "#", "# 1 2"]))
+    lines = draw(st.lists(line, max_size=9))
+    header = draw(st.one_of(st.none(), st.tuples(st.integers(0, 9), st.integers(0, 3))))
+    if header is not None:
+        lines.insert(0, f"{header[0]} {header[1]}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestLoadParity:
+    """The block parse equals the per-component ``float()`` loop: tokens,
+    matrix bits, warnings and errors, with blocks of two rows so that a bad
+    row often sits in a later block."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vec_lines())
+    @example("2 2\na 1 2\nb 1\r2\nc 3 4\nd 5 nan\na 7 8\n")
+    @example("a 1_0 2\nb \u0661 2\nc 1e400 1.\nd +.5 -0\ne 1\x1c2\n")
+    def test_block_parse_equals_float_loop(self, caplog, monkeypatch, text):
+        monkeypatch.setattr("corpusaug.embeddings.SAVE_BLOCK_ROWS", 2)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.vec"
+            path.write_text(text, encoding="utf-8", newline="\n")
+            results = []
+            for load in (load_embeddings, load_embeddings_reference):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    try:
+                        table = load(path)
+                    except EmbeddingFormatError as exc:
+                        outcome = str(exc)
+                    else:
+                        outcome = (table.tokens, table.matrix.shape, table.matrix.tobytes())
+                results.append((outcome, [r.getMessage() for r in caplog.records]))
+        assert results[0] == results[1]
 
 
 class TestCosine:
