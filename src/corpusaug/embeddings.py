@@ -16,9 +16,12 @@ to a configurable power, shifting the similarity captured by cosine between
 more-syntactic and more-semantic regimes.
 
 Retrieval scores all rows with one matrix-vector product, but those scores
-only pre-rank: every row within ``PRERANK_WINDOW`` of the cut is re-scored
-with :func:`cosine`'s own arithmetic, so the rows picked and the scores
-returned are bit-identical to a loop of scalar ``cosine`` calls.
+only pre-rank: the rows within ``PRERANK_WINDOW`` of the cut are re-scored
+by :func:`_cosines`, one ``np.vecdot`` over the gathered rows. ``np.vecdot``
+takes each row's dot product as ``np.dot`` does on the 1-D row, and
+:func:`_cosines` then follows :func:`cosine`'s arithmetic per element, so
+the rows picked and the scores returned are bit-identical to a loop of
+scalar ``cosine`` calls.
 """
 
 from __future__ import annotations
@@ -349,17 +352,37 @@ def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _cosines(query: np.ndarray, query_norm: float, rows: np.ndarray,
+             norms: np.ndarray) -> np.ndarray:
+    """``_cosine(query, query_norm, row, norm)`` for each row and its norm,
+    as one array.
+
+    One ``np.vecdot`` takes every row's dot product with the query as
+    ``np.dot`` takes it for one row. The rest is ``_cosine`` per element: 0.0
+    where either norm is zero, else the dot product over the product of the
+    norms, clamped as ``min`` and ``max`` clamp it: ``np.fmin`` and
+    ``np.fmax`` keep a ``-0.0`` and turn a nan (inf over inf, from norms
+    that overflow) into 1.0, as ``min(1.0, nan)`` does.
+    """
+    values = np.zeros(len(norms))
+    np.divide(np.vecdot(rows, query), query_norm * norms, out=values,
+              where=(norms != 0.0) & (query_norm != 0.0))
+    np.fmin(values, 1.0, out=values)
+    return np.fmax(values, -1.0, out=values)
+
+
 class VectorRows:
     """The rows of a matrix with their norms, so that one matvec scores them all.
 
-    Each norm is ``np.linalg.norm`` of the 1-D row, exactly as
-    :func:`cosine` computes it, so :meth:`exact` is bit-identical to
-    ``cosine(query, matrix[row])``.
+    The norms are one ``np.vecdot`` of the matrix with itself and a square
+    root, which equals ``np.linalg.norm`` of each 1-D row as :func:`cosine`
+    computes it, so :func:`_cosines` over gathered rows and their norms is
+    bit-identical to ``cosine(query, row)`` per row.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
-        self.norms = np.array([float(np.linalg.norm(v)) for v in matrix], dtype=np.float64)
+        self.norms = np.sqrt(np.vecdot(matrix, matrix))
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -371,9 +394,6 @@ class VectorRows:
         scores = np.zeros(len(self))
         np.divide(self.matrix @ query, denominators, out=scores, where=denominators > 0.0)
         return np.clip(scores, -1.0, 1.0, out=scores), query_norm
-
-    def exact(self, query: np.ndarray, query_norm: float, row: int) -> float:
-        return _cosine(query, query_norm, self.matrix[row], float(self.norms[row]))
 
 
 def sentence_embedding(tokens: Sequence[str], table: EmbeddingTable) -> np.ndarray:
@@ -397,10 +417,10 @@ def top_k_sentences(
     """The k sentences most cosine-similar to the query.
 
     ``corpus_rows`` holds the sentence vectors in sentence-id order. One
-    matvec pre-ranks them; every sentence within ``PRERANK_WINDOW`` of the
-    k-th pre-rank score is re-scored exactly, then ordered by (score desc,
-    sentence id asc), which makes results deterministic. Ids in ``exclude``
-    are skipped. Fewer than k available returns all available.
+    matvec pre-ranks them; the sentences within ``PRERANK_WINDOW`` of the
+    k-th pre-rank score are re-scored by :func:`_cosines`, then ordered by
+    (score desc, sentence id asc), which makes results deterministic. Ids in
+    ``exclude`` are skipped. Fewer than k available returns all available.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -410,7 +430,8 @@ def top_k_sentences(
     if len(ids) > k:
         kth = np.partition(scores[ids], len(ids) - k)[len(ids) - k]
         ids = ids[scores[ids] >= kth - PRERANK_WINDOW]
-    hits = [SimilarityHit(i, corpus_rows.exact(query_vec, query_norm, i)) for i in ids.tolist()]
+    exact = _cosines(query_vec, query_norm, corpus_rows.matrix[ids], corpus_rows.norms[ids])
+    hits = [SimilarityHit(i, score) for i, score in zip(ids.tolist(), exact.tolist())]
     hits.sort(key=lambda h: (-h.score, h.sentence_id))
     return hits[:k]
 
@@ -482,10 +503,10 @@ def best_word_in_sentence(
 
     One matvec scores every eligible type, with ``exclude_token`` masked
     out; each sentence gathers its scores by type id. These scores only
-    pre-rank: every position within ``PRERANK_WINDOW`` of its sentence's
-    best is re-scored with :func:`cosine`'s arithmetic, and the first
-    position with the highest exact score wins. Returns three arrays, one
-    entry per listed sentence: the position, its score and whether the
+    pre-rank: the types at the positions within ``PRERANK_WINDOW`` of their
+    sentence's best are re-scored by one :func:`_cosines` call, and the
+    first position with the highest exact score wins. Returns three arrays,
+    one entry per listed sentence: the position, its score and whether the
     sentence has an eligible token at all. Where it has, the position and
     score are the ``(position, score)`` of a per-token ``cosine`` loop with
     ties to the lowest index; where it has not, they are 0 and ``-inf``.
@@ -514,9 +535,9 @@ def best_word_in_sentence(
     # A mask rather than np.unique, which imports numpy.ma (about 1 MiB).
     rescored = np.zeros(len(type_scores), dtype=bool)
     rescored[ids[near]] = True
+    rescored = np.flatnonzero(rescored)
     exact = np.full(len(type_scores), -np.inf)
-    for type_id in np.flatnonzero(rescored).tolist():
-        exact[type_id] = rows.exact(query, query_norm, type_id)
+    exact[rescored] = _cosines(query, query_norm, rows.matrix[rescored], rows.norms[rescored])
     scores = np.where(near, exact[ids], -np.inf)
     best = np.maximum.reduceat(scores, starts)
     winners = np.flatnonzero(near & (scores == np.repeat(best, lengths)))

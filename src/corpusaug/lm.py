@@ -20,10 +20,17 @@ loaded, makes no dict of n-grams.
 
 All probabilities come from one array scorer: counts are found with
 ``np.searchsorted`` and each level of the interpolation is computed per
-element. ``window_scores`` scores many windows in one pass and takes each
-window's product left to right; ``trigram_prob`` scores one trigram, and the
-ARPA export scores every stored n-gram, through the same scorer. Each equals
-a model keyed by token strings bit for bit.
+element. ``trigram_prob`` scores one trigram, and the ARPA export scores
+every stored n-gram, through it. Each equals a model keyed by token strings
+bit for bit.
+
+Windows are scored from an ``IdStream``: sentences mapped to ids once and
+laid end to end, each between its two begin and two end markers.
+``stream_scores`` gathers the windows of many (sentence, span) pairs from
+it, spliced with an insertion or not, scores all their trigrams in one pass
+and takes each window's product left to right. ``window_scores`` is the
+same scorer for windows given as tokens, and ``train_lm`` counts n-grams
+over the same stream.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -309,12 +316,7 @@ def train_lm(
     size = len(RESERVED) + len(vocab)
     _check_id_count(size)
     lookup = {t: i for i, t in enumerate(vocab, start=len(RESERVED))}
-    stream: List[int] = []
-    for sent in mono:
-        stream += (BOS_ID, BOS_ID)
-        stream += [lookup.get(t, UNK_ID) for t in sent.tokens]
-        stream += (EOS_ID, EOS_ID)
-    ids = np.array(stream, dtype=np.int64)
+    ids = IdStream.build(lookup, [sent.tokens for sent in mono]).ids
     # The padded sentences are laid end to end; a window that crosses from
     # one sentence into the next is the only place EOS is followed by BOS.
     crossing = (ids[:-1] == EOS_ID) & (ids[1:] == BOS_ID)
@@ -336,49 +338,94 @@ def train_lm(
     )
 
 
+# The two positions after a span, which end a window.
+_AFTER_SPAN = np.array([1, 2])
+
+
+class IdStream(NamedTuple):
+    """Sentences as one stream of token ids: each sentence's ids between two
+    ``BOS`` and two ``EOS``, the sentences end to end. Token ``j`` of
+    sentence ``i`` is at ``ids[offsets[i] + j]``."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def build(cls, lookup: Mapping[str, int], sentences: Sequence[Sequence[str]]) -> "IdStream":
+        """The stream of ``sentences``, each token mapped by ``lookup`` and
+        every token it lacks mapped to ``UNK``."""
+        lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        tokens = itertools.chain.from_iterable(sentences)
+        flat = np.fromiter(map(lookup.get, tokens, itertools.repeat(UNK_ID)),
+                           dtype=np.int64, count=int(lengths.sum()))
+        padded = lengths + 4
+        offsets = np.cumsum(padded) - padded + 2
+        ids = np.full(len(flat) + 4 * len(sentences), EOS_ID, dtype=np.int64)
+        ids[offsets - 2] = ids[offsets - 1] = BOS_ID
+        # Sentence i's tokens sit 4*i + 2 places after their flat positions.
+        ids[np.arange(len(flat)) + np.repeat(4 * np.arange(len(sentences)) + 2, lengths)] = flat
+        return cls(ids, offsets)
+
+
+def stream_scores(
+    model: TrigramModel, stream: IdStream, windows: np.ndarray, unspliced: int,
+    insert: Sequence[str],
+) -> np.ndarray:
+    """The score of each window in ``windows``, as one float64 array: the
+    first ``unspliced`` as the sentence has them, the others with the span
+    replaced by ``insert``. ``windows`` holds one ``(sentence, start, end)``
+    row per window, the span inclusive and in unpadded indices, of the
+    sentences of ``stream``, which must be mapped to the model's ids.
+
+    A window's score is the product of the probabilities of the padded
+    trigrams that overlap its span: its ids run from two before the span to
+    two after it, which the stream's pads supply at either end of a sentence.
+    The windows are gathered from the stream into one id matrix, each padded
+    on the right to the longest, and their trigrams, padding left out, are
+    scored by one ``TrigramModel._probs`` call. Each window's probabilities
+    are then multiplied column by column, left to right from 1.0, a padding
+    column counting as 1.0: the same IEEE product as a loop of
+    ``score *= p``.
+    """
+    ids, offsets = stream
+    sentence, start, end = windows.T
+    first = offsets[sentence] + start
+    lengths = end - start + 5
+    lengths[unspliced:] = len(insert) + 4
+    width = int(lengths.max(initial=len(insert) + 4))
+    # A row of the last sentence runs past the stream's end only on its padding.
+    contexts = ids.take(first[:, None] + np.arange(-2, width - 2), mode="clip")
+    spliced = contexts[unspliced:]
+    spliced[:, 2 : len(insert) + 2] = [model.ids.get(token, UNK_ID) for token in insert]
+    spliced[:, len(insert) + 2 : len(insert) + 4] = ids.take(
+        (first + end - start)[unspliced:, None] + _AFTER_SPAN
+    )
+    trigram = np.arange(width - 2) < (lengths - 2)[:, None]
+    predicted = contexts[:, 2:][trigram]
+    probs = np.ones(trigram.shape)
+    probs[trigram] = model._probs(
+        contexts[:, :-2][trigram], contexts[:, 1:-1][trigram],
+        np.where(predicted == BOS_ID, UNK_ID, predicted),
+    )
+    scores = probs[:, 0].copy()  # 1.0 * p is p
+    for column in probs.T[1:]:
+        scores *= column
+    return scores
+
+
 def window_scores(
     model: TrigramModel, windows: Sequence[Tuple[Sequence[str], Span]]
 ) -> np.ndarray:
-    """The score of each ``(tokens, span)`` window, as one float64 array: the
-    product of the trigram probabilities over the padded trigrams that
-    overlap ``span`` (inclusive, in unpadded indices). The two pads on each
-    side give a span at either end of the sentence its full set of trigrams.
-
-    Each window's padded context is mapped to ids, every trigram of every
-    window is scored by one ``TrigramModel._probs`` call, and each window's
-    probabilities are multiplied left to right as Python floats, which are
-    the same IEEE doubles.
-    """
-    ids = model.ids
-    h1: List[int] = []
-    h2: List[int] = []
-    w: List[int] = []
-    trigrams: List[int] = []
+    """The score of each ``(tokens, span)`` window, as one float64 array:
+    ``stream_scores`` of the span in a stream of the windows' tokens."""
     for tokens, (start, end) in windows:
         if not (0 <= start <= end < len(tokens)):
             raise ValueError(f"span {(start, end)} out of range for {len(tokens)} tokens")
-        # The padded tokens from two before the span to two after it.
-        context = (
-            [BOS_ID] * (2 - start)
-            + [ids.get(t, UNK_ID) for t in tokens[max(start - 2, 0) : end + 3]]
-            + [EOS_ID] * (end + 3 - len(tokens))
-        )
-        h1 += context[:-2]
-        h2 += context[1:-1]
-        w += context[2:]
-        trigrams.append(len(context) - 2)
-    predicted = np.array(w, dtype=np.int64)
-    predicted[predicted == BOS_ID] = UNK_ID
-    probs = iter(model._probs(
-        np.array(h1, dtype=np.int64), np.array(h2, dtype=np.int64), predicted
-    ).tolist())
-    scores = []
-    for count in trigrams:
-        score = 1.0
-        for p in itertools.islice(probs, count):
-            score *= p
-        scores.append(score)
-    return np.array(scores)
+    stream = IdStream.build(model.ids, [tokens for tokens, _ in windows])
+    rows = np.array(
+        [(i, start, end) for i, (_, (start, end)) in enumerate(windows)], dtype=np.intp
+    ).reshape(-1, 3)
+    return stream_scores(model, stream, rows, len(rows), ())
 
 
 def lm_ratio_accept(scores: Tuple[float, float], threshold: float) -> Tuple[bool, float]:

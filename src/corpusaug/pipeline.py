@@ -17,11 +17,13 @@ the one place that evaluates the gates, over them in item order. ``verify``
 re-runs the same two steps on each accepted record's item and sentence.
 
 The in-sentence word is searched once per item over all its candidates: one
-matvec over the eligible corpus types pre-ranks every position, each
-position within ``PRERANK_WINDOW`` of its sentence's best is re-scored with
-``cosine``'s exact arithmetic, and the lowest index with the highest exact
-score wins. Picks and recorded scores are those of a per-token ``cosine``
-loop, so outputs do not depend on the vectorization.
+matvec over the eligible corpus types pre-ranks every position, the types
+at the positions within ``PRERANK_WINDOW`` of their sentence's best are
+re-scored with ``cosine``'s exact arithmetic in one ``np.vecdot`` pass, and
+the lowest index with the highest exact score wins. Picks and recorded
+scores are those of a per-token ``cosine`` loop, so outputs do not depend on
+the vectorization. The LM gates gather their windows from the corpus sides
+mapped once per run to LM ids.
 
 The gates before the target span run as array masks over an item's
 candidates: no candidate word, ``word_sim`` below its minimum, and the
@@ -91,7 +93,7 @@ from .embeddings import (
     sentence_embedding,
     top_k_sentences,
 )
-from .lm import Span, TrigramModel, lm_ratio_accept, window_scores
+from .lm import IdStream, Span, TrigramModel, lm_ratio_accept, stream_scores
 
 log = logging.getLogger(__name__)
 
@@ -369,7 +371,9 @@ class RunInputs:
     the first time the gate loop or a rare word's translation reads it.
     ``word_index`` is built for the syntactic mode ``mode``, which the run's
     config must share, and ``syntactic`` holds that mode's verdicts (None
-    when it is off). ``original_src`` and ``original_tgt`` hold the LM score
+    when it is off). ``stream_src`` and ``stream_tgt`` are the corpus sides
+    mapped once to the ids of their LMs, which the LM gates gather their
+    windows from. ``original_src`` and ``original_tgt`` hold the LM score
     of each original (unspliced) window that a gate has reached, by
     (sentence id, span), so each is scored once per run.
     """
@@ -383,6 +387,8 @@ class RunInputs:
     alignments: Alignments
     word_index: WordIndex
     syntactic: Optional[_SyntacticTable]
+    stream_src: IdStream
+    stream_tgt: IdStream
     original_src: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
     original_tgt: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
 
@@ -390,13 +396,16 @@ class RunInputs:
     def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
               alignment_table: TranslationTable, lm_src: TrigramModel, lm_tgt: TrigramModel,
               lexicon: Optional[AnnotatedLexicon], mode: str) -> "RunInputs":
-        """Index the source side once; each pair is aligned when first read."""
+        """Index the source side and map both sides to LM ids once; each pair
+        is aligned when first read."""
         word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
         syntactic = (
             None if mode == agreement.MODE_OFF else _SyntacticTable(word_index, lexicon, mode)
         )
         return cls(corpus, embeddings, lm_src, lm_tgt, lexicon, mode,
-                   Alignments(corpus, alignment_table), word_index, syntactic)
+                   Alignments(corpus, alignment_table), word_index, syntactic,
+                   IdStream.build(lm_src.ids, [sentence.tokens for sentence in corpus.source]),
+                   IdStream.build(lm_tgt.ids, [sentence.tokens for sentence in corpus.target]))
 
 
 def ordered_map(fn: Callable, items: Sequence) -> list:
@@ -411,24 +420,28 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
 
 def _side_scores(
     model: TrigramModel,
+    stream: IdStream,
     originals: Dict[Tuple[int, Span], float],
-    sentences: Sequence[Sentence],
     keys: Sequence[Tuple[int, Span]],
-    synthetic: Sequence[Tuple[Tuple[str, ...], Span]],
+    insert: Sequence[str],
 ) -> Tuple[List[float], List[float]]:
     """The original window score of each (sentence id, span) key and the
-    score of each synthetic window, from one ``window_scores`` batch; the
-    original windows not in ``originals`` yet are scored and added to it."""
+    score of its window with the span replaced by ``insert``, from one
+    ``stream_scores`` call; the original windows not in ``originals`` yet
+    are scored and added to it."""
     missing = [key for key in keys if key not in originals]
-    windows = [(sentences[sentence_id].tokens, span) for sentence_id, span in missing]
-    scores = window_scores(model, windows + list(synthetic)).tolist()
+    windows = np.array(
+        [(sentence_id, start, end) for sentence_id, (start, end) in missing + list(keys)],
+        dtype=np.intp,
+    ).reshape(-1, 3)
+    scores = stream_scores(model, stream, windows, len(missing), insert).tolist()
     originals.update(zip(missing, scores))
     return [originals[key] for key in keys], scores[len(missing):]
 
 
 # A candidate queued for the LM gates: its index among the item's
-# candidates, its record and its synthetic source window.
-_Queued = Tuple[int, ReplacementRecord, Tuple[Tuple[str, ...], Span]]
+# candidates and its record.
+_Queued = Tuple[int, ReplacementRecord]
 
 
 def _lm_gates(
@@ -447,12 +460,12 @@ def _lm_gates(
     ends; the target windows of those that passed are scored in one batch
     and their target gates run, and the source gates go on after them. So
     no gate runs past the cut, and every verdict and ratio is that of one
-    ``lm_ratio_accept`` call."""
+    ``lm_ratio_accept`` call. Only an accepted pair's sentences are spliced
+    as tokens."""
     corpus = inputs.corpus
     src_scores = zip(*_side_scores(
-        inputs.lm_src, inputs.original_src, corpus.source,
-        [(record.base_sentence_id, record.source_span) for _, record, _ in queued],
-        [window for _, _, window in queued],
+        inputs.lm_src, inputs.stream_src, inputs.original_src,
+        [(record.base_sentence_id, record.source_span) for _, record in queued], item.surface,
     ))
     passed: List[_Queued] = []
     for count, (candidate, scores) in enumerate(zip(queued, src_scores), start=1):
@@ -464,25 +477,25 @@ def _lm_gates(
             record.reason = REASON_LM_SRC
         if len(passed) < config.max_per_item - len(pairs) and count < len(queued):
             continue
-        target_windows = [
-            synthetic_window(corpus.target[record.base_sentence_id].tokens, record.target_span,
-                             item.target_insert)
-            for _, record, _ in passed
-        ]
         tgt_scores = zip(*_side_scores(
-            inputs.lm_tgt, inputs.original_tgt, corpus.target,
-            [(record.base_sentence_id, record.target_span) for _, record, _ in passed],
-            target_windows,
+            inputs.lm_tgt, inputs.stream_tgt, inputs.original_tgt,
+            [(record.base_sentence_id, record.target_span) for _, record in passed],
+            item.target_insert,
         ))
-        for (at, record, window), target_window, scores in zip(
-            passed, target_windows, tgt_scores
-        ):
+        for (at, record), scores in zip(passed, tgt_scores):
             tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(scores, config.lm_threshold)
             if not tgt_ok:
                 record.reason = REASON_LM_TGT
                 continue
             record.accepted = True
-            pairs.append(SyntheticPair(window[0], target_window[0], record))
+            sentence_id = record.base_sentence_id
+            pairs.append(SyntheticPair(
+                synthetic_window(corpus.source[sentence_id].tokens, record.source_span,
+                                 item.surface)[0],
+                synthetic_window(corpus.target[sentence_id].tokens, record.target_span,
+                                 item.target_insert)[0],
+                record,
+            ))
             if len(pairs) >= config.max_per_item:
                 return at
         passed = []
@@ -531,11 +544,11 @@ def _process_item(
     of the candidates after that one. The first queue holds
     ``max_per_item`` candidates and each next one twice as many as the one
     before, so an item that needs many candidates is scored in few
-    ``window_scores`` calls, and the walk passes the cut by less than one
+    ``stream_scores`` calls, and the walk passes the cut by less than one
     queue. The rest of the queue is scored when the walk runs out of
     candidates."""
     positions, scores, reasons = _early_reasons(item, candidates, inputs, config)
-    corpus, sent_sims = inputs.corpus, candidates.sent_sims
+    sent_sims = candidates.sent_sims
     syntactic_ok = None if config.syntactic_mode() == agreement.MODE_OFF else True
     pairs: List[SyntheticPair] = []
     survivors: List[Tuple[int, ReplacementRecord]] = []
@@ -562,10 +575,7 @@ def _process_item(
         record.target_span = span
         record.source_inserted = item.surface
         record.target_inserted = item.target_insert
-        queued.append((
-            at, record,
-            synthetic_window(corpus.source[sentence_id].tokens, record.source_span, item.surface),
-        ))
+        queued.append((at, record))
         if len(queued) == batch:
             cut = _lm_gates(queued, pairs, item, inputs, config)
             if cut is not None:
@@ -643,7 +653,9 @@ class ItemOutcome:
         """The ``provenance.jsonl`` line of each early rejection, in
         candidate order: one f-string each over its sentence id, best word,
         score and sentence similarity. A best word's score is a clamped
-        cosine, a finite float, which the f-string writes as json does."""
+        cosine, a finite float, whose ``repr`` is its JSON. Each distinct
+        score is written once, told apart by its bits, so that ``0.0`` and
+        ``-0.0`` keep their own text."""
         item_json = _item_json(self.item.kind, self.item.surface)[0]
         middle = f', {item_json}"lm_ratio_src": null, "lm_ratio_tgt": null, "reason": '
         sims = self.candidates.sent_sims
@@ -651,6 +663,8 @@ class ItemOutcome:
             ["null"] * len(self.early_at) if sims is None
             else [_json(sims[at]) for at in self.early_at.tolist()]
         )
+        distinct, which = np.unique(self.early_score.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
         return [
             f'{{"accepted": false, "base_sentence_id": {sentence_id}{middle}'
             f'"no_candidate_word", "sent_sim": {sent_sim}, "source_inserted": null, '
@@ -664,7 +678,7 @@ class ItemOutcome:
             f'"target_span": null, "word_sim": {score}}}\n'
             for sentence_id, code, position, score, sent_sim in zip(
                 self.candidates.ids[self.early_at].tolist(), self.early_reason.tolist(),
-                self.early_position.tolist(), self.early_score.tolist(), sent_sims,
+                self.early_position.tolist(), texts[which].tolist(), sent_sims,
             )
         ]
 

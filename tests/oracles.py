@@ -11,10 +11,10 @@ references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit. The dict trigram model is the
 string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
 same ``trigram_prob`` floats. ``window_score`` is the LM window score as a
-product of ``trigram_prob`` calls, which the batched ``window_scores`` must
-equal bit for bit. ``provenance_line_reference`` is a record's
-``provenance.jsonl`` line as json's generic encoder writes it, which the
-pipeline's direct formatter must equal byte for byte.
+product of ``trigram_prob`` calls, which the batched ``window_scores`` and
+``stream_scores`` must equal bit for bit. ``provenance_line_reference`` is
+a record's ``provenance.jsonl`` line as json's generic encoder writes it,
+which the pipeline's direct formatter must equal byte for byte.
 ``process_item_reference`` is the gate loop as one record per candidate,
 each candidate run through every gate in turn, which the array gates and
 the lazily made records of ``pipeline._process_item`` must equal field for

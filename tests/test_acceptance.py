@@ -2,6 +2,7 @@
 PASS/FAIL line (visible with ``pytest -s`` or in captured output).
 """
 
+import hashlib
 import json
 import random
 import time
@@ -39,6 +40,55 @@ GOLDEN_COUNTS = {
     "wordSim_sentSim_pos_morph": {"rare_word": (33, 3)},
 }
 
+# The sha256 of each preset's outputs as written when the exact re-score of
+# a best word, the LM windows and the provenance scores were computed one at
+# a time: a change in the last bit of a ``word_sim`` or an LM ratio moves
+# them. Like the cache pin in test_cli.py, they hold for the BLAS build that
+# recorded them (the embeddings pass through BLAS in ``postprocess_alpha``,
+# and the cosines through its ``ddot``); another build may need new constants.
+TOY_OUTPUT_SHA256 = {
+    "off": {
+        "corpus.src.txt": "b47ff94b40ca9a282d682705f1c010d045c016e10f4f602fa3579c64565162fa",
+        "corpus.tgt.txt": "49c8fd1536f4306b3b44bd8beac5ab69991dedccba7a6c8a23492551529ecc87",
+        "provenance.jsonl": "4e0965b70623c5ec19e1b62178c4d569b1d9113e453ac5231cc89bfac98f9b64",
+    },
+    "wordSim": {
+        "corpus.src.txt": "85e831480ad15355f28f8ef1632ba623606bbce075eb98e5d3c4eb07e8f9a7be",
+        "corpus.tgt.txt": "0e4c30805fddc4c9edd5e78bca5497c6eccf14df0b4e2ab6cf44f600e2b7e0e1",
+        "provenance.jsonl": "4fc32fd581ea2031aee5f14709d21658000225818e83b59698e5379a0dd603a7",
+    },
+    "pos": {
+        "corpus.src.txt": "11726fe52b0cd09bcb8d16a22b8528148a1330b8127384303402aad8aa26bbde",
+        "corpus.tgt.txt": "5c491dad803ee705a22a1bd5f2d9d593f0f98b1eaa3b14ef34192b3f18ba2782",
+        "provenance.jsonl": "9651edb30fcb462c9a60d794810f55070c6bda57f42699b4998e492a336b2c19",
+    },
+    "pos_morph": {
+        "corpus.src.txt": "b5803b40790f071ca86a8f7aa9955b5d9967c03535d8c0ec4e67544f7aada60c",
+        "corpus.tgt.txt": "b5cd47a10e4eaab9c651c1c6071486ae1066c3b5f36a6a39914c2bfb2a6ef345",
+        "provenance.jsonl": "01382e04716e6cb90e35e05ee21cd6eff999fb964a728a92d417256ac570e406",
+    },
+    "wordSim_pos": {
+        "corpus.src.txt": "024acef1f32697098ed43c677074a2c5ad80c509fd817480daa832ed7efc2fff",
+        "corpus.tgt.txt": "85ebeab3d9604e72ccdbfd3e517b7084e019b00305cd231c6db9cd0912891222",
+        "provenance.jsonl": "0e15e1bc732bf23179723b88dcecd8c5c8d346568a3b1bf1720ecabd794179e3",
+    },
+    "wordSim_pos_morph": {
+        "corpus.src.txt": "ca7fd525cadc607cdbdb898b0860d4865783636ac5f1487f6aeb250e70f8ec29",
+        "corpus.tgt.txt": "944db02842e5a8498ffa63335af56b338ed5016935ccdde287aa279317ed0ddc",
+        "provenance.jsonl": "bd77e6da5f67aa072406278e4e77fa6b4e3dcdc9e69341d676601baffaf2bc2e",
+    },
+    "wordSim_sentSim": {
+        "corpus.src.txt": "62fc5dad3f1bed218177396f6f6fbfe1eff85db32de432eb2a46312026e7fc26",
+        "corpus.tgt.txt": "bf3f75c0ddc38e81f2af5690b0d8996ec3255eee094818b41f954c48bc7a9701",
+        "provenance.jsonl": "dd13f8c4fc0da2eedd88cd6ab673a59c9503276a7f37d64d7fb2754286500f07",
+    },
+    "wordSim_sentSim_pos_morph": {
+        "corpus.src.txt": "3affc0b9f5897f5ccaaf3184fb95cdd78a8a4c04673e351352535ea4d66c7d32",
+        "corpus.tgt.txt": "927ed7d01647364969e07342c42f7eab31eea4d8fc95e0e4d66c1aac302223c0",
+        "provenance.jsonl": "d48a875e926debebc081acc6e96b5ec84bb8c72dfa2d6254aa20c87b74f2bed4",
+    },
+}
+
 PRESET_MODES = {
     "off": "both",
     "wordSim": "both",
@@ -71,6 +121,15 @@ def preset_runs(toy, tmp_path_factory):
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         runs[preset] = (out, manifest)
     return runs
+
+
+def test_toy_output_bytes_are_pinned(preset_runs):
+    digests = {
+        preset: {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("corpus.src.txt", "corpus.tgt.txt", "provenance.jsonl")}
+        for preset, (out, _manifest) in preset_runs.items()
+    }
+    report("toy output bytes", digests == TOY_OUTPUT_SHA256)
 
 
 def test_em_correctness():

@@ -386,6 +386,90 @@ class TestCosine:
             cosine([1, 0], [1, 0, 0])
 
 
+def _bits_of(values):
+    return [float_bits(float(x)) for x in values]
+
+
+class TestVecdotGuard:
+    """The exact re-score takes dot products and norms by ``np.vecdot``, and
+    is bit-identical to scalar ``cosine`` only while ``np.vecdot`` equals a
+    per-row ``np.dot`` and ``np.linalg.norm``. A numpy or BLAS build that
+    breaks this fails here instead of silently moving a recorded score."""
+
+    def test_vecdot_equals_per_row_dot_and_norm(self):
+        rng = np.random.default_rng(24)
+        for dim in (1, 2, 3, 4, 7, 8, 16, 17, 64, 65):
+            matrix = rng.normal(size=(300, dim)) * 10.0 ** rng.uniform(-150, 150, size=(300, 1))
+            query = rng.normal(size=dim) * 10.0 ** rng.uniform(-150, 150)
+            assert _bits_of(np.vecdot(matrix, query)) == _bits_of(
+                np.dot(query, row) for row in matrix
+            )
+            assert _bits_of(np.sqrt(np.vecdot(matrix, matrix))) == _bits_of(
+                np.linalg.norm(row) for row in matrix
+            )
+            assert _bits_of(VectorRows(matrix).norms) == _bits_of(
+                np.linalg.norm(row) for row in matrix
+            )
+
+
+# Components from tiny to huge: squares that underflow to a zero norm, and
+# products and squares that overflow to inf, whose quotients are nan.
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5e-324, -5e-324]),
+    st.floats(-1e200, 1e200, allow_nan=False),
+    st.floats(-1e-160, 1e-160, allow_nan=False),
+)
+
+
+@st.composite
+def cosine_cases(draw):
+    """A query and a matrix of rows of one dimension, zero vectors included."""
+    dim = draw(st.integers(1, 5))
+    vector = st.one_of(
+        st.lists(_COMPONENTS, min_size=dim, max_size=dim).map(np.array),
+        st.just(np.zeros(dim)),
+    )
+    return draw(vector), np.array(draw(st.lists(vector, max_size=6))).reshape(-1, dim)
+
+
+# Vectors whose quotient with themselves, and with their negation, rounds past
+# 1 and -1 under OpenBLAS's ddot, so that the clamps are taken.
+_ROUNDS_PAST_ONE = [2.0427716074923303, 0.6467029962018469, 0.6630633723762617]
+_ROUNDS_PAST_MINUS_ONE = [-0.5140063716874629, -1.6480751708556527, 0.16746474422274113]
+
+
+class TestCosineKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(cosine_cases())
+    @example((np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]])))  # zero query
+    @example((np.array([1.0, 0.0]), np.array([[0.0, 0.0], [-0.0, 0.0]])))  # zero rows
+    @example((np.array(_ROUNDS_PAST_ONE), np.array([_ROUNDS_PAST_ONE])))
+    @example((np.array(_ROUNDS_PAST_MINUS_ONE), -np.array([_ROUNDS_PAST_MINUS_ONE])))
+    # The quotient -5e-324 / 1e10 rounds to -0.0.
+    @example((np.array([1.0, 0.0]), np.array([[-5e-324, 1e10]])))
+    def test_cosines_equal_scalar_cosine_per_row(self, case):
+        query, rows = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [cosine(query, row) for row in rows]
+            got = embeddings._cosines(
+                query, float(np.linalg.norm(query)), rows, VectorRows(rows).norms
+            )
+        assert got.dtype == np.float64
+        assert _bits_of(got) == _bits_of(expected)
+
+    def test_clamps_and_negative_zero_pinned(self):
+        # A query norm of 0.5 for a unit query makes the quotients ±2.
+        query = np.array([1.0, 0.0])
+        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [-5e-324, 1e10], [0.0, 0.0]])
+        got = embeddings._cosines(query, 0.5, rows, VectorRows(rows).norms)
+        assert _bits_of(got) == _bits_of([1.0, -1.0, -0.0, 0.0])
+        # inf / inf is nan, which ``min(1.0, nan)`` makes 1.0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = embeddings._cosines(np.array([1e300]), math.inf, np.array([[1e300]]),
+                                      np.array([math.inf]))
+        assert got.tolist() == [1.0]
+
+
 class TestPostprocessAlpha:
     def test_alpha_one_preserves_cosines(self):
         rng = np.random.default_rng(2)

@@ -12,10 +12,14 @@ from corpusaug.corpus_io import Sentence
 from corpusaug.embeddings import NumericError
 from corpusaug.lm import (
     BOS,
+    BOS_ID,
     EOS,
+    EOS_ID,
     LM_MAGIC,
     UNK,
+    UNK_ID,
     ArpaFormatError,
+    IdStream,
     LmFormatError,
     _check_id_count,
     export_arpa,
@@ -23,6 +27,7 @@ from corpusaug.lm import (
     lm_ratio_accept,
     load_lm,
     save_lm,
+    stream_scores,
     train_lm,
     window_scores,
 )
@@ -500,3 +505,76 @@ class TestBatchedParity:
         model = train_lm(sentences([["a"]]), 1)
         with pytest.raises(ValueError):
             window_scores(model, [(("a",), (0, 1))])
+
+
+class TestIdStream:
+    def test_layout(self):
+        stream = IdStream.build({"a": 3, "b": 4}, [("a",), ("b", "zz", "a")])
+        pads = [BOS_ID, BOS_ID]
+        ends = [EOS_ID, EOS_ID]
+        assert stream.ids.dtype == np.int64
+        assert stream.ids.tolist() == pads + [3] + ends + pads + [4, UNK_ID, 3] + ends
+        assert stream.offsets.tolist() == [2, 7]
+
+    def test_no_sentences(self):
+        stream = IdStream.build({"a": 3}, [])
+        assert stream.ids.shape == stream.offsets.shape == (0,)
+
+
+_STREAM_TOKEN = st.sampled_from(["a", "b", "c", "d", BOS, EOS, UNK, "oov"])
+
+
+@st.composite
+def stream_cases(draw):
+    """An ``lm_cases`` corpus, sentences to score on it, and one insertion of
+    1 to 3 tokens. Sentences mix corpus tokens, literal reserved markers and
+    an unknown token. The original and the spliced windows are (sentence,
+    start, end) rows whose spans of 1 to 3 tokens often start at either end
+    of a sentence."""
+    corpus, min_count, discount = draw(lm_cases())
+    sentences = draw(st.lists(
+        st.lists(_STREAM_TOKEN, min_size=1, max_size=9).map(tuple), min_size=1, max_size=4
+    ))
+
+    def windows():
+        rows = []
+        for _ in range(draw(st.integers(0, 5))):
+            sentence = draw(st.integers(0, len(sentences) - 1))
+            length = len(sentences[sentence])
+            start = draw(st.sampled_from([0, length - 1]) | st.integers(0, length - 1))
+            end = draw(st.integers(start, min(length, start + 3) - 1))
+            rows.append((sentence, start, end))
+        return rows
+
+    insert = tuple(draw(st.lists(_STREAM_TOKEN, min_size=1, max_size=3)))
+    return corpus, min_count, discount, sentences, windows(), windows(), insert
+
+
+class TestStreamParity:
+    """``stream_scores`` on an ``IdStream`` equals ``window_scores`` on the
+    same windows as tokens, and ``window_score`` on the dict model, bit for
+    bit: the windows at either end of a sentence, of spliced windows too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream_cases())
+    @example(([["a", "b"], [BOS, "c"]], 1, 0.75, [(BOS, "a", EOS), ("oov",)],
+              [(0, 0, 2), (1, 0, 0)], [(0, 0, 0), (0, 2, 2), (1, 0, 0)], (EOS, "b", "oov")))
+    def test_scores_equal_window_scores_and_dict_model(self, case):
+        corpus, min_count, discount, sentences, original, spliced, insert = case
+        mono = [Sentence(i, tuple(tokens)) for i, tokens in enumerate(corpus)]
+        reference = train_lm_dict_reference(mono, min_count, discount)
+        model = train_lm(mono, min_count, discount)
+        stream = IdStream.build(model.ids, sentences)
+        scores = stream_scores(
+            model, stream, np.array(original + spliced, dtype=np.intp).reshape(-1, 3),
+            len(original), insert,
+        )
+        originals, synthetics = scores[: len(original)], scores[len(original) :]
+        original_windows = [(sentences[i], (start, end)) for i, start, end in original]
+        spliced_windows = [synthetic_window(sentences[i], (start, end), insert)
+                           for i, start, end in spliced]
+        assert scores.dtype == np.float64
+        assert originals.tolist() == [window_score(reference, *w) for w in original_windows]
+        assert synthetics.tolist() == [window_score(reference, *w) for w in spliced_windows]
+        assert (originals.tolist() + synthetics.tolist()
+                == window_scores(model, original_windows + spliced_windows).tolist())

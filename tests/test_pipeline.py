@@ -303,25 +303,26 @@ class TestLmGatePath:
     def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item):
         inputs, config, items = toy_run
         calls = []
-        score, scores_of = pipeline.lm_ratio_accept, pipeline.window_scores
+        score, scores_of = pipeline.lm_ratio_accept, pipeline.stream_scores
 
-        def halving(model, windows):
+        def halving(model, stream, windows, unspliced, insert):
             # Every toy candidate that reaches the LM gates passes them, so
-            # each queue would end at an accept. Halving the score of some
-            # windows by their length and span (the same in every run), on
-            # each side, puts refusals between the accepts, and the cut
-            # inside a queue.
-            scores = scores_of(model, windows)
-            for i, (tokens, (start, _)) in enumerate(windows):
-                if (start + len(" ".join(tokens))) % 3 == 0:
-                    scores[i] /= 2
+            # each queue would end at an accept. Halving the spliced score of
+            # some windows by their sentence id, span start and side (the
+            # same in every run) puts refusals between the accepts on each
+            # side, and the cut inside a queue.
+            scores = scores_of(model, stream, windows, unspliced, insert)
+            side = model is inputs.lm_tgt
+            halved = (windows[:, 0] + windows[:, 1] + side) % 3 == 0
+            halved[:unspliced] = False
+            scores[halved] /= 2
             return scores
 
         def gate(*args):
             calls.append(args)
             return score(*args)
 
-        monkeypatch.setattr(pipeline, "window_scores", halving)
+        monkeypatch.setattr(pipeline, "stream_scores", halving)
         monkeypatch.setattr(pipeline, "lm_ratio_accept", gate)
         inputs.original_src.clear()
         inputs.original_tgt.clear()
@@ -412,10 +413,10 @@ class TestGateLoopOracle:
 
 
 @st.composite
-def _outcomes(draw):
+def _outcomes(draw, scores=st.floats(-1.0, 1.0)):
     """An item outcome drawn field by field: early rejections of every code
     on some candidates, and rejected records, holding the item's objects,
-    on some others."""
+    on some others. The best words' scores are drawn from ``scores``."""
     kind = draw(st.sampled_from(["rare_word", "dictionary"]) | _STRINGS)
     item = _Item(kind, tuple(draw(st.lists(_STRINGS, max_size=3))), np.zeros(1), ("t",))
     n = draw(st.integers(0, 8))
@@ -439,7 +440,7 @@ def _outcomes(draw):
         np.array([draw(st.integers(0, 3)) for _ in early], dtype=np.int8),
         np.array([draw(st.integers(0, 2**62)) for _ in early], dtype=np.intp),
         # The best word's score is a clamped cosine.
-        np.array([draw(st.floats(-1.0, 1.0)) for _ in early], dtype=np.float64),
+        np.array([draw(scores) for _ in early], dtype=np.float64),
         rejected,
         rejected,
     )
@@ -456,6 +457,28 @@ class TestEarlyRejectionLines:
         for line, record in zip(lines, early):
             assert line == provenance_line_reference(record)
             assert _REJECTED_LINE.fullmatch(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_outcomes(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0])))
+    def test_repeated_and_signed_zero_scores(self, outcome):
+        # Each distinct score is formatted once: a repeated score, and 0.0
+        # beside -0.0, must still give each line its own score's text.
+        records = [r for r in outcome.records() if not any(r is s for _, s in outcome.rejected)]
+        assert outcome.early_lines() == list(map(provenance_line_reference, records))
+
+    def test_signed_zeros_keep_their_text(self):
+        item = _Item("rare_word", ("w",), np.zeros(1), ("t",))
+        scores = [0.0, -0.0, 0.0, 0.25, -0.0, 0.25]
+        outcome = ItemOutcome(
+            item, Candidates(np.arange(len(scores), dtype=np.intp)),
+            np.arange(len(scores), dtype=np.intp), np.full(len(scores), 1, dtype=np.int8),
+            np.zeros(len(scores), dtype=np.intp), np.array(scores), [], [],
+        )
+        texts = [json.loads(line)["word_sim"] for line in outcome.early_lines()]
+        assert [math.copysign(1.0, t) for t in texts] == [math.copysign(1.0, s) for s in scores]
+        assert texts == scores
+        assert [line.count('"word_sim": -0.0}') for line in outcome.early_lines()] == [
+            0, 1, 0, 0, 1, 0]
 
     @settings(max_examples=200, deadline=None)
     @given(_outcomes())
