@@ -28,8 +28,7 @@ Windows are scored from an ``IdStream``: sentences mapped to ids once and
 laid end to end, each between its two begin and two end markers.
 ``stream_scores`` gathers the windows of many (sentence, span) pairs from
 it, spliced with an insertion or not, scores all their trigrams in one pass
-and takes each window's product left to right. ``window_scores`` is the
-same scorer for windows given as tokens, and ``train_lm`` counts n-grams
+and takes each window's product left to right. ``train_lm`` counts n-grams
 over the same stream.
 """
 
@@ -413,26 +412,11 @@ def stream_scores(
     return scores
 
 
-def window_scores(
-    model: TrigramModel, windows: Sequence[Tuple[Sequence[str], Span]]
-) -> np.ndarray:
-    """The score of each ``(tokens, span)`` window, as one float64 array:
-    ``stream_scores`` of the span in a stream of the windows' tokens."""
-    for tokens, (start, end) in windows:
-        if not (0 <= start <= end < len(tokens)):
-            raise ValueError(f"span {(start, end)} out of range for {len(tokens)} tokens")
-    stream = IdStream.build(model.ids, [tokens for tokens, _ in windows])
-    rows = np.array(
-        [(i, start, end) for i, (_, (start, end)) in enumerate(windows)], dtype=np.intp
-    ).reshape(-1, 3)
-    return stream_scores(model, stream, rows, len(rows), ())
-
-
 def lm_ratio_accept(scores: Tuple[float, float], threshold: float) -> Tuple[bool, float]:
     """Context-ratio acceptance test for a replacement.
 
     ``scores`` are the (original, synthetic) window scores, as
-    ``window_scores`` gives them. The ratio is the synthetic score over the
+    ``stream_scores`` gives them. The ratio is the synthetic score over the
     original score; the replacement is accepted when the ratio is at least
     ``threshold``. Both verdict and ratio are returned for provenance.
     """

@@ -33,14 +33,13 @@ a ``ReplacementRecord``: ``ItemOutcome`` keeps it as an entry of its arrays,
 and only the candidates that reach the target-span gate get records. The
 outcome's ``records()`` materializes the full list when one is asked for.
 
-This module is the one that knows the ``provenance.jsonl`` line format.
-``write_provenance`` writes one item at a time. An item's early rejections
-are formatted straight from the outcome's arrays, one f-string per line, and
-merged in candidate order with the lines of its other rejected records; a
-record's line encodes the fields an item's records share once and is one
-f-string over the rest. Every line is byte for byte what
-``json.JSONEncoder(sort_keys=True, ensure_ascii=False)`` gives for the
-record's fields, so the file is the same as when every attempt was a record.
+This module is the one that knows the ``provenance.jsonl`` line format: a
+record's fields as ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+writes them. ``write_provenance`` writes one item at a time. An item's early
+rejections are formatted straight from the outcome's arrays, one f-string
+per line and byte for byte what the encoder gives, and merged in candidate
+order with the encoder's lines of its other rejected records, so the file is
+the same as when every attempt was a record.
 ``read_provenance`` returns only the accepted records: a line that
 ``_REJECTED_LINE`` fully matches is a rejected record as the writer formats
 it and is skipped unparsed, and every other line is parsed in full.
@@ -48,7 +47,6 @@ it and is skipped unparsed, and every other line is parsed in full.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -56,11 +54,10 @@ import operator
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
 )
 
 import numpy as np
@@ -222,6 +219,10 @@ class ReplacementRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ReplacementRecord":
+        """The record of a JSON object's fields. Raises TypeError for
+        anything but a dict, or for a key that is not a field."""
+        if not isinstance(data, dict):
+            raise TypeError(f"not a JSON object: {type(data).__name__}")
         kwargs = dict(data)
         for key in _TUPLE_FIELDS:
             if kwargs.get(key) is not None:
@@ -373,9 +374,7 @@ class RunInputs:
     config must share, and ``syntactic`` holds that mode's verdicts (None
     when it is off). ``stream_src`` and ``stream_tgt`` are the corpus sides
     mapped once to the ids of their LMs, which the LM gates gather their
-    windows from. ``original_src`` and ``original_tgt`` hold the LM score
-    of each original (unspliced) window that a gate has reached, by
-    (sentence id, span), so each is scored once per run.
+    windows from.
     """
 
     corpus: ParallelCorpus
@@ -389,8 +388,6 @@ class RunInputs:
     syntactic: Optional[_SyntacticTable]
     stream_src: IdStream
     stream_tgt: IdStream
-    original_src: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
-    original_tgt: Dict[Tuple[int, Span], float] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
@@ -419,24 +416,17 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
 
 
 def _side_scores(
-    model: TrigramModel,
-    stream: IdStream,
-    originals: Dict[Tuple[int, Span], float],
-    keys: Sequence[Tuple[int, Span]],
-    insert: Sequence[str],
+    model: TrigramModel, stream: IdStream, keys: Sequence[Tuple[int, Span]], insert: Sequence[str]
 ) -> Tuple[List[float], List[float]]:
     """The original window score of each (sentence id, span) key and the
     score of its window with the span replaced by ``insert``, from one
-    ``stream_scores`` call; the original windows not in ``originals`` yet
-    are scored and added to it."""
-    missing = [key for key in keys if key not in originals]
+    ``stream_scores`` call."""
     windows = np.array(
-        [(sentence_id, start, end) for sentence_id, (start, end) in missing + list(keys)],
-        dtype=np.intp,
+        [(sentence_id, start, end) for sentence_id, (start, end) in keys], dtype=np.intp
     ).reshape(-1, 3)
-    scores = stream_scores(model, stream, windows, len(missing), insert).tolist()
-    originals.update(zip(missing, scores))
-    return [originals[key] for key in keys], scores[len(missing):]
+    scores = stream_scores(model, stream, np.concatenate([windows, windows]), len(keys),
+                           insert).tolist()
+    return scores[: len(keys)], scores[len(keys):]
 
 
 # A candidate queued for the LM gates: its index among the item's
@@ -464,7 +454,7 @@ def _lm_gates(
     as tokens."""
     corpus = inputs.corpus
     src_scores = zip(*_side_scores(
-        inputs.lm_src, inputs.stream_src, inputs.original_src,
+        inputs.lm_src, inputs.stream_src,
         [(record.base_sentence_id, record.source_span) for _, record in queued], item.surface,
     ))
     passed: List[_Queued] = []
@@ -478,7 +468,7 @@ def _lm_gates(
         if len(passed) < config.max_per_item - len(pairs) and count < len(queued):
             continue
         tgt_scores = zip(*_side_scores(
-            inputs.lm_tgt, inputs.stream_tgt, inputs.original_tgt,
+            inputs.lm_tgt, inputs.stream_tgt,
             [(record.base_sentence_id, record.target_span) for _, record in passed],
             item.target_insert,
         ))
@@ -656,12 +646,15 @@ class ItemOutcome:
         cosine, a finite float, whose ``repr`` is its JSON. Each distinct
         score is written once, told apart by its bits, so that ``0.0`` and
         ``-0.0`` keep their own text."""
-        item_json = _item_json(self.item.kind, self.item.surface)[0]
-        middle = f', {item_json}"lm_ratio_src": null, "lm_ratio_tgt": null, "reason": '
+        middle = (
+            f', "item_kind": {_ENCODE(self.item.kind)}, '
+            f'"item_surface": {_ENCODE(self.item.surface)}, '
+            '"lm_ratio_src": null, "lm_ratio_tgt": null, "reason": '
+        )
         sims = self.candidates.sent_sims
         sent_sims = (
             ["null"] * len(self.early_at) if sims is None
-            else [_json(sims[at]) for at in self.early_at.tolist()]
+            else [_ENCODE(sims[at]) for at in self.early_at.tolist()]
         )
         distinct, which = np.unique(self.early_score.view(np.int64), return_inverse=True)
         texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
@@ -686,11 +679,9 @@ class ItemOutcome:
         """The lines of the item's rejected records, in candidate order: the
         early lines, with each other rejected record's line merged in."""
         lines = self.early_lines()
-        if self.rejected:
-            where = np.searchsorted(self.early_at, [at for at, _ in self.rejected]).tolist()
-            records = _record_lines([record for _, record in self.rejected])
-            for offset, (index, line) in enumerate(zip(where, records)):
-                lines.insert(index + offset, line)
+        where = np.searchsorted(self.early_at, [at for at, _ in self.rejected]).tolist()
+        for offset, (index, (_, record)) in enumerate(zip(where, self.rejected)):
+            lines.insert(index + offset, _provenance_line(record))
         return "".join(lines)
 
 
@@ -907,119 +898,16 @@ def merge_and_dedup(
 _FIELD_NAMES = tuple(sorted(f.name for f in fields(ReplacementRecord)))
 _FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
 _ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_REASON_JSON = {reason: encode_basestring(reason) for reason in REJECTION_REASONS}
-
-
-def _json(value: object) -> str:
-    """``value`` as json's encoder writes it: an exact float or int and None
-    directly, every other value (a bool, ``np.float64``, a tuple, a type
-    json refuses) by the encoder itself."""
-    kind = type(value)
-    if kind is float:
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    return _ENCODE(value)
-
-
-def _json_span(span: object) -> str:
-    if type(span) is tuple and len(span) == 2:
-        start, end = span
-        if type(start) is int and type(end) is int:
-            return f"[{start}, {end}]"
-    return _json(span)
-
-
-def _item_json(kind: object, surface: object) -> Tuple[str, str]:
-    """The JSON of an item's two fields as a line holds them, and of its surface."""
-    surface_json = _json(surface)
-    return f'"item_kind": {_json(kind)}, "item_surface": {surface_json}, ', surface_json
-
-
-_EARLY_REASON_JSON = tuple(_REASON_JSON[reason] for reason in _EARLY_REASONS)
+_EARLY_REASON_JSON = tuple(_ENCODE(reason) for reason in _EARLY_REASONS)
 _EARLY_VERDICT_JSON = tuple("false" if code in (_POS, _MORPH) else "null"
                             for code in range(len(_EARLY_REASONS)))
 
 
-def _record_lines(records: Iterable[ReplacementRecord]) -> Iterator[str]:
-    """The ``provenance.jsonl`` line of each record, newline included: byte
-    for byte what ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
-    writes for the record's fields, tuples as lists.
-
-    The records hold one item's ``item_kind`` and ``item_surface`` objects,
-    as the gate loop gives them, so the JSON of those is made once. So is
-    the source insertion when it is the surface, and the target insertion
-    once per object. Each line is then one f-string over the fields that
-    vary.
-    """
-    item_json = None
-    target = target_json = None
-    for record in records:
-        (accepted, sentence_id, item_kind, item_surface, lm_src, lm_tgt, reason, sent_sim,
-         source_inserted, source_span, syntactic_ok, target_inserted, target_span,
-         word_sim) = _FIELD_VALUES(record)
-        if item_json is None:
-            surface = item_surface
-            item_json, surface_json = _item_json(item_kind, item_surface)
-        if target_inserted is not target and target_inserted is not None:
-            target, target_json = target_inserted, _json(target_inserted)
-        if source_inserted is None:
-            source_json = "null"
-        else:
-            source_json = surface_json if source_inserted is surface else _json(source_inserted)
-        # The fields below are rebound to their JSON. Nearly every record
-        # holds them as a str of the closed set, an exact bool, an exact int
-        # or a finite float, which take no call: the f-string writes such an
-        # int or float as json does.
-        if type(reason) is str:
-            reason = _REASON_JSON.get(reason) or encode_basestring(reason)
-        else:
-            reason = _json(reason)
-        accepted = "false" if accepted is False else "true" if accepted is True else _json(accepted)
-        if syntactic_ok is not None:
-            syntactic_ok = (
-                "false" if syntactic_ok is False
-                else "true" if syntactic_ok is True
-                else _json(syntactic_ok)
-            )
-        if type(sentence_id) is not int:
-            sentence_id = _json(sentence_id)
-        if type(word_sim) is not float or not -math.inf < word_sim < math.inf:
-            word_sim = _json(word_sim)
-        yield (
-            f'{{"accepted": {accepted}, "base_sentence_id": {sentence_id}, {item_json}'
-            f'"lm_ratio_src": {"null" if lm_src is None else _json(lm_src)}, '
-            f'"lm_ratio_tgt": {"null" if lm_tgt is None else _json(lm_tgt)}, '
-            f'"reason": {reason}, '
-            f'"sent_sim": {"null" if sent_sim is None else _json(sent_sim)}, '
-            f'"source_inserted": {source_json}, '
-            f'"source_span": {"null" if source_span is None else _json_span(source_span)}, '
-            f'"syntactic_ok": {"null" if syntactic_ok is None else syntactic_ok}, '
-            f'"target_inserted": {"null" if target_inserted is None else target_json}, '
-            f'"target_span": {"null" if target_span is None else _json_span(target_span)}, '
-            f'"word_sim": {word_sim}}}\n'
-        )
-
-
-def _item_of(record: ReplacementRecord) -> Tuple[int, int]:
-    return id(record.item_kind), id(record.item_surface)
-
-
-def _provenance_items(records: Iterable[ReplacementRecord]) -> Iterator[str]:
-    """The ``provenance.jsonl`` lines of ``records``, one string per run of
-    consecutive records that hold the same ``item_kind`` and
-    ``item_surface`` objects."""
-    for _, run in itertools.groupby(records, key=_item_of):
-        yield "".join(_record_lines(run))
-
-
 def _provenance_line(record: ReplacementRecord) -> str:
-    """The record's line in ``provenance.jsonl``."""
-    return next(_record_lines((record,)))
+    """The record's line in ``provenance.jsonl``, newline included: its
+    fields as ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+    writes them, tuples as lists."""
+    return _ENCODE(dict(zip(_FIELD_NAMES, _FIELD_VALUES(record)))) + "\n"
 
 
 def write_provenance(
@@ -1035,16 +923,11 @@ def write_provenance(
     a time, so the file is never held in memory.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_provenance_items(pair.record for pair in accepted))
-        for outcomes, entries in itertools.groupby(rejected, key=_is_outcome):
-            if outcomes:
-                fh.writelines(outcome.provenance() for outcome in entries)
-            else:
-                fh.writelines(_provenance_items(entries))
-
-
-def _is_outcome(entry: Rejection) -> bool:
-    return isinstance(entry, ItemOutcome)
+        fh.writelines(_provenance_line(pair.record) for pair in accepted)
+        fh.writelines(
+            entry.provenance() if isinstance(entry, ItemOutcome) else _provenance_line(entry)
+            for entry in rejected
+        )
 
 
 def _rejected_line_pattern() -> "re.Pattern[str]":

@@ -108,7 +108,8 @@ def _differences(
         return
     for name in _COMPARED:
         recorded, recomputed = getattr(record, name), getattr(again, name)
-        differs = abs(recomputed - recorded) > SCORE_TOLERANCE if name in _SCORES else (
+        # Written so that a NaN on either side differs.
+        differs = not abs(recomputed - recorded) <= SCORE_TOLERANCE if name in _SCORES else (
             recorded != recomputed)
         if differs:
             yield name, f"recorded {recorded!r} != recomputed {recomputed!r}"

@@ -11,10 +11,12 @@ references are plain loops of scalar ``cosine`` calls, the definition the
 vectorized search must reproduce bit for bit. The dict trigram model is the
 string-keyed model the array-backed ``TrigramModel`` must equal: same counts,
 same ``trigram_prob`` floats. ``window_score`` is the LM window score as a
-product of ``trigram_prob`` calls, which the batched ``window_scores`` and
-``stream_scores`` must equal bit for bit. ``provenance_line_reference`` is
+product of ``trigram_prob`` calls, which ``stream_scores`` must equal bit for
+bit; ``window_scores`` runs ``stream_scores`` on windows given as tokens.
+``provenance_line_reference`` is
 a record's ``provenance.jsonl`` line as json's generic encoder writes it,
-which the pipeline's direct formatter must equal byte for byte.
+which the pipeline's lines, the f-strings of early rejections included, must
+equal byte for byte.
 ``process_item_reference`` is the gate loop as one record per candidate,
 each candidate run through every gate in turn, which the array gates and
 the lazily made records of ``pipeline._process_item`` must equal field for
@@ -39,7 +41,8 @@ from corpusaug.embeddings import (
     EmbeddingFormatError, EmbeddingTable, SimilarityHit, best_word_in_sentence, cosine,
 )
 from corpusaug.lm import (
-    BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK, lm_ratio_accept, window_scores,
+    BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK, IdStream, lm_ratio_accept,
+    stream_scores,
 )
 from corpusaug.pipeline import ReplacementRecord, synthetic_window
 
@@ -516,6 +519,19 @@ def window_score(model, tokens, span):
     for w1, w2, w3 in ContextWindow.build(tokens, span).trigrams():
         score *= model.trigram_prob(w1, w2, w3)
     return score
+
+
+def window_scores(model, windows):
+    """The score of each ``(tokens, span)`` window, as one float64 array:
+    ``stream_scores`` of the span in a stream of the windows' tokens."""
+    for tokens, (start, end) in windows:
+        if not (0 <= start <= end < len(tokens)):
+            raise ValueError(f"span {(start, end)} out of range for {len(tokens)} tokens")
+    stream = IdStream.build(model.ids, [tokens for tokens, _ in windows])
+    rows = np.array(
+        [(i, start, end) for i, (_, (start, end)) in enumerate(windows)], dtype=np.intp
+    ).reshape(-1, 3)
+    return stream_scores(model, stream, rows, len(rows), ())
 
 
 def lm_ratio_reference(model, original, synthetic, threshold):

@@ -575,6 +575,32 @@ class TestVerifyCommand:
         assert "violations by field: lm_ratio_src=1\n" in captured.err
         assert "1 violation(s) across" in captured.out
 
+    @pytest.mark.parametrize("field", ["word_sim", "lm_ratio_src", "lm_ratio_tgt"])
+    def test_nan_score_exit_5(self, toy, tmp_path, capsys, field):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        assert record["accepted"]
+        record[field] = float("nan")
+        lines[0] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_VERIFY
+        assert f"violations by field: {field}=1\n" in capsys.readouterr().err
+
+    def test_provenance_line_of_key_value_pairs_exit_2(self, toy, tmp_path, capsys):
+        out = self.run_and_verify(toy, tmp_path)
+        path = out / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps(sorted(json.loads(lines[0]).items()))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        _one_error_line(err, f"{path}:1")
+        assert "not a JSON object" in err
+
     def test_empty_provenance_vacuously_ok(self, toy, tmp_path):
         out = self.run_and_verify(toy, tmp_path)
         (out / "provenance.jsonl").write_text("", encoding="utf-8")

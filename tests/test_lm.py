@@ -29,7 +29,6 @@ from corpusaug.lm import (
     save_lm,
     stream_scores,
     train_lm,
-    window_scores,
 )
 from corpusaug.pipeline import AugmentationConfig, synthetic_window
 
@@ -39,6 +38,7 @@ from oracles import (
     train_lm_dict_reference,
     trigram_prob_reference,
     window_score,
+    window_scores,
 )
 
 

@@ -324,8 +324,6 @@ class TestLmGatePath:
 
         monkeypatch.setattr(pipeline, "stream_scores", halving)
         monkeypatch.setattr(pipeline, "lm_ratio_accept", gate)
-        inputs.original_src.clear()
-        inputs.original_tgt.clear()
         candidates = Candidates(np.arange(len(inputs.corpus)))
         unlimited = dataclasses.replace(config, max_per_item=len(inputs.corpus))
         full = [pipeline._process_item(item, candidates, inputs, unlimited)[1].records()
@@ -780,7 +778,7 @@ def _check_skippable(line):
 
 
 class TestProvenanceFormat:
-    """The direct line formatter and the pattern of the lines ``verify`` skips."""
+    """The record line writer and the pattern of the lines ``verify`` skips."""
 
     @settings(max_examples=200, deadline=None)
     @given(_records())
