@@ -175,19 +175,19 @@ def load_parallel_corpus(source_path: str | Path, target_path: str | Path) -> Pa
     return ParallelCorpus(tuple(source), tuple(target))
 
 
-def load_monolingual(path: str | Path) -> List[Sentence]:
-    """Load a one-sentence-per-line monolingual corpus.
+def load_monolingual(path: str | Path) -> List[Tuple[str, ...]]:
+    """Load a one-sentence-per-line monolingual corpus as each line's tokens.
 
-    Blank lines are dropped with a warning; ids stay dense.
+    Blank lines are dropped with a warning.
     """
-    sentences: List[Sentence] = []
+    sentences: List[Tuple[str, ...]] = []
     dropped = 0
     for line in _read_lines(path):
         tokens = tuple(line.split())
-        if not tokens:
+        if tokens:
+            sentences.append(tokens)
+        else:
             dropped += 1
-            continue
-        sentences.append(Sentence(len(sentences), tokens))
     if dropped:
         log.warning("dropped %d blank line(s) while loading %s", dropped, path)
     return sentences

@@ -46,7 +46,6 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .cachefile import decode_tokens, encode_tokens, narrow, read_arrays, write_arrays
-from .corpus_io import Sentence
 from .embeddings import NumericError
 
 log = logging.getLogger(__name__)
@@ -297,11 +296,12 @@ class TrigramModel:
 
 
 def train_lm(
-    mono: Sequence[Sentence],
+    mono: Sequence[Sequence[str]],
     min_count: int = DEFAULT_MIN_COUNT,
     discount: float = DEFAULT_DISCOUNT,
 ) -> TrigramModel:
-    """Count padded n-grams over a monolingual corpus.
+    """Count padded n-grams over a monolingual corpus, one token sequence
+    per sentence.
 
     Tokens rarer than ``min_count``, and corpus tokens equal to a reserved
     marker, are replaced by UNK before counting.
@@ -310,12 +310,12 @@ def train_lm(
         raise ValueError("monolingual corpus must be non-empty")
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    raw = Counter(itertools.chain.from_iterable(sent.tokens for sent in mono))
+    raw = Counter(itertools.chain.from_iterable(mono))
     vocab = sorted(t for t, c in raw.items() if c >= min_count and t not in RESERVED)
     size = len(RESERVED) + len(vocab)
     _check_id_count(size)
     lookup = {t: i for i, t in enumerate(vocab, start=len(RESERVED))}
-    ids = IdStream.build(lookup, [sent.tokens for sent in mono]).ids
+    ids = IdStream.build(lookup, mono).ids
     # The padded sentences are laid end to end; a window that crosses from
     # one sentence into the next is the only place EOS is followed by BOS.
     crossing = (ids[:-1] == EOS_ID) & (ids[1:] == BOS_ID)

@@ -14,7 +14,9 @@ the first time a gate or a rare word's translation reads it.
 item-level rejection; ``augment_rare_words`` and ``augment_dictionary`` add
 each item's candidate sentences, and ``_run_items`` runs ``_process_item``,
 the one place that evaluates the gates, over them in item order. ``verify``
-re-runs the same two steps on each accepted record's item and sentence.
+re-runs the same two steps on each accepted record's item and sentence. The
+steps are deterministic, so the record they give must equal the recorded
+one exactly, its scores to the last bit.
 
 The in-sentence word is searched once per item over all its candidates: one
 matvec over the eligible corpus types pre-ranks every position, the types

@@ -5,21 +5,22 @@ item of each group of accepted records with ``pipeline.resolve_rare_word``
 or ``pipeline.resolve_dictionary_entry`` and passes the recorded sentences
 to ``pipeline._process_item``, whose outcome gives one record per sentence.
 A candidate's outcome does not depend on the other candidates of its item,
-so each recomputed record must equal the recorded one: spans, inserted
-tokens, the syntactic verdict and acceptance exactly, the gate scores
-within ``SCORE_TOLERANCE``. A record on a sentence the run would not have
-tried for its item, a host sentence of its rare word or a sentence an
-earlier record of the item names, is a violation and is not recomputed.
-``sent_sim`` is passed through unchecked, and so is whether a
+so each recomputed record must equal the recorded one, field by field and
+exactly. The pipeline is deterministic, so any difference is an edit: a
+score one bit off, a NaN, or a field of a shape the pipeline never writes.
+Checked apart are only what the recomputation reads or cannot see: the
+sentence id, the item key, ``max_per_item``, and a record on a sentence the
+run would not have tried for its item (a host sentence of its rare word or
+a sentence an earlier record of the item names), which is not recomputed.
+``sent_sim`` is passed through as recorded, and whether a
 sentence-similarity run would have ranked the sentence among its
-candidates. Only the sentences the records name, and the first host of
-each rare word, are aligned. A record whose fields do not have the shape
-the pipeline writes is a violation, not an error.
+candidates is not checked. Only the sentences the records name, and the
+first host of each rare word, are aligned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -42,8 +43,6 @@ from .pipeline import (
     resolve_rare_word,
 )
 
-SCORE_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -58,33 +57,11 @@ class Violation:
         return f"record {self.record_index}: {self.field}: {self.detail}"
 
 
-def _is_span(value: object) -> bool:
-    return isinstance(value, tuple) and len(value) == 2 and all(type(i) is int for i in value)
-
-
 def _is_tokens(value: object) -> bool:
     return isinstance(value, tuple) and len(value) > 0 and all(isinstance(t, str) for t in value)
 
 
-def _is_score(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The shape the pipeline writes, per field an accepted record must carry.
-_EVIDENCE = (
-    ("item_surface", _is_tokens),
-    ("source_span", _is_span),
-    ("source_inserted", _is_tokens),
-    ("target_span", _is_span),
-    ("target_inserted", _is_tokens),
-    ("word_sim", _is_score),
-    ("lm_ratio_src", _is_score),
-    ("lm_ratio_tgt", _is_score),
-)
-
-_SCORES = ("word_sim", "lm_ratio_src", "lm_ratio_tgt")
-_COMPARED = ("source_span", "source_inserted", "target_span", "target_inserted",
-             "syntactic_ok") + _SCORES
+_FIELDS = tuple(field.name for field in fields(ReplacementRecord))
 
 # The score and the setting it fell below, per rejection reason that has one.
 _THRESHOLDS = {
@@ -106,12 +83,10 @@ def _differences(
         else:
             yield name, f"{getattr(again, name)!r} below threshold {getattr(config, setting)!r}"
         return
-    for name in _COMPARED:
+    for name in _FIELDS:
         recorded, recomputed = getattr(record, name), getattr(again, name)
-        # Written so that a NaN on either side differs.
-        differs = not abs(recomputed - recorded) <= SCORE_TOLERANCE if name in _SCORES else (
-            recorded != recomputed)
-        if differs:
+        # Field by field, so that a NaN differs even from itself.
+        if recorded != recomputed:
             yield name, f"recorded {recorded!r} != recomputed {recomputed!r}"
 
 
@@ -143,27 +118,13 @@ def verify_records(
         if type(sentence_id) is not int or not 0 <= sentence_id < len(corpus):
             bad(index, "base_sentence_id", f"out of range: {sentence_id}")
             continue
-        malformed = [name for name, shaped in _EVIDENCE if not shaped(getattr(record, name))]
-        if any(getattr(record, name) is None for name in malformed):
-            bad(index, "fields", "accepted record with missing gate evidence")
-            continue
-        for name in malformed:
-            bad(index, name, f"malformed: {getattr(record, name)!r}")
-        if malformed:
-            continue
-        source, target = corpus.source[sentence_id], corpus.target[sentence_id]
-        s_start, s_end = record.source_span
-        t_start, t_end = record.target_span
-        if not (0 <= s_start <= s_end < len(source.tokens)):
-            bad(index, "source_span", f"out of range: {record.source_span}")
-            continue
-        if not (0 <= t_start <= t_end < len(target.tokens)):
-            bad(index, "target_span", f"out of range: {record.target_span}")
-            continue
         # One source term may have several translations, each its own item.
         key = (record.item_kind, record.item_surface)
         if record.item_kind == ITEM_DICTIONARY:
             key += (record.target_inserted,)
+        if not (isinstance(record.item_kind, str) and all(map(_is_tokens, key[1:]))):
+            bad(index, "item", "not an item of the run")
+            continue
         groups.setdefault(key, []).append((index, record))
 
     # One pass ahead of the gates: `verify` ran about 3% faster on rare_scan and dict_both.

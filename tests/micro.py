@@ -1,7 +1,7 @@
 """Small hand-verified fixtures shared by pipeline and verifier tests."""
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,8 +38,8 @@ def rejected_records(rejected):
     return records
 
 
-def mono_of(lines) -> List[Sentence]:
-    return [Sentence(i, tuple(s.split())) for i, s in enumerate(lines)]
+def mono_of(lines) -> List[Tuple[str, ...]]:
+    return [tuple(s.split()) for s in lines]
 
 
 @dataclass

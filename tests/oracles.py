@@ -36,7 +36,7 @@ import numpy as np
 
 from corpusaug.agreement import MODE_OFF, pos_agree, syntactic_ok
 from corpusaug.aligner import NULL_TOKEN, SentenceAlignment, TranslationTable, target_span
-from corpusaug.corpus_io import Sentence, has_digit, is_punctuation, iter_lines
+from corpusaug.corpus_io import has_digit, is_punctuation, iter_lines
 from corpusaug.embeddings import (
     EmbeddingFormatError, EmbeddingTable, SimilarityHit, best_word_in_sentence, cosine,
 )
@@ -429,7 +429,7 @@ class DictTrigramModel:
 
 
 def train_lm_dict_reference(
-    mono: Sequence[Sentence],
+    mono: Sequence[Sequence[str]],
     min_count: int = DEFAULT_MIN_COUNT,
     discount: float = DEFAULT_DISCOUNT,
 ) -> DictTrigramModel:
@@ -443,7 +443,7 @@ def train_lm_dict_reference(
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     raw: Dict[str, int] = {}
     for sent in mono:
-        for token in sent.tokens:
+        for token in sent:
             raw[token] = raw.get(token, 0) + 1
 
     def mapped(token: str) -> str:
@@ -456,7 +456,7 @@ def train_lm_dict_reference(
     trigrams: Dict[Tuple[str, str, str], int] = {}
     vocab = set()
     for sent in mono:
-        tokens = [mapped(t) for t in sent.tokens]
+        tokens = [mapped(t) for t in sent]
         vocab.update(t for t in tokens if t != UNK)
         padded = [BOS, BOS] + tokens + [EOS, EOS]
         for i, w in enumerate(padded):

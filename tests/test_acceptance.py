@@ -20,8 +20,8 @@ from corpusaug.embeddings import (
     load_embeddings,
     postprocess_alpha,
 )
+from corpusaug import pipeline
 from corpusaug.lm import export_arpa, import_arpa, train_lm
-
 from corpusaug.pipeline import ReplacementRecord
 
 from oracles import jacobi_eigenvalues, provenance_line_reference
@@ -152,10 +152,7 @@ def test_em_correctness():
 def test_lm_normalization():
     rng = random.Random(42)
     vocab = [f"v{i}" for i in range(50)]
-    sentences = [
-        Sentence(i, tuple(rng.choice(vocab) for _ in range(rng.randint(1, 10))))
-        for i in range(150)
-    ]
+    sentences = [tuple(rng.choice(vocab) for _ in range(rng.randint(1, 10))) for _ in range(150)]
     started = time.monotonic()
     model = train_lm(sentences, 1)
     alphabet = model.alphabet()
@@ -284,6 +281,31 @@ def test_determinism(toy, tmp_path):
     report("determinism", ok)
 
 
+def test_lm_windows_lie_in_their_sentences(toy, tmp_path, monkeypatch):
+    # `lm.stream_scores` does not check its spans: every window row that the
+    # pipeline passes it must lie within its sentence, under every preset.
+    cfg = toy.write_config(tmp_path / "run.cfg", tmp_path / "run")
+    assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+    score = pipeline.stream_scores
+    rows, outside = [], []
+
+    def checked(model, stream, windows, *args):
+        ids, offsets = stream
+        lengths = np.diff(offsets, append=len(ids) + 2) - 4
+        for sentence, start, end in windows.tolist():
+            rows.append(sentence)
+            if not (0 <= sentence < len(offsets) and 0 <= start <= end < lengths[sentence]):
+                outside.append((sentence, start, end))
+        return score(model, stream, windows, *args)
+
+    monkeypatch.setattr(pipeline, "stream_scores", checked)
+    for preset, mode in PRESET_MODES.items():
+        argv = ["augment", "--config", str(cfg), "--mode", mode, "--ablation", preset]
+        assert main(argv) == EXIT_OK
+    assert rows
+    assert outside == []
+
+
 def test_defaults_parity(preset_runs):
     _out, manifest = preset_runs["off"]
     resolved = manifest["resolved_config"]
@@ -317,7 +339,7 @@ def test_format_round_trips(tmp_path):
         alignment = SentenceAlignment(links)
         ok &= import_pharaoh(export_pharaoh(alignment)) == alignment
     # ARPA within 1e-4
-    sentences = [Sentence(i, tuple(f"w{rng.randint(0, 8)}" for _ in range(rng.randint(1, 6)))) for i in range(40)]
+    sentences = [tuple(f"w{rng.randint(0, 8)}" for _ in range(rng.randint(1, 6))) for _ in range(40)]
     model = train_lm(sentences, 1)
     export_arpa(model, tmp_path / "m.arpa")
     scorer = import_arpa(tmp_path / "m.arpa")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpusaug.corpus_io import Sentence
 from corpusaug.embeddings import NumericError
 from corpusaug.lm import (
     BOS,
@@ -43,7 +42,7 @@ from oracles import (
 
 
 def sentences(token_lists):
-    return [Sentence(i, tuple(tokens)) for i, tokens in enumerate(token_lists)]
+    return [tuple(tokens) for tokens in token_lists]
 
 
 TWO_TYPE = [["a", "b", "c"]] * 4 + [["a", "b", "d"]] * 4
@@ -94,7 +93,7 @@ class TestTrigramProb:
         p = model.trigram_prob("a", "b", "c")
         assert p == pytest.approx(expected, abs=1e-12)
         # and against the independently coded formula
-        reference = trigram_prob_reference([s.tokens for s in sentences(TWO_TYPE)], 0.75, "a", "b", "c")
+        reference = trigram_prob_reference(sentences(TWO_TYPE), 0.75, "a", "b", "c")
         assert p == pytest.approx(reference, abs=1e-12)
 
     def test_against_independent_formula_many_queries(self):
@@ -561,7 +560,7 @@ class TestStreamParity:
               [(0, 0, 2), (1, 0, 0)], [(0, 0, 0), (0, 2, 2), (1, 0, 0)], (EOS, "b", "oov")))
     def test_scores_equal_window_scores_and_dict_model(self, case):
         corpus, min_count, discount, sentences, original, spliced, insert = case
-        mono = [Sentence(i, tuple(tokens)) for i, tokens in enumerate(corpus)]
+        mono = [tuple(tokens) for tokens in corpus]
         reference = train_lm_dict_reference(mono, min_count, discount)
         model = train_lm(mono, min_count, discount)
         stream = IdStream.build(model.ids, sentences)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 
@@ -85,7 +86,7 @@ class TestVerifyRecords:
         target = next(r for r in records if r.accepted)
         target.lm_ratio_tgt = None
         violations = verify(fx, config, records)
-        assert any(v.field == "fields" for v in violations)
+        assert any(v.field == "lm_ratio_tgt" for v in violations)
 
     def test_empty_provenance_is_vacuously_clean(self):
         fx, config, _ = run()
@@ -331,7 +332,8 @@ class TestVerifyTamper:
 
 class TestVerifyBadProvenance:
     """An unreadable line is an input error (exit 2) naming ``<path>:<line>``;
-    an accepted record of the wrong shape is a violation (exit 5). Rejected
+    an accepted record that differs from its recomputation in any way, its
+    shape included, is a violation (exit 5). Rejected
     lines are skipped unparsed only when they are exactly what the writer
     gives; any other rejected line is parsed like an accepted one."""
 
@@ -414,12 +416,27 @@ class TestVerifyBadProvenance:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("source_inserted", []), ("target_inserted", []), ("source_span", "11")],
+        [("source_inserted", []), ("target_inserted", []), ("source_span", "11"),
+         ("item_kind", []), ("item_kind", {})],
     )
     def test_malformed_accepted_record_is_violation(self, run_dir, capsys, key, value):
         self.edit_line(run_dir, self.with_fields(**{key: value}))
         assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
         captured = capsys.readouterr()
-        assert f"{key}: malformed" in captured.err
+        violation = "item: not an item of the run" if key == "item_kind" else f"{key}: recorded"
+        assert violation in captured.err
         assert "Traceback" not in captured.err
+        assert "1 violation(s)" in captured.out
+
+    @pytest.mark.parametrize("key", ["word_sim", "lm_ratio_src", "lm_ratio_tgt"])
+    def test_score_moved_by_one_ulp_is_violation(self, run_dir, capsys, key):
+        def nudge(line):
+            record = json.loads(line)
+            record[key] = math.nextafter(record[key], math.inf)
+            return json.dumps(record)
+
+        self.edit_line(run_dir, nudge)
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert f"violations by field: {key}=1\n" in captured.err
         assert "1 violation(s)" in captured.out
