@@ -117,6 +117,11 @@ class SentenceAlignment:
 
     links: Tuple[Tuple[int, int], ...]
 
+    @classmethod
+    def from_targets(cls, targets: Sequence[int]) -> "SentenceAlignment":
+        """The links of one sentence's slice of ``viterbi_align``'s array."""
+        return cls(tuple((i, j) for i, j in enumerate(targets) if j >= 0))
+
 
 def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> TranslationTable:
     """Train the lexical table t(target | source) by EM.
@@ -200,28 +205,55 @@ def train_ibm1(corpus: ParallelCorpus, iterations: int = DEFAULT_ITERATIONS) -> 
     return TranslationTable(cond_vocab, gen_vocab, cond_ids, gen_ids, t[present], logliks)
 
 
-def viterbi_align(pair: Tuple[Sentence, Sentence], table: TranslationTable) -> SentenceAlignment:
-    """Best-link alignment of one sentence pair (one target choice per source).
+def viterbi_align(
+    pairs: Sequence[Tuple[Sentence, Sentence]], table: TranslationTable
+) -> np.ndarray:
+    """Best-link alignment of sentence pairs (one target choice per source).
 
-    Each source token picks the target position maximizing t(target|source),
-    ties going to the lowest index. The link stands only if its probability
-    is positive and at least the NULL token's probability for the same
-    target word; otherwise the source word stays unaligned. Source tokens
-    unseen in training align to NULL with a warning.
+    Returns one flat intp array over the source tokens of ``pairs``, pair
+    after pair: the target index each token links to, or -1. Each source
+    token picks the target position maximizing t(target|source), ties going
+    to the lowest index. The link stands only if its probability is positive
+    and at least the NULL token's probability for the same target word;
+    otherwise the source word stays unaligned. Source tokens unseen in
+    training align to NULL with a warning.
+
+    Every (source token, target token) cell of every pair is one entry of a
+    flat array, source token outer, and all of them are looked up in one
+    ``TranslationTable.lookup`` call; the maxima are one ``reduceat``.
     """
-    (source, target), index = pair, table.cond_index
-    for unseen in (e for e in source.tokens if e not in index):
-        log.warning("source token %r absent from translation table", unseen)
-    positions = [i for i, e in enumerate(source.tokens) if e in index]
-    rows = [index.get(NULL_TOKEN, -1)] + [index[source.tokens[i]] for i in positions]
-    cols = np.array([table.gen_index.get(f, len(table.gen_vocab)) for f in target.tokens])
-    # Row 0 is NULL's; argmax takes the first of equal maxima.
-    grid = table.lookup(np.array(rows)[:, None], cols)
-    best = grid[1:].argmax(axis=1)
-    best_p = grid[np.arange(1, len(rows)), best]
-    keep = (best_p > 0.0) & (best_p >= grid[0, best])
-    return SentenceAlignment(tuple(
-        (i, j) for i, j, k in zip(positions, best.tolist(), keep.tolist()) if k))
+    index, gen_index, unseen = table.cond_index, table.gen_index, len(table.gen_vocab)
+    sources = [source.tokens for source, _ in pairs]
+    targets = [target.tokens for _, target in pairs]
+    for unseen_token in (e for e in itertools.chain.from_iterable(sources) if e not in index):
+        log.warning("source token %r absent from translation table", unseen_token)
+    src_lengths = np.fromiter(map(len, sources), dtype=np.intp, count=len(pairs))
+    tgt_lengths = np.fromiter(map(len, targets), dtype=np.intp, count=len(pairs))
+    # An unseen source token gets the id -1, which is in no key.
+    cond = np.fromiter(map(index.get, itertools.chain.from_iterable(sources), itertools.repeat(-1)),
+                       dtype=np.int64, count=int(src_lengths.sum()))
+    gen = np.fromiter(map(gen_index.get, itertools.chain.from_iterable(targets),
+                          itertools.repeat(unseen)), dtype=np.int64, count=int(tgt_lengths.sum()))
+    tgt_starts = np.cumsum(tgt_lengths) - tgt_lengths
+    # Per source token: its pair's target length and first target token.
+    width = np.repeat(tgt_lengths, src_lengths)
+    first = np.repeat(tgt_starts, src_lengths)
+    links = np.full(len(cond), -1, dtype=np.intp)
+    rows = np.flatnonzero(width)  # a source token of a pair with no target has no link
+    if not len(rows):
+        return links
+    width, first = width[rows], first[rows]
+    cell_starts = np.cumsum(width) - width
+    cells = gen[np.repeat(first - cell_starts, width) + np.arange(int(width.sum()))]
+    grid = table.lookup(np.repeat(cond[rows], width), cells)
+    best_p = np.maximum.reduceat(grid, cell_starts)
+    # The first cell of each row that holds its maximum.
+    hits = np.flatnonzero(grid == np.repeat(best_p, width))
+    best = hits[np.searchsorted(hits, cell_starts)] - cell_starts
+    null_p = table.lookup(index.get(NULL_TOKEN, -1), gen[first + best])
+    keep = (best_p > 0.0) & (best_p >= null_p)
+    links[rows[keep]] = best[keep]
+    return links
 
 
 def target_span(

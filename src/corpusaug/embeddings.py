@@ -15,10 +15,11 @@ re-expresses the table in its gram-matrix eigenbasis and raises the spectrum
 to a configurable power, shifting the similarity captured by cosine between
 more-syntactic and more-semantic regimes.
 
-Retrieval scores all rows with one matrix-vector product, but those scores
-only pre-rank: the rows within ``PRERANK_WINDOW`` of the cut are re-scored
-by :func:`_cosines`, one ``np.vecdot`` over the gathered rows. ``np.vecdot``
-takes each row's dot product as ``np.dot`` does on the 1-D row, and
+Retrieval scores all rows with one matrix product, but those scores only
+pre-rank: the rows within ``PRERANK_WINDOW`` of the cut are re-scored by
+:func:`_cosines`, one ``np.vecdot`` over the gathered rows, paired with
+their queries when one call serves many. ``np.vecdot`` takes each row's dot
+product as ``np.dot`` does on the 1-D row, and
 :func:`_cosines` then follows :func:`cosine`'s arithmetic per element, so
 the rows picked and the scores returned are bit-identical to a loop of
 scalar ``cosine`` calls.
@@ -50,6 +51,9 @@ EMBEDDINGS_MAGIC = b"\x93corpusaug-embeddings 1\n"
 # Rows parsed per block when reading text, and rounded per block when saving;
 # it bounds the temporaries.
 SAVE_BLOCK_ROWS = 1024
+# Entries of the largest array of one block of the word search: its tokens,
+# and its queries times the indexed types; it bounds the temporaries.
+SEARCH_BLOCK = 1 << 15
 # A vectorized cosine differs from the scalar one by a few ulps times the
 # dimension, far less than this window, so re-scoring every row inside it
 # exactly cannot miss the row the scalar loop would pick.
@@ -352,12 +356,13 @@ def _cosine(u: np.ndarray, nu: float, v: np.ndarray, nv: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def _cosines(query: np.ndarray, query_norm: float, rows: np.ndarray,
+def _cosines(query: np.ndarray, query_norm: float | np.ndarray, rows: np.ndarray,
              norms: np.ndarray) -> np.ndarray:
     """``_cosine(query, query_norm, row, norm)`` for each row and its norm,
-    as one array.
+    as one array. ``query`` and ``query_norm`` are one vector and its norm,
+    or one of each per row, paired with the rows.
 
-    One ``np.vecdot`` takes every row's dot product with the query as
+    One ``np.vecdot`` takes every row's dot product with its query as
     ``np.dot`` takes it for one row. The rest is ``_cosine`` per element: 0.0
     where either norm is zero, else the dot product over the product of the
     norms, clamped as ``min`` and ``max`` clamp it: ``np.fmin`` and
@@ -372,7 +377,7 @@ def _cosines(query: np.ndarray, query_norm: float, rows: np.ndarray,
 
 
 class VectorRows:
-    """The rows of a matrix with their norms, so that one matvec scores them all.
+    """The rows of a matrix with their norms, so that one product scores them all.
 
     The norms are one ``np.vecdot`` of the matrix with itself and a square
     root, which equals ``np.linalg.norm`` of each 1-D row as :func:`cosine`
@@ -387,12 +392,17 @@ class VectorRows:
     def __len__(self) -> int:
         return len(self.matrix)
 
-    def prerank(self, query: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Vectorized cosine of every row with ``query``, and the query norm."""
-        query_norm = float(np.linalg.norm(query))
-        denominators = self.norms * query_norm
-        scores = np.zeros(len(self))
-        np.divide(self.matrix @ query, denominators, out=scores, where=denominators > 0.0)
+    def prerank(self, query: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized cosine of every row with ``query``, and the query norm.
+
+        ``query`` may be one vector or a matrix of them, one per row; the
+        scores then hold one row per query, from one matrix product, and
+        the norms are one ``np.vecdot``, each equal to ``np.linalg.norm``.
+        """
+        query_norm = np.sqrt(np.vecdot(query, query))
+        denominators = np.multiply.outer(query_norm, self.norms)
+        scores = np.zeros(denominators.shape)
+        np.divide((self.matrix @ query.T).T, denominators, out=scores, where=denominators > 0.0)
         return np.clip(scores, -1.0, 1.0, out=scores), query_norm
 
 
@@ -495,50 +505,96 @@ class WordIndex:
 
 def best_word_in_sentence(
     index: WordIndex,
-    query_vec: Sequence[float] | np.ndarray,
+    queries: np.ndarray,
     sentence_ids: Sequence[int] | np.ndarray,
-    exclude_token: Optional[str] = None,
+    counts: Sequence[int] | np.ndarray,
+    exclude_tokens: Sequence[Optional[str]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each listed sentence, the eligible position most similar to the query.
+    """For each listed sentence, the eligible position most similar to its query.
 
-    One matvec scores every eligible type, with ``exclude_token`` masked
-    out; each sentence gathers its scores by type id. These scores only
-    pre-rank: the types at the positions within ``PRERANK_WINDOW`` of their
-    sentence's best are re-scored by one :func:`_cosines` call, and the
-    first position with the highest exact score wins. Returns three arrays,
-    one entry per listed sentence: the position, its score and whether the
-    sentence has an eligible token at all. Where it has, the position and
-    score are the ``(position, score)`` of a per-token ``cosine`` loop with
-    ties to the lowest index; where it has not, they are 0 and ``-inf``.
+    Query ``q`` (a row of ``queries``) owns the next ``counts[q]`` entries of
+    ``sentence_ids``, and ``exclude_tokens[q]`` (None for none) is masked out
+    of its search. Returns three arrays, one entry per listed sentence: the
+    position, its score and whether the sentence has an eligible token at
+    all. Where it has, the position and score are the ``(position, score)``
+    of a per-token ``cosine`` loop with ties to the lowest index; where it
+    has not, they are 0 and ``-inf``. No result depends on the other queries.
+
+    The queries are searched in blocks of consecutive queries, each as large
+    as ``SEARCH_BLOCK`` allows for its score table and for its sentences'
+    tokens, and at least one query; see :func:`_search_block`.
     """
+    queries = np.asarray(queries, dtype=np.float64)
     sentence_ids = np.asarray(sentence_ids, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.intp)
+    tokens = np.bincount(np.repeat(np.arange(len(counts)), counts),
+                         weights=index.lengths[sentence_ids], minlength=len(counts))
+    per_query = len(index.rows) + 1
+    firsts = (np.cumsum(counts) - counts).tolist() + [len(sentence_ids)]
+    blocks, start, used = [], 0, 0.0
+    for q, size in enumerate(tokens.tolist()):
+        if q > start and (used + size > SEARCH_BLOCK or (q - start + 1) * per_query > SEARCH_BLOCK):
+            blocks.append((start, q))
+            start, used = q, 0.0
+        used += size
+    blocks.append((start, len(counts)))
+    found = [
+        _search_block(index, queries[a:b], sentence_ids[firsts[a] : firsts[b]], counts[a:b],
+                      exclude_tokens[a:b])
+        for a, b in blocks
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _search_block(
+    index: WordIndex,
+    queries: np.ndarray,
+    sentence_ids: np.ndarray,
+    counts: np.ndarray,
+    exclude_tokens: Sequence[Optional[str]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`best_word_in_sentence` over one block of queries.
+
+    One matrix product pre-ranks every eligible type against every query;
+    each sentence gathers its query's scores by type id. These scores only
+    pre-rank: the (query, type) pairs at the positions within
+    ``PRERANK_WINDOW`` of their sentence's best are re-scored by one
+    :func:`_cosines` call, and the first position with the highest exact
+    score wins.
+    """
     if not len(sentence_ids):
         return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=bool)
-    query = np.asarray(query_vec, dtype=np.float64)
     rows = index.rows
-    prerank, query_norm = rows.prerank(query)
-    type_scores = np.append(prerank, -np.inf)  # the sentinel id scores -inf
-    excluded = index.type_ids.get(exclude_token)
-    if excluded is not None:
-        type_scores[excluded] = -np.inf
+    prerank, query_norms = rows.prerank(queries)
+    types = len(rows) + 1
+    type_scores = np.full((len(queries), types), -np.inf)  # the sentinel id scores -inf
+    type_scores[:, :-1] = prerank
+    for q, token in enumerate(exclude_tokens):
+        excluded = index.type_ids.get(token)
+        if excluded is not None:
+            type_scores[q, excluded] = -np.inf
 
     lengths = index.lengths[sentence_ids]
     starts = np.cumsum(lengths) - lengths
-    # The listed sentences' ids in ``index.tokens``, one sentence after another.
+    # The listed sentences' ids in ``index.tokens``, one sentence after another,
+    # each as a (query, type) key of the flat score table.
     ids = index.tokens[np.repeat(index.starts[sentence_ids] - starts, lengths)
                        + np.arange(starts[-1] + lengths[-1])]
-    scores = type_scores[ids]
+    keys = np.repeat(np.repeat(np.arange(len(queries)) * types, counts), lengths) + ids
+    scores = type_scores.ravel()[keys]
     best = np.maximum.reduceat(scores, starts)
     found = best > -np.inf
     near = (scores > -np.inf) & (scores >= np.repeat(best - PRERANK_WINDOW, lengths))
 
     # A mask rather than np.unique, which imports numpy.ma (about 1 MiB).
-    rescored = np.zeros(len(type_scores), dtype=bool)
-    rescored[ids[near]] = True
+    rescored = np.zeros(type_scores.size, dtype=bool)
+    rescored[keys[near]] = True
     rescored = np.flatnonzero(rescored)
-    exact = np.full(len(type_scores), -np.inf)
-    exact[rescored] = _cosines(query, query_norm, rows.matrix[rescored], rows.norms[rescored])
-    scores = np.where(near, exact[ids], -np.inf)
+    owner, rescored_types = np.divmod(rescored, types)
+    exact = np.full(type_scores.size, -np.inf)
+    exact[rescored] = _cosines(queries[owner], query_norms[owner], rows.matrix[rescored_types],
+                               rows.norms[rescored_types])
+    scores = np.where(near, exact[keys], -np.inf)
     best = np.maximum.reduceat(scores, starts)
     winners = np.flatnonzero(near & (scores == np.repeat(best, lengths)))
     positions = np.zeros(len(starts), dtype=np.intp)

@@ -26,10 +26,11 @@ bit for bit.
 
 Windows are scored from an ``IdStream``: sentences mapped to ids once and
 laid end to end, each between its two begin and two end markers.
-``stream_scores`` gathers the windows of many (sentence, span) pairs from
-it, spliced with an insertion or not, scores all their trigrams in one pass
-and takes each window's product left to right. ``train_lm`` counts n-grams
-over the same stream.
+``stream_scores`` gathers the windows of many (sentence, span) rows from
+it, each spliced with its own insertion or not, scores each distinct
+original window once and all the trigrams in one pass, and takes each
+window's product left to right. A window's score does not depend on the
+other rows of the call. ``train_lm`` counts n-grams over the same stream.
 """
 
 from __future__ import annotations
@@ -337,10 +338,6 @@ def train_lm(
     )
 
 
-# The two positions after a span, which end a window.
-_AFTER_SPAN = np.array([1, 2])
-
-
 class IdStream(NamedTuple):
     """Sentences as one stream of token ids: each sentence's ids between two
     ``BOS`` and two ``EOS``, the sentences end to end. Token ``j`` of
@@ -367,14 +364,17 @@ class IdStream(NamedTuple):
 
 
 def stream_scores(
-    model: TrigramModel, stream: IdStream, windows: np.ndarray, unspliced: int,
-    insert: Sequence[str],
+    model: TrigramModel, stream: IdStream, windows: np.ndarray, insert_ids: np.ndarray,
+    insert_lengths: np.ndarray,
 ) -> np.ndarray:
-    """The score of each window in ``windows``, as one float64 array: the
-    first ``unspliced`` as the sentence has them, the others with the span
-    replaced by ``insert``. ``windows`` holds one ``(sentence, start, end)``
-    row per window, the span inclusive and in unpadded indices, of the
-    sentences of ``stream``, which must be mapped to the model's ids.
+    """The score of each window in ``windows``, as one float64 array.
+
+    ``windows`` holds one ``(sentence, start, end)`` row per window, the span
+    inclusive and in unpadded indices, of the sentences of ``stream``, which
+    must be mapped to the model's ids. Row ``r`` replaces its span by the
+    next ``insert_lengths[r]`` ids of ``insert_ids``, model ids laid end to
+    end in row order; a length of 0 scores the window as the sentence has
+    it, and each distinct such original window is scored once.
 
     A window's score is the product of the probabilities of the padded
     trigrams that overlap its span: its ids run from two before the span to
@@ -384,21 +384,30 @@ def stream_scores(
     scored by one ``TrigramModel._probs`` call. Each window's probabilities
     are then multiplied column by column, left to right from 1.0, a padding
     column counting as 1.0: the same IEEE product as a loop of
-    ``score *= p``.
+    ``score *= p``, whatever other windows share the call.
     """
     ids, offsets = stream
     sentence, start, end = windows.T
     first = offsets[sentence] + start
-    lengths = end - start + 5
-    lengths[unspliced:] = len(insert) + 4
-    width = int(lengths.max(initial=len(insert) + 4))
+    spliced = insert_lengths > 0
+    # An original window's key, from its first stream position and its span
+    # length, tells the distinct ones apart; a spliced window's negative key
+    # is its own and keeps the row order.
+    span = end - start
+    keys = first * (int(span.max(initial=0)) + 1) + span
+    keys[spliced] = np.flatnonzero(spliced) - len(keys)
+    _, kept, back = np.unique(keys, return_index=True, return_inverse=True)
+    first, span, length = first[kept], span[kept], insert_lengths[kept]
+    # The stream tokens a spliced window skips: its span, less what it inserts.
+    skip = np.where(length > 0, span + 1 - length, 0)
+    lengths = span + 5 - skip
+    width = int(lengths.max(initial=4))
+    cell = np.arange(width)
+    after = cell >= (length + 2)[:, None]
     # A row of the last sentence runs past the stream's end only on its padding.
-    contexts = ids.take(first[:, None] + np.arange(-2, width - 2), mode="clip")
-    spliced = contexts[unspliced:]
-    spliced[:, 2 : len(insert) + 2] = [model.ids.get(token, UNK_ID) for token in insert]
-    spliced[:, len(insert) + 2 : len(insert) + 4] = ids.take(
-        (first + end - start)[unspliced:, None] + _AFTER_SPAN
-    )
+    contexts = ids.take(first[:, None] - 2 + cell + after * skip[:, None], mode="clip")
+    # Row-major order puts each row's insertion cells in ``insert_ids`` order.
+    contexts[(cell >= 2) & ~after] = insert_ids
     trigram = np.arange(width - 2) < (lengths - 2)[:, None]
     predicted = contexts[:, 2:][trigram]
     probs = np.ones(trigram.shape)
@@ -409,7 +418,7 @@ def stream_scores(
     scores = probs[:, 0].copy()  # 1.0 * p is p
     for column in probs.T[1:]:
         scores *= column
-    return scores
+    return scores[back.reshape(-1)]
 
 
 def lm_ratio_accept(scores: Tuple[float, float], threshold: float) -> Tuple[bool, float]:

@@ -7,27 +7,35 @@ similarity / syntactic / language-model gates, and splices both sides of the
 pair. Every attempt, accepted or not, yields a provenance record.
 
 Both kinds of item share one code path. ``RunInputs`` holds what a run reads,
-with the word index built once and the Viterbi alignment of each pair made
-the first time a gate or a rare word's translation reads it.
-``resolve_rare_word`` and ``resolve_dictionary_entry`` turn an item into an
-``_Item``, what it inserts on each side, or into the record of its
-item-level rejection; ``augment_rare_words`` and ``augment_dictionary`` add
-each item's candidate sentences, and ``_run_items`` runs ``_process_item``,
-the one place that evaluates the gates, over them in item order. ``verify``
-re-runs the same two steps on each accepted record's item and sentence. The
-steps are deterministic, so the record they give must equal the recorded
-one exactly, its scores to the last bit.
+with the word index built once and the Viterbi links of each pair made in
+the first batch that reads it. ``resolve_rare_word`` and
+``resolve_dictionary_entry`` turn an item into an ``_Item``, what it inserts
+on each side, or into the record of its item-level rejection;
+``augment_rare_words`` and ``augment_dictionary`` add each item's candidate
+sentences, and ``_run_items`` runs ``_process_items``, the one place that
+evaluates the gates, once over all of them. ``verify`` re-runs the same two
+steps on each accepted record's item and sentence, all items in one
+``_process_items`` call. The steps are deterministic and no item's outcome
+depends on the others in its call, so the record they give must equal the
+recorded one exactly, its scores to the last bit.
 
-The in-sentence word is searched once per item over all its candidates: one
-matvec over the eligible corpus types pre-ranks every position, the types
-at the positions within ``PRERANK_WINDOW`` of their sentence's best are
-re-scored with ``cosine``'s exact arithmetic in one ``np.vecdot`` pass, and
-the lowest index with the highest exact score wins. Picks and recorded
-scores are those of a per-token ``cosine`` loop, so outputs do not depend on
-the vectorization. The LM gates gather their windows from the corpus sides
-mapped once per run to LM ids.
+``_process_items`` runs the items in rounds, and each gate runs as one
+array pass over all the candidates a round holds: the in-sentence word
+search, the syntactic table and the source LM windows over the chunks of
+candidates the round takes, then one batch of Viterbi alignments and the
+target LM windows over the candidates that the items' walks read for sure.
+The word search pre-ranks every eligible corpus type against
+every query in one matrix product; the types at the positions within
+``PRERANK_WINDOW`` of their sentence's best are re-scored with ``cosine``'s
+exact arithmetic in one paired ``np.vecdot``, and the lowest index with the
+highest exact score wins. Picks and recorded scores are those of a
+per-token ``cosine`` loop, so outputs do not depend on the vectorization or
+on the batch. The LM gates gather their windows from the corpus sides
+mapped once per run to LM ids. Each item's walk then makes its records in
+candidate order and takes each LM verdict it reaches from
+``lm_ratio_accept``, up to the cut at its ``max_per_item``-th accept.
 
-The gates before the target span run as array masks over an item's
+The gates before the target span run as array masks over a round's
 candidates: no candidate word, ``word_sim`` below its minimum, and the
 syntactic verdict, read from a per-run table of one ``syntactic_ok`` call
 per distinct pair of annotations. A candidate rejected there never becomes
@@ -36,7 +44,7 @@ and only the candidates that reach the target-span gate get records. The
 outcome's ``records()`` materializes the full list when one is asked for.
 
 This module is the one that knows the ``provenance.jsonl`` line format: a
-record's fields as ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+record's fields in sorted order as ``json.JSONEncoder(ensure_ascii=False)``
 writes them. ``write_provenance`` writes one item at a time. An item's early
 rejections are formatted straight from the outcome's arrays, one f-string
 per line and byte for byte what the encoder gives, and merged in candidate
@@ -49,6 +57,7 @@ it and is skipped unparsed, and every other line is parsed in full.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -64,14 +73,13 @@ from typing import (
 
 import numpy as np
 
-from . import agreement
+from . import agreement, lm
 from .agreement import AnnotatedLexicon, TokenAnnotation
 from .aligner import (
     REASON_SPAN_TOO_LONG,
     REASON_UNALIGNED,
     SentenceAlignment,
     TranslationTable,
-    target_span,
     translate_rare_word,
     viterbi_align,
 )
@@ -92,7 +100,7 @@ from .embeddings import (
     sentence_embedding,
     top_k_sentences,
 )
-from .lm import IdStream, Span, TrigramModel, lm_ratio_accept, stream_scores
+from .lm import UNK_ID, IdStream, Span, TrigramModel, lm_ratio_accept, stream_scores
 
 log = logging.getLogger(__name__)
 
@@ -295,24 +303,49 @@ class Candidates(NamedTuple):
 
 
 class Alignments:
-    """The Viterbi alignment of each corpus pair, made when it is first read.
+    """The Viterbi links of the corpus pairs, made for the pairs a run reads.
 
-    ``alignments[i]`` aligns pair ``i`` at most once per run, so a run
-    aligns only the pairs that its target-span gates and its rare words'
-    translations read.
+    ``links`` runs over the source side, sentence after sentence, token
+    ``j`` of pair ``i`` at ``starts[i] + j``: the target index the token
+    links to, or -1 (also for a pair not aligned yet). ``ensure(ids)``
+    aligns the pairs among ``ids`` that are not aligned yet in one
+    ``viterbi_align`` call, so a run aligns no pair twice, and only the
+    pairs that its walks and its rare words' translations read: the
+    sentences of the candidates that reach the target-span gate, and the
+    first host of each rare word. ``alignments[i]`` is pair ``i``'s
+    ``SentenceAlignment``.
     """
 
     def __init__(self, corpus: ParallelCorpus, table: TranslationTable) -> None:
         self._corpus = corpus
         self._table = table
-        self._made: List[Optional[SentenceAlignment]] = [None] * len(corpus)
+        self._lengths = np.array([len(sentence.tokens) for sentence in corpus.source],
+                                 dtype=np.intp)
+        self.starts = np.cumsum(self._lengths) - self._lengths
+        self.links = np.full(int(self._lengths.sum()), -1, dtype=np.intp)
+        self._aligned = np.zeros(len(corpus), dtype=bool)
+
+    def ensure(self, ids: Sequence[int] | np.ndarray) -> None:
+        """Align the pairs among ``ids`` that are not aligned yet."""
+        ids = np.unique(np.asarray(ids, dtype=np.intp))
+        new = ids[~self._aligned[ids]]
+        if not len(new):
+            return
+        corpus = self._corpus
+        links = viterbi_align([(corpus.source[i], corpus.target[i]) for i in new.tolist()],
+                              self._table)
+        lengths = self._lengths[new]
+        firsts = np.cumsum(lengths) - lengths
+        self.links[np.repeat(self.starts[new] - firsts, lengths) + np.arange(len(links))] = links
+        self._aligned[new] = True
 
     def __getitem__(self, index: int) -> SentenceAlignment:
-        alignment = self._made[index]
-        if alignment is None:
-            pair = (self._corpus.source[index], self._corpus.target[index])
-            alignment = self._made[index] = viterbi_align(pair, self._table)
-        return alignment
+        if not self._aligned[index]:
+            self.ensure([index])
+        start = self.starts[index]
+        return SentenceAlignment.from_targets(
+            self.links[start : start + self._lengths[index]].tolist()
+        )
 
 
 # The rejections that the gates before the target span give, as codes of the
@@ -370,13 +403,13 @@ class _SyntacticTable:
 class RunInputs:
     """What one augmentation run reads, built once and shared by both modes.
 
-    ``alignments[i]`` is the Viterbi alignment of corpus pair ``i``, made
-    the first time the gate loop or a rare word's translation reads it.
-    ``word_index`` is built for the syntactic mode ``mode``, which the run's
-    config must share, and ``syntactic`` holds that mode's verdicts (None
-    when it is off). ``stream_src`` and ``stream_tgt`` are the corpus sides
-    mapped once to the ids of their LMs, which the LM gates gather their
-    windows from.
+    ``alignments`` holds the Viterbi links of the corpus pairs, each pair
+    aligned in the round of the item step, or the batch of rare-word
+    translations, that first reads it. ``word_index`` is built for the
+    syntactic mode ``mode``, which the run's config must share, and
+    ``syntactic`` holds that mode's verdicts (None when it is off).
+    ``stream_src`` and ``stream_tgt`` are the corpus sides mapped once to
+    the ids of their LMs, which the LM gates gather their windows from.
     """
 
     corpus: ParallelCorpus
@@ -395,8 +428,8 @@ class RunInputs:
     def build(cls, corpus: ParallelCorpus, embeddings: EmbeddingTable,
               alignment_table: TranslationTable, lm_src: TrigramModel, lm_tgt: TrigramModel,
               lexicon: Optional[AnnotatedLexicon], mode: str) -> "RunInputs":
-        """Index the source side and map both sides to LM ids once; each pair
-        is aligned when first read."""
+        """Index the source side and map both sides to LM ids once; no pair
+        is aligned yet."""
         word_index = WordIndex.build(corpus.source, embeddings, lexicon, mode)
         syntactic = (
             None if mode == agreement.MODE_OFF else _SyntacticTable(word_index, lexicon, mode)
@@ -412,100 +445,49 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
 
     ``bench/spans.py`` hooks ``pipeline.ordered_map`` to report the
     ``parallel.map_*`` metrics, and ``bench/`` changes only together with
-    its metrics, so the gate loop calls this until they are retired.
+    its metrics, so ``_process_items`` calls this until they are retired.
     """
     return [fn(item) for item in items]
 
 
-def _side_scores(
-    model: TrigramModel, stream: IdStream, keys: Sequence[Tuple[int, Span]], insert: Sequence[str]
-) -> Tuple[List[float], List[float]]:
-    """The original window score of each (sentence id, span) key and the
-    score of its window with the span replaced by ``insert``, from one
-    ``stream_scores`` call."""
-    windows = np.array(
-        [(sentence_id, start, end) for sentence_id, (start, end) in keys], dtype=np.intp
-    ).reshape(-1, 3)
-    scores = stream_scores(model, stream, np.concatenate([windows, windows]), len(keys),
-                           insert).tolist()
-    return scores[: len(keys)], scores[len(keys):]
-
-
-# A candidate queued for the LM gates: its index among the item's
-# candidates and its record.
-_Queued = Tuple[int, ReplacementRecord]
-
-
-def _lm_gates(
-    queued: Sequence[_Queued],
-    pairs: List[SyntheticPair],
-    item: _Item,
-    inputs: RunInputs,
-    config: AugmentationConfig,
-) -> Optional[int]:
-    """Run the LM gates of the queued candidates in candidate order,
-    appending the accepted pairs to ``pairs``. Returns the candidate index
-    of the ``max_per_item``-th accept, where the item is cut, or None.
-
-    The source windows are scored in one batch. The source gates then run
-    in order until as many pass as accepts are still missing, or the queue
-    ends; the target windows of those that passed are scored in one batch
-    and their target gates run, and the source gates go on after them. So
-    no gate runs past the cut, and every verdict and ratio is that of one
-    ``lm_ratio_accept`` call. Only an accepted pair's sentences are spliced
-    as tokens."""
-    corpus = inputs.corpus
-    src_scores = zip(*_side_scores(
-        inputs.lm_src, inputs.stream_src,
-        [(record.base_sentence_id, record.source_span) for _, record in queued], item.surface,
-    ))
-    passed: List[_Queued] = []
-    for count, (candidate, scores) in enumerate(zip(queued, src_scores), start=1):
-        record = candidate[1]
-        src_ok, record.lm_ratio_src = lm_ratio_accept(scores, config.lm_threshold)
-        if src_ok:
-            passed.append(candidate)
-        else:
-            record.reason = REASON_LM_SRC
-        if len(passed) < config.max_per_item - len(pairs) and count < len(queued):
-            continue
-        tgt_scores = zip(*_side_scores(
-            inputs.lm_tgt, inputs.stream_tgt,
-            [(record.base_sentence_id, record.target_span) for _, record in passed],
-            item.target_insert,
-        ))
-        for (at, record), scores in zip(passed, tgt_scores):
-            tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(scores, config.lm_threshold)
-            if not tgt_ok:
-                record.reason = REASON_LM_TGT
-                continue
-            record.accepted = True
-            sentence_id = record.base_sentence_id
-            pairs.append(SyntheticPair(
-                synthetic_window(corpus.source[sentence_id].tokens, record.source_span,
-                                 item.surface)[0],
-                synthetic_window(corpus.target[sentence_id].tokens, record.target_span,
-                                 item.target_insert)[0],
-                record,
-            ))
-            if len(pairs) >= config.max_per_item:
-                return at
-        passed = []
-    return None
+def _lm_scores(
+    model: TrigramModel, stream: IdStream, sentence_ids: np.ndarray, at: np.ndarray,
+    inserts: Sequence[Tuple[str, ...]], owner: np.ndarray,
+) -> List[Tuple[float, float]]:
+    """The (original, spliced) scores of each window: sentence
+    ``sentence_ids[k]`` with its token ``at[k]`` replaced by
+    ``inserts[owner[k]]``, from one ``stream_scores`` call, or none for no
+    window."""
+    if not len(sentence_ids):
+        return []
+    sizes = np.array([len(insert) for insert in inserts], dtype=np.intp)
+    flat = np.array([model.ids.get(token, UNK_ID) for insert in inserts for token in insert],
+                    dtype=np.int64)
+    lengths = sizes[owner]
+    starts = np.cumsum(lengths) - lengths
+    insert_ids = flat[np.repeat(np.cumsum(sizes)[owner] - lengths - starts, lengths)
+                      + np.arange(lengths.sum())]
+    windows = np.stack([sentence_ids, at, at], axis=1)
+    scores = stream_scores(model, stream, np.concatenate([windows, windows]), insert_ids,
+                           np.concatenate([np.zeros_like(lengths), lengths]))
+    return list(zip(scores[: len(windows)].tolist(), scores[len(windows):].tolist()))
 
 
 def _early_reasons(
-    item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
+    items: Sequence[_Item], sentence_ids: np.ndarray, counts: np.ndarray, inputs: RunInputs,
+    config: AugmentationConfig,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best word of each candidate, its position and score, and the code
     of the first gate before the target span that rejects it, or ``_OPEN``:
-    no candidate word, then ``word_sim``, then the syntactic gate."""
+    no candidate word, then ``word_sim``, then the syntactic gate. Item
+    ``k`` owns the next ``counts[k]`` entries of ``sentence_ids``."""
     positions, scores, found = best_word_in_sentence(
         inputs.word_index,
-        item.query_vec,
-        candidates.ids,
+        np.stack([item.query_vec for item in items]),
+        sentence_ids,
+        counts,
         # A one-token item never replaces its own token.
-        item.surface[0] if len(item.surface) == 1 else None,
+        [item.surface[0] if len(item.surface) == 1 else None for item in items],
     )
     reasons = np.where(found, _OPEN, _NO_CANDIDATE).astype(np.int8)
     if config.use_word_sim:
@@ -513,78 +495,218 @@ def _early_reasons(
     if config.syntactic_mode() != agreement.MODE_OFF:
         # Under a syntactic mode the item's head and every indexed word are
         # annotated: ``_make_item`` and ``WordIndex`` admit no other.
-        annotation = inputs.lexicon.get(annotation_token(item.surface))
-        checked = np.flatnonzero(reasons == _OPEN)
         index, table = inputs.word_index, inputs.syntactic
-        words = index.tokens[index.starts[candidates.ids[checked]] + positions[checked]]
-        reasons[checked] = table.reasons(config.src_lang_role, annotation)[table.of_type[words]]
+        verdicts = np.stack([
+            table.reasons(config.src_lang_role, inputs.lexicon.get(annotation_token(item.surface)))
+            for item in items
+        ])
+        checked = np.flatnonzero(reasons == _OPEN)
+        words = index.tokens[index.starts[sentence_ids[checked]] + positions[checked]]
+        owner = np.repeat(np.arange(len(items)), counts)
+        reasons[checked] = verdicts[owner[checked], table.of_type[words]]
     return positions, scores, reasons
 
 
-def _process_item(
-    item: _Item, candidates: Candidates, inputs: RunInputs, config: AugmentationConfig
-) -> Tuple[List[SyntheticPair], "ItemOutcome"]:
-    """Run ``item`` through every enabled gate in each candidate sentence, in
-    order, until ``max_per_item`` are accepted: the accepted pairs and the
-    item's outcome. No outcome depends on another candidate.
+class _ItemRun:
+    """One item's progress through the rounds of ``_process_items``.
 
-    ``_early_reasons`` runs the gates before the target span over every
-    candidate at once. One walk over the candidates that pass them makes
-    their records, runs the target-span gate and queues each candidate that
-    reaches the LM gates. ``_lm_gates`` runs a full queue's LM gates; at the
-    ``max_per_item``-th accept the walk ends, and the outcome keeps nothing
-    of the candidates after that one. The first queue holds
-    ``max_per_item`` candidates and each next one twice as many as the one
-    before, so an item that needs many candidates is scored in few
-    ``stream_scores`` calls, and the walk passes the cut by less than one
-    queue. The rest of the queue is scored when the walk runs out of
-    candidates."""
-    positions, scores, reasons = _early_reasons(item, candidates, inputs, config)
-    sent_sims = candidates.sent_sims
-    syntactic_ok = None if config.syntactic_mode() == agreement.MODE_OFF else True
-    pairs: List[SyntheticPair] = []
-    survivors: List[Tuple[int, ReplacementRecord]] = []
-    queued: List[_Queued] = []
-    batch = config.max_per_item
-    cut = None
-    walked = np.flatnonzero(reasons == _OPEN)
-    for at, sentence_id, position, score in zip(
-        walked.tolist(), candidates.ids[walked].tolist(), positions[walked].tolist(),
-        scores[walked].tolist(),
-    ):
-        record = ReplacementRecord(
-            item.kind, item.surface, sentence_id,
-            source_span=(position, position),
-            word_sim=score,
-            sent_sim=None if sent_sims is None else sent_sims[at],
-            syntactic_ok=syntactic_ok,
-        )
-        survivors.append((at, record))
-        span = target_span(inputs.alignments[sentence_id], position, config.max_span)
-        if isinstance(span, str):
-            record.reason = span
-            continue
-        record.target_span = span
-        record.source_inserted = item.surface
-        record.target_inserted = item.target_insert
-        queued.append((at, record))
-        if len(queued) == batch:
-            cut = _lm_gates(queued, pairs, item, inputs, config)
-            if cut is not None:
+    ``taken`` counts the candidates its rounds took and ``size`` is the
+    length of its next chunk. ``early`` holds each chunk's best words,
+    scores and early codes. ``pending`` holds, in candidate order, the
+    candidates taken that passed the early gates and that no walk has read
+    yet: each one's index, sentence id, best word, score, source (original,
+    spliced) window scores and whether they pass the source LM gate.
+    ``survivors`` holds the record of each candidate that reached the
+    target-span gate with its index, and ``cut`` the index of the
+    ``max_per_item``-th accept, once there is one.
+    """
+
+    def __init__(self, item: _Item, candidates: Candidates, size: int) -> None:
+        self.item = item
+        self.candidates = candidates
+        self.taken = 0
+        self.size = size
+        self.early: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.pending: List[tuple] = []
+        self.survivors: List[Tuple[int, ReplacementRecord]] = []
+        self.pairs: List[SyntheticPair] = []
+        self.cut: Optional[int] = None
+
+    def read(self, need: int) -> List[tuple]:
+        """Remove and return the pending candidates the walk reads for sure:
+        those up to the ``need``-th that passes the source LM gate, or all of
+        them. Only such a candidate can be an accept, so the walk cannot cut
+        before the last of them."""
+        passing = 0
+        for end, row in enumerate(self.pending, 1):
+            passing += row[-1]
+            if passing == need:
                 break
-            queued = []
-            batch *= 2
-    if cut is None and queued:
-        cut = _lm_gates(queued, pairs, item, inputs, config)
+        else:
+            end = len(self.pending)
+        rows, self.pending = self.pending[:end], self.pending[end:]
+        return rows
 
-    if cut is not None:
-        survivors = [survivor for survivor in survivors if survivor[0] <= cut]
-        reasons = reasons[: cut + 1]
-    early = np.flatnonzero(reasons != _OPEN)
-    return pairs, ItemOutcome(
-        item, candidates, early, reasons[early], positions[early], scores[early],
-        survivors, [survivor for survivor in survivors if not survivor[1].accepted],
+    def walk(self, rows: Iterable[tuple], inputs: RunInputs, config: AugmentationConfig) -> None:
+        """Make the record of each candidate of ``rows`` in candidate order
+        and run its target-span and LM gates, until the ``max_per_item``-th
+        accept. A row is a pending entry and then the candidate's target
+        link and target (original, spliced) window scores, None where the
+        round scored none; the walk reads a side's scores only where the
+        gate before it passed."""
+        item, sent_sims, corpus = self.item, self.candidates.sent_sims, inputs.corpus
+        syntactic_ok = None if config.syntactic_mode() == agreement.MODE_OFF else True
+        for at, sentence_id, position, score, src, _, target, tgt in rows:
+            record = ReplacementRecord(
+                item.kind, item.surface, sentence_id,
+                source_span=(position, position),
+                word_sim=score,
+                sent_sim=None if sent_sims is None else sent_sims[at],
+                syntactic_ok=syntactic_ok,
+            )
+            self.survivors.append((at, record))
+            if target < 0:
+                record.reason = REASON_UNALIGNED
+                continue
+            # A Viterbi link is one target token, so the span is never too long.
+            record.target_span = (target, target)
+            record.source_inserted = item.surface
+            record.target_inserted = item.target_insert
+            src_ok, record.lm_ratio_src = lm_ratio_accept(src, config.lm_threshold)
+            if not src_ok:
+                record.reason = REASON_LM_SRC
+                continue
+            tgt_ok, record.lm_ratio_tgt = lm_ratio_accept(tgt, config.lm_threshold)
+            if not tgt_ok:
+                record.reason = REASON_LM_TGT
+                continue
+            record.accepted = True
+            self.pairs.append(SyntheticPair(
+                synthetic_window(corpus.source[sentence_id].tokens, record.source_span,
+                                 item.surface)[0],
+                synthetic_window(corpus.target[sentence_id].tokens, record.target_span,
+                                 item.target_insert)[0],
+                record,
+            ))
+            if len(self.pairs) == config.max_per_item:
+                self.cut = at
+                return
+
+    def outcome(self) -> Tuple[List[SyntheticPair], "ItemOutcome"]:
+        """The accepted pairs and the outcome of the candidates up to the cut."""
+        positions, scores, reasons = (np.concatenate(parts) for parts in zip(*self.early))
+        if self.cut is not None:
+            reasons = reasons[: self.cut + 1]
+        early = np.flatnonzero(reasons != _OPEN)
+        return self.pairs, ItemOutcome(
+            self.item, self.candidates, early, reasons[early], positions[early], scores[early],
+            self.survivors, [survivor for survivor in self.survivors if not survivor[1].accepted],
+        )
+
+
+def _take(runs: Sequence[_ItemRun], inputs: RunInputs, config: AugmentationConfig) -> None:
+    """Take the next chunk of each run, run the gates before the target span
+    on all of them and score the source windows of those that pass: one
+    array pass each. They join their run's ``pending``, and each chunk size
+    doubles."""
+    chunks = [run.candidates.ids[run.taken : run.taken + run.size] for run in runs]
+    counts = np.array([len(chunk) for chunk in chunks], dtype=np.intp)
+    firsts = np.cumsum(counts) - counts
+    sentence_ids = np.concatenate(chunks)
+    positions, scores, reasons = _early_reasons(
+        [run.item for run in runs], sentence_ids, counts, inputs, config
     )
+    walked = np.flatnonzero(reasons == _OPEN)
+    owner = np.repeat(np.arange(len(runs)), counts)[walked]
+    walked_ids, walked_at = sentence_ids[walked], positions[walked]
+    src = _lm_scores(inputs.lm_src, inputs.stream_src, walked_ids, walked_at,
+                     [run.item.surface for run in runs], owner)
+    # The walk's own source verdict, taken through ``lm`` so that
+    # ``pipeline.lm_ratio_accept`` counts only the gates a walk decides; an
+    # original window that underflowed does not pass, and raises only where
+    # a walk reaches it.
+    passes = [pair[0] > 0.0 and lm.lm_ratio_accept(pair, config.lm_threshold)[0]
+              for pair in src]
+    taken = np.array([run.taken for run in runs], dtype=np.intp)
+    rows = list(zip(
+        (walked - firsts[owner] + taken[owner]).tolist(), walked_ids.tolist(),
+        walked_at.tolist(), scores[walked].tolist(), src, passes,
+    ))
+    bounds = np.searchsorted(walked, np.append(firsts, len(reasons))).tolist()
+    for k, run in enumerate(runs):
+        lo, hi = firsts[k], firsts[k] + counts[k]
+        run.early.append((positions[lo:hi], scores[lo:hi], reasons[lo:hi]))
+        run.pending += rows[bounds[k] : bounds[k + 1]]
+        run.taken += int(counts[k])
+        run.size *= 2
+
+
+def _round(runs: Sequence[_ItemRun], inputs: RunInputs, config: AugmentationConfig) -> None:
+    """One round over the runs still short of ``max_per_item`` accepts.
+
+    A run whose pending candidates hold fewer passing source gates than it
+    has accepts to go takes its next chunk (``_take``). Then each run reads
+    the pending candidates its walk reaches for sure, and all of those are
+    aligned in one ``Alignments.ensure``, their target windows scored where
+    the source gate passes in one ``stream_scores`` call, and walked, one
+    run at a time in candidate order. A run's other pending candidates wait
+    for the next round, so no pair is aligned that no walk reads."""
+    need = [config.max_per_item - len(run.pairs) for run in runs]
+    fresh = [run for run, n in zip(runs, need)
+             if run.taken < len(run.candidates.ids) and sum(row[-1] for row in run.pending) < n]
+    if fresh:
+        _take(fresh, inputs, config)
+    reads = [run.read(n) for run, n in zip(runs, need)]
+    rows = [row for read in reads for row in read]
+    sentence_ids = np.array([row[1] for row in rows], dtype=np.intp)
+    positions = np.array([row[2] for row in rows], dtype=np.intp)
+    alignments = inputs.alignments
+    alignments.ensure(sentence_ids)
+    targets = alignments.links[alignments.starts[sentence_ids] + positions]
+
+    # The target windows are scored for the candidates whose source gate passes.
+    owner = np.repeat(np.arange(len(runs)), [len(read) for read in reads])
+    passed = np.flatnonzero((targets >= 0) & np.array([row[-1] for row in rows], dtype=bool))
+    tgt: List[Optional[Tuple[float, float]]] = [None] * len(rows)
+    for k, pair in zip(passed.tolist(), _lm_scores(
+        inputs.lm_tgt, inputs.stream_tgt, sentence_ids[passed], targets[passed],
+        [run.item.target_insert for run in runs], owner[passed],
+    )):
+        tgt[k] = pair
+    walked = iter(zip(rows, targets.tolist(), tgt))
+    for run, read in zip(runs, reads):
+        run.walk([(*row, target, scores) for row, target, scores
+                  in itertools.islice(walked, len(read))], inputs, config)
+
+
+def _process_items(
+    items: Sequence[Tuple[_Item, Candidates]], inputs: RunInputs, config: AugmentationConfig
+) -> List[Tuple[List[SyntheticPair], "ItemOutcome"]]:
+    """Run each item through every enabled gate in each of its candidate
+    sentences, in order, until ``max_per_item`` are accepted: the accepted
+    pairs and the outcome of each item, in item order. No outcome depends on
+    another candidate or on another item.
+
+    The items share rounds (``_round``). An item's candidates are taken in
+    chunks: the first ``max_per_item`` of them, each next chunk twice as
+    long as the one before. A round runs the gates before the target span
+    and the source LM windows of all the chunks it takes as arrays, in one
+    ``best_word_in_sentence`` call and one ``stream_scores`` call; then the
+    target-span gate and the target LM windows of the candidates each
+    item's walk reads for sure, in one ``Alignments.ensure`` and one
+    ``stream_scores`` call. Each walk makes its records in candidate order
+    and decides each LM gate it reaches with one ``lm_ratio_accept`` call,
+    so an original window whose score underflowed raises only where the
+    walk reaches it, at or before the cut at the ``max_per_item``-th accept.
+    The outcome keeps nothing after the cut.
+    """
+    runs = [_ItemRun(item, candidates, config.max_per_item) for item, candidates in items]
+    live = runs
+    while live:
+        _round(live, inputs, config)
+        live = [run for run in live if run.cut is None
+                and (run.pending or run.taken < len(run.candidates.ids))]
+    return ordered_map(_ItemRun.outcome, runs)
 
 
 _FIRST = operator.itemgetter(0)
@@ -770,7 +892,7 @@ def _run_items(
     ]
     items = [(entry, candidates) for entry, candidates in resolved if isinstance(entry, _Item)]
     accepted: List[SyntheticPair] = []
-    for pairs, outcome in ordered_map(lambda item: _process_item(*item, inputs, config), items):
+    for pairs, outcome in _process_items(items, inputs, config):
         accepted.extend(pairs)
         rejected.append(outcome)
     return accepted, rejected
@@ -803,6 +925,8 @@ def augment_rare_words(
         return Candidates(np.array([hit.sentence_id for hit in hits], dtype=np.intp),
                           [hit.score for hit in hits])
 
+    inputs.alignments.ensure([min(rare.host_sentence_ids) for rare in rare_words
+                              if rare.host_sentence_ids])
     resolved = []
     for rare in sorted(rare_words, key=lambda r: r.surface):
         item = resolve_rare_word(rare, inputs, config.max_span)
@@ -899,7 +1023,9 @@ def merge_and_dedup(
 
 _FIELD_NAMES = tuple(sorted(f.name for f in fields(ReplacementRecord)))
 _FIELD_VALUES = operator.attrgetter(*_FIELD_NAMES)
-_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+# ``_provenance_line`` builds each dict in ``_FIELD_NAMES`` order, already
+# sorted, so the encoder sorts no keys.
+_ENCODE = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 _EARLY_REASON_JSON = tuple(_ENCODE(reason) for reason in _EARLY_REASONS)
 _EARLY_VERDICT_JSON = tuple("false" if code in (_POS, _MORPH) else "null"
                             for code in range(len(_EARLY_REASONS)))
@@ -907,7 +1033,7 @@ _EARLY_VERDICT_JSON = tuple("false" if code in (_POS, _MORPH) else "null"
 
 def _provenance_line(record: ReplacementRecord) -> str:
     """The record's line in ``provenance.jsonl``, newline included: its
-    fields as ``json.JSONEncoder(sort_keys=True, ensure_ascii=False)``
+    fields in sorted order as ``json.JSONEncoder(ensure_ascii=False)``
     writes them, tuples as lists."""
     return _ENCODE(dict(zip(_FIELD_NAMES, _FIELD_VALUES(record)))) + "\n"
 

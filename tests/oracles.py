@@ -19,7 +19,7 @@ which the pipeline's lines, the f-strings of early rejections included, must
 equal byte for byte.
 ``process_item_reference`` is the gate loop as one record per candidate,
 each candidate run through every gate in turn, which the array gates and
-the lazily made records of ``pipeline._process_item`` must equal field for
+the lazily made records of ``pipeline._process_items`` must equal field for
 field. ``load_embeddings_reference`` is the textual ``.vec`` parse as one
 ``float()`` call per component, which the block parse of ``load_embeddings``
 must equal: the same tokens, matrix bits and warnings.
@@ -531,7 +531,8 @@ def window_scores(model, windows):
     rows = np.array(
         [(i, start, end) for i, (_, (start, end)) in enumerate(windows)], dtype=np.intp
     ).reshape(-1, 3)
-    return stream_scores(model, stream, rows, len(rows), ())
+    return stream_scores(model, stream, rows, np.zeros(0, dtype=np.int64),
+                         np.zeros(len(rows), dtype=np.intp))
 
 
 def lm_ratio_reference(model, original, synthetic, threshold):
@@ -551,8 +552,8 @@ def process_item_reference(item, candidates, inputs, config):
     lexicon, corpus = inputs.lexicon, inputs.corpus
     item_annotation = lexicon.get(item.surface[-1]) if lexicon is not None else None
     positions, scores, found = best_word_in_sentence(
-        inputs.word_index, item.query_vec, [sentence_id for sentence_id, _ in candidates],
-        item.surface[0] if len(item.surface) == 1 else None,
+        inputs.word_index, [item.query_vec], [sentence_id for sentence_id, _ in candidates],
+        [len(candidates)], [item.surface[0] if len(item.surface) == 1 else None],
     )
     records, accepted = [], 0
     for (sentence_id, sent_sim), position, score, ok in zip(

@@ -34,6 +34,11 @@ from cachecases import ALIGNER_CASES, pack, read_cache
 from oracles import ibm1_dict_reference, ibm1_reference, table_from_rows, viterbi_reference
 
 
+def align(pair, table):
+    """The ``SentenceAlignment`` of one pair from ``viterbi_align``."""
+    return SentenceAlignment.from_targets(viterbi_align([pair], table).tolist())
+
+
 def make_corpus(pairs):
     src = tuple(Sentence(i, tuple(s.split())) for i, (s, _) in enumerate(pairs))
     tgt = tuple(Sentence(i, tuple(t.split())) for i, (_, t) in enumerate(pairs))
@@ -105,8 +110,7 @@ class TestTrainIbm1:
         corpus = make_corpus(pairs)
         table = train_ibm1(corpus, 2)
         for i, (s, t) in enumerate(corpus.pairs()):
-            alignment = viterbi_align((s, t), table)
-            assert alignment.links == ((0, 0),)
+            assert align((s, t), table).links == ((0, 0),)
 
     def test_empty_or_invalid_args(self):
         with pytest.raises(ValueError):
@@ -160,28 +164,28 @@ class TestViterbi:
     def test_argmax_link(self):
         table = self.table({"house": {"haus": 0.95}, NULL_TOKEN: {"haus": 0.01}})
         pair = (Sentence(0, ("house",)), Sentence(0, ("haus",)))
-        assert viterbi_align(pair, table).links == ((0, 0),)
+        assert align(pair, table).links == ((0, 0),)
 
     def test_tie_breaks_lowest_target_index(self):
         table = self.table({"e": {"f": 0.4}, NULL_TOKEN: {"f": 0.1}})
         pair = (Sentence(0, ("e",)), Sentence(0, ("f", "f")))
-        assert viterbi_align(pair, table).links == ((0, 0),)
+        assert align(pair, table).links == ((0, 0),)
 
     def test_null_wins_when_stronger(self):
         table = self.table({"e": {"f": 0.2}, NULL_TOKEN: {"f": 0.9}})
         pair = (Sentence(0, ("e",)), Sentence(0, ("f",)))
-        assert viterbi_align(pair, table).links == ()
+        assert align(pair, table).links == ()
 
     def test_null_last_on_tie(self):
         table = self.table({"e": {"f": 0.5}, NULL_TOKEN: {"f": 0.5}})
         pair = (Sentence(0, ("e",)), Sentence(0, ("f",)))
-        assert viterbi_align(pair, table).links == ((0, 0),)
+        assert align(pair, table).links == ((0, 0),)
 
     def test_unseen_source_token_warns_and_skips(self, caplog):
         table = self.table({NULL_TOKEN: {"f": 0.5}})
         pair = (Sentence(0, ("mystery",)), Sentence(0, ("f",)))
         with caplog.at_level(logging.WARNING):
-            alignment = viterbi_align(pair, table)
+            alignment = align(pair, table)
         assert alignment.links == ()
         assert any("mystery" in rec.message for rec in caplog.records)
 
@@ -193,34 +197,47 @@ _values = st.sampled_from([-0.5, 0.0, 0.1, 0.25, 0.5, 1.0])
 
 @st.composite
 def viterbi_cases(draw):
-    """(table, sentence pair): a random table over few tokens, and sentences
-    that may hold tokens it lacks on either side; the source may be empty."""
+    """(table, sentence pairs): a random table over few tokens, and pairs
+    whose sentences may hold tokens it lacks on either side; either side
+    may be empty."""
     rows = draw(st.dictionaries(_vocab, st.dictionaries(_vocab, _values, max_size=4), max_size=4))
     words = st.sampled_from(["a", "b", "c", "unseen"])
-    source = draw(st.lists(words, max_size=6))
-    target = draw(st.lists(words, min_size=1, max_size=6))
-    return table_from_rows(rows), (_sentence(source), Sentence(0, tuple(target)))
+    side = st.lists(words, max_size=6).map(_sentence)
+    return table_from_rows(rows), draw(st.lists(st.tuples(side, side), max_size=4))
 
 
 def _sentence(tokens):
     # Sentence refuses an empty token list, so no pair the program aligns has
-    # an empty side; an empty source still checks the path with no rows.
+    # an empty side; an empty side still checks the paths with no cells.
     return Sentence(0, tuple(tokens)) if tokens else SimpleNamespace(tokens=())
 
 
 class TestViterbiParity:
-    """The array Viterbi equals the loop over the rows of ``t``."""
+    """The array Viterbi over a list of pairs equals the loop over the rows
+    of ``t``, pair by pair."""
 
     @settings(max_examples=400, deadline=None)
     @given(viterbi_cases())
     @example((table_from_rows({"a": {"b": 0.5}, NULL_TOKEN: {"b": 0.5}}),
-              (Sentence(0, ("a",)), Sentence(0, ("b", "b")))))
+              [(Sentence(0, ("a",)), Sentence(0, ("b", "b")))]))
     @example((table_from_rows({"a": {"b": -0.5, "c": 0.0}}),
-              (Sentence(0, ("a",)), Sentence(0, ("b", "c")))))
-    @example((table_from_rows({}), (_sentence([]), _sentence(["a"]))))
+              [(Sentence(0, ("a",)), Sentence(0, ("b", "c")))]))
+    @example((table_from_rows({}), [(_sentence([]), _sentence(["a"]))]))
+    @example((table_from_rows({"a": {"b": 0.5}, NULL_TOKEN: {"b": 0.9, "c": 0.1}}),
+              [(_sentence(["a", "a"]), _sentence([])), (_sentence(["a", "unseen"]),
+               _sentence(["c", "b"])), (_sentence(["a"]), _sentence(["c", "b", "b"]))]))
     def test_links_equal_reference(self, case):
-        table, pair = case
-        assert viterbi_align(pair, table) == viterbi_reference(pair, table)
+        table, pairs = case
+        links = viterbi_align(pairs, table)
+        assert links.dtype == np.intp
+        assert len(links) == sum(len(source.tokens) for source, _ in pairs)
+        start = 0
+        for pair in pairs:
+            end = start + len(pair[0].tokens)
+            assert SentenceAlignment.from_targets(links[start:end].tolist()) == (
+                viterbi_reference(pair, table)
+            )
+            start = end
 
 
 class TestTargetSpan:
@@ -238,7 +255,10 @@ class TestTargetSpan:
 
 
 def align_all(corpus, table):
-    return [viterbi_align(pair, table) for pair in corpus.pairs()]
+    links = viterbi_align(list(corpus.pairs()), table).tolist()
+    ends = np.cumsum([len(source.tokens) for source in corpus.source]).tolist()
+    return [SentenceAlignment.from_targets(links[end - len(source.tokens) : end])
+            for source, end in zip(corpus.source, ends)]
 
 
 class TestTranslateRareWord:

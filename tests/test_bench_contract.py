@@ -35,8 +35,10 @@ def test_every_traced_layer_reports(toy, tmp_path, monkeypatch):
     assert tracer.absent == set()
     assert tracer.uncounted == set()
     assert tracer.counters["pipeline.items"] > 0
-    # The LM gates still decide through the hooked pipeline.lm_ratio_accept.
-    assert any(span[0] == "lm.ratio" for span in tracer.spans)
+    # The word search, the alignment and the LM gates still run through the
+    # hooked names, so their per-layer rows are not left at 0.
+    names = {span[0] for span in tracer.spans}
+    assert {"embeddings.best_word", "aligner.viterbi", "lm.ratio"} <= names
     # The entry count read through the table's ``t`` view is the saved one.
     probs = read_cache(out / "cache" / "aligner.bin", ALIGNER_MAGIC, 5)[4]
     assert tracer.counters["aligner.t_entries"] == probs.size > 0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import corpusaug
@@ -355,9 +356,9 @@ class TestAugment:
         aligned, built = [], []
         viterbi_align, build = pipeline.viterbi_align, WordIndex.build
 
-        def counting_align(pair, table):
-            aligned.append(pair[0].id)
-            return viterbi_align(pair, table)
+        def counting_align(pairs, table):
+            aligned.extend(source.id for source, _ in pairs)
+            return viterbi_align(pairs, table)
 
         def counting_build(cls, *args):
             built.append(args[-1])
@@ -368,7 +369,7 @@ class TestAugment:
         assert main(
             ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "wordSim_pos_morph"]
         ) == EXIT_OK
-        # Each pair is aligned when first read, and no pair twice.
+        # Each pair is aligned when first read, in batches, and no pair twice.
         assert aligned and len(aligned) == len(set(aligned))
         assert built == ["pos_morph"]
 
@@ -384,9 +385,9 @@ class TestAugment:
         aligned = []
         viterbi_align = pipeline.viterbi_align
 
-        def counting_align(pair, table):
-            aligned.append(pair[0].id)
-            return viterbi_align(pair, table)
+        def counting_align(pairs, table):
+            aligned.extend(source.id for source, _ in pairs)
+            return viterbi_align(pairs, table)
 
         monkeypatch.setattr(pipeline, "viterbi_align", counting_align)
         assert main(
@@ -395,13 +396,13 @@ class TestAugment:
         records = [json.loads(line) for line in (out / "provenance.jsonl").open(encoding="utf-8")]
         gated = {r["base_sentence_id"] for r in records
                  if r["target_span"] is not None or r["reason"] in ("unaligned", "span_too_long")}
-        assert len(aligned) == len(set(aligned)) <= len(gated | hosts)
+        assert 0 < len(aligned) == len(set(aligned)) <= len(gated | hosts)
         assert len(aligned) < corpus_size
 
         aligned.clear()
         assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
         named = {r["base_sentence_id"] for r in records if r["accepted"]}
-        assert len(aligned) == len(set(aligned)) <= len(named | hosts)
+        assert 0 < len(aligned) == len(set(aligned)) <= len(named | hosts)
         assert len(aligned) < corpus_size
 
     def test_outputs_and_manifest_shape(self, toy, tmp_path):
@@ -520,6 +521,48 @@ class TestAugment:
             err = capsys.readouterr().err
             assert "numeric error: the LM score of an original window underflowed" in err
             assert "Traceback" not in err
+
+    def test_lm_underflow_counts_only_where_the_walk_reaches(self, toy, tmp_path, monkeypatch,
+                                                             capsys):
+        # A round scores the source windows of candidates past an item's
+        # cut, but only an original window that some item's walk reaches,
+        # at or before its cut, stops the run.
+        cfg, out = prepare_run(toy, tmp_path, max_per_item="1")
+        argv = ["augment", "--config", str(cfg), "--mode", "both"]
+        score = pipeline.stream_scores
+        sides, scored, zeroed = [], set(), set()
+
+        def scorer(model, stream, windows, insert_ids, insert_lengths):
+            # A round scores its source windows first.
+            sides.append(model.tokens)
+            source = model.tokens == sides[0]
+            originals = windows[insert_lengths == 0, :2].tolist()
+            scores = score(model, stream, windows, insert_ids, insert_lengths)
+            if source:
+                scored.update(map(tuple, originals))
+                hit = [tuple(w) in zeroed for w in windows[:, :2].tolist()]
+                scores[np.array(hit, dtype=bool) & (insert_lengths == 0)] = 0.0
+            return scores
+
+        monkeypatch.setattr(pipeline, "stream_scores", scorer)
+        assert main(argv) == EXIT_OK
+        provenance = (out / "provenance.jsonl").read_bytes()
+        reached = {(r["base_sentence_id"], r["source_span"][0])
+                   for r in map(json.loads, provenance.decode("utf-8").splitlines())
+                   if r["lm_ratio_src"] is not None}
+        past_cut = sorted(scored - reached)
+        assert reached and past_cut
+
+        zeroed.add(past_cut[0])
+        assert main(argv) == EXIT_OK
+        assert (out / "provenance.jsonl").read_bytes() == provenance
+
+        zeroed.add(min(reached))
+        capsys.readouterr()
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric error: the LM score of an original window underflowed" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("dictionary", ["", "missing.tsv"])
     def test_bad_dictionary_exits_before_rare_pass(self, toy, tmp_path, monkeypatch, dictionary):

@@ -3,6 +3,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from corpusaug.corpus_io import Sentence
 from corpusaug import embeddings
 from corpusaug.embeddings import (
     EMBEDDINGS_MAGIC,
+    SEARCH_BLOCK,
     EmbeddingFormatError,
     EmbeddingTable,
     VectorRows,
@@ -410,6 +412,14 @@ class TestVecdotGuard:
             assert _bits_of(VectorRows(matrix).norms) == _bits_of(
                 np.linalg.norm(row) for row in matrix
             )
+            # The batched re-score pairs each gathered row with its own query.
+            queries = matrix[rng.permutation(len(matrix))]
+            assert _bits_of(np.vecdot(matrix, queries)) == _bits_of(
+                np.dot(query, row) for row, query in zip(matrix, queries)
+            )
+            assert _bits_of([np.sqrt(np.vecdot(query, query))]) == _bits_of(
+                [np.linalg.norm(query)]
+            )
 
 
 # Components from tiny to huge: squares that underflow to a zero norm, and
@@ -600,10 +610,16 @@ def as_pairs(result):
     ]
 
 
+def search(index, query, sentence_ids, exclude_token=None):
+    """``best_word_in_sentence`` with one query."""
+    return best_word_in_sentence(index, [query], sentence_ids, [len(sentence_ids)],
+                                 [exclude_token])
+
+
 def search_one(table, tokens, query, exclude_token=None, lexicon=None, mode=MODE_OFF):
     """``best_word_in_sentence`` on a one-sentence corpus."""
     index = WordIndex.build([Sentence(0, tuple(tokens))], table, lexicon, mode)
-    return as_pairs(best_word_in_sentence(index, query, [0], exclude_token))[0]
+    return as_pairs(search(index, query, [0], exclude_token))[0]
 
 
 class TestBestWord:
@@ -625,13 +641,13 @@ class TestBestWord:
 
     def test_no_sentences(self):
         index = WordIndex.build([Sentence(0, ("a",))], self.table, None, MODE_OFF)
-        positions, scores, found = best_word_in_sentence(index, [1, 0], [])
+        positions, scores, found = search(index, [1, 0], [])
         assert positions.shape == scores.shape == found.shape == (0,)
 
     def test_arrays_of_a_sentence_without_a_word(self):
         index = WordIndex.build([Sentence(0, ("x",)), Sentence(1, ("b", "a"))], self.table,
                                 None, MODE_OFF)
-        positions, scores, found = best_word_in_sentence(index, [1, 0], [1, 0, 1])
+        positions, scores, found = search(index, [1, 0], [1, 0, 1])
         assert positions.tolist() == [1, 0, 1]
         assert scores.tolist() == [1.0, -np.inf, 1.0]
         assert found.tolist() == [True, False, True]
@@ -691,14 +707,12 @@ def search_cases(draw):
     mode = draw(st.sampled_from((MODE_OFF, MODE_POS)))
     annotated = draw(st.sets(st.sampled_from(_WORDS)))
     lexicon = AnnotatedLexicon({t: TokenAnnotation("NOUN") for t in annotated})
-    query = draw(st.one_of(
-        _vectors.map(np.array),
-        st.sampled_from(pool),
-        st.just(np.zeros(DIM)),
-    ))
-    identity = draw(st.one_of(st.none(), st.sampled_from(vocabulary)))
-    candidates = draw(st.lists(st.integers(0, len(sentences) - 1), max_size=8))
-    return table, sentences, lexicon, mode, query, identity, candidates
+    queries = draw(st.lists(st.tuples(
+        st.one_of(_vectors.map(np.array), st.sampled_from(pool), st.just(np.zeros(DIM))),
+        st.one_of(st.none(), st.sampled_from(vocabulary)),
+        st.lists(st.integers(0, len(sentences) - 1), max_size=8),
+    ), min_size=1, max_size=4))
+    return table, sentences, lexicon, mode, queries
 
 
 def float_bits(x):
@@ -714,17 +728,28 @@ class TestSearchParity:
     @settings(max_examples=200, deadline=None)
     @given(search_cases())
     def test_best_word_matches_scalar_loop(self, case):
-        table, sentences, lexicon, mode, query, identity, candidates = case
+        # One call searches for every query, each in its own sentences with
+        # its own excluded token, as a scalar loop per query does, in blocks
+        # of one query, of a few, or of all of them.
+        table, sentences, lexicon, mode, queries = case
         index = WordIndex.build(sentences, table, lexicon, mode)
-        got = as_pairs(best_word_in_sentence(index, query, candidates, identity))
         expected = [
             best_word_reference(
                 query, sentences[i], table,
                 eligible_reference(sentences[i], identity, lexicon, mode),
             )
+            for query, identity, candidates in queries
             for i in candidates
         ]
-        assert [bits(r) for r in got] == [bits(r) for r in expected]
+        for block in (1, 24, SEARCH_BLOCK):
+            with mock.patch.object(embeddings, "SEARCH_BLOCK", block):
+                got = as_pairs(best_word_in_sentence(
+                    index, np.stack([query for query, _, _ in queries]),
+                    [i for _, _, candidates in queries for i in candidates],
+                    [len(candidates) for _, _, candidates in queries],
+                    [identity for _, identity, _ in queries],
+                ))
+            assert [bits(r) for r in got] == [bits(r) for r in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(_near_tie_pool(8), st.data())

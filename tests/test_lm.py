@@ -525,55 +525,65 @@ _STREAM_TOKEN = st.sampled_from(["a", "b", "c", "d", BOS, EOS, UNK, "oov"])
 
 @st.composite
 def stream_cases(draw):
-    """An ``lm_cases`` corpus, sentences to score on it, and one insertion of
-    1 to 3 tokens. Sentences mix corpus tokens, literal reserved markers and
-    an unknown token. The original and the spliced windows are (sentence,
-    start, end) rows whose spans of 1 to 3 tokens often start at either end
-    of a sentence."""
+    """An ``lm_cases`` corpus, sentences to score on it, and windows on them.
+    Sentences mix corpus tokens, literal reserved markers and an unknown
+    token. A window is a (sentence, start, end) row whose span of 1 to 3
+    tokens often starts at either end of a sentence, with its own insertion
+    of 1 to 3 tokens or none (the original window); rows often repeat."""
     corpus, min_count, discount = draw(lm_cases())
     sentences = draw(st.lists(
         st.lists(_STREAM_TOKEN, min_size=1, max_size=9).map(tuple), min_size=1, max_size=4
     ))
-
-    def windows():
-        rows = []
-        for _ in range(draw(st.integers(0, 5))):
-            sentence = draw(st.integers(0, len(sentences) - 1))
-            length = len(sentences[sentence])
-            start = draw(st.sampled_from([0, length - 1]) | st.integers(0, length - 1))
-            end = draw(st.integers(start, min(length, start + 3) - 1))
-            rows.append((sentence, start, end))
-        return rows
-
-    insert = tuple(draw(st.lists(_STREAM_TOKEN, min_size=1, max_size=3)))
-    return corpus, min_count, discount, sentences, windows(), windows(), insert
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        sentence = draw(st.integers(0, len(sentences) - 1))
+        length = len(sentences[sentence])
+        start = draw(st.sampled_from([0, length - 1]) | st.integers(0, length - 1))
+        end = draw(st.integers(start, min(length, start + 3) - 1))
+        insert = draw(st.just(()) | st.lists(_STREAM_TOKEN, min_size=1, max_size=3).map(tuple))
+        rows.append((sentence, start, end, insert))
+    return corpus, min_count, discount, sentences, rows
 
 
 class TestStreamParity:
     """``stream_scores`` on an ``IdStream`` equals ``window_scores`` on the
     same windows as tokens, and ``window_score`` on the dict model, bit for
-    bit: the windows at either end of a sentence, of spliced windows too."""
+    bit: the windows at either end of a sentence, original or spliced, each
+    with its own insertion, whatever other rows share the call."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(stream_cases())
-    @example(([["a", "b"], [BOS, "c"]], 1, 0.75, [(BOS, "a", EOS), ("oov",)],
-              [(0, 0, 2), (1, 0, 0)], [(0, 0, 0), (0, 2, 2), (1, 0, 0)], (EOS, "b", "oov")))
+    @example(([["a", "b"], [BOS, "c"]], 1, 0.75, [(BOS, "a", EOS), ("oov",)], [
+        (0, 0, 2, ()), (1, 0, 0, ()), (0, 0, 0, (EOS, "b", "oov")), (0, 0, 2, ()),
+        (0, 2, 2, ("a",)), (1, 0, 0, (EOS, "b", "oov")), (1, 0, 0, ()),
+    ]))
     def test_scores_equal_window_scores_and_dict_model(self, case):
-        corpus, min_count, discount, sentences, original, spliced, insert = case
+        corpus, min_count, discount, sentences, rows = case
         mono = [tuple(tokens) for tokens in corpus]
         reference = train_lm_dict_reference(mono, min_count, discount)
         model = train_lm(mono, min_count, discount)
         stream = IdStream.build(model.ids, sentences)
         scores = stream_scores(
-            model, stream, np.array(original + spliced, dtype=np.intp).reshape(-1, 3),
-            len(original), insert,
+            model, stream,
+            np.array([row[:3] for row in rows], dtype=np.intp).reshape(-1, 3),
+            np.array([model.ids.get(token, UNK_ID) for *_, insert in rows for token in insert],
+                     dtype=np.int64),
+            np.array([len(insert) for *_, insert in rows], dtype=np.intp),
         )
-        originals, synthetics = scores[: len(original)], scores[len(original) :]
-        original_windows = [(sentences[i], (start, end)) for i, start, end in original]
-        spliced_windows = [synthetic_window(sentences[i], (start, end), insert)
-                           for i, start, end in spliced]
+        windows = [
+            synthetic_window(sentences[i], (start, end), insert) if insert
+            else (sentences[i], (start, end))
+            for i, start, end, insert in rows
+        ]
         assert scores.dtype == np.float64
-        assert originals.tolist() == [window_score(reference, *w) for w in original_windows]
-        assert synthetics.tolist() == [window_score(reference, *w) for w in spliced_windows]
-        assert (originals.tolist() + synthetics.tolist()
-                == window_scores(model, original_windows + spliced_windows).tolist())
+        assert scores.tolist() == [window_score(reference, *window) for window in windows]
+        assert scores.tolist() == window_scores(model, windows).tolist()
+
+        # Each row scores alone as it does among the others.
+        for k, (i, start, end, insert) in enumerate(rows):
+            alone = stream_scores(
+                model, stream, np.array([[i, start, end]], dtype=np.intp),
+                np.array([model.ids.get(token, UNK_ID) for token in insert], dtype=np.int64),
+                np.array([len(insert)], dtype=np.intp),
+            )
+            assert alone.tolist() == scores[k : k + 1].tolist()

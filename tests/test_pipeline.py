@@ -283,9 +283,10 @@ def dict_fixture():
 
 
 class TestLmGatePath:
-    """``_process_item`` on the toy fixture: the LM gates are scored in
-    batches, yet the records stop at the ``max_per_item``-th accept and
-    each LM gate a returned record reached is one ``lm_ratio_accept`` call."""
+    """``_process_items`` on the toy fixture: the LM gates are scored in
+    rounds, yet the records stop at the ``max_per_item``-th accept, each LM
+    gate a returned record reached is one ``lm_ratio_accept`` call, and a
+    round makes at most two ``stream_scores`` calls."""
 
     @pytest.fixture(scope="class")
     def toy_run(self, toy, tmp_path_factory):
@@ -302,19 +303,20 @@ class TestLmGatePath:
     @pytest.mark.parametrize("max_per_item", [1, 2, 3])
     def test_cut_and_one_call_per_gate(self, toy_run, monkeypatch, max_per_item):
         inputs, config, items = toy_run
-        calls = []
+        calls, scored, searched = [], [], []
         score, scores_of = pipeline.lm_ratio_accept, pipeline.stream_scores
+        search = pipeline.best_word_in_sentence
 
-        def halving(model, stream, windows, unspliced, insert):
+        def halving(model, stream, windows, insert_ids, insert_lengths):
             # Every toy candidate that reaches the LM gates passes them, so
-            # each queue would end at an accept. Halving the spliced score of
+            # each round would end at an accept. Halving the spliced score of
             # some windows by their sentence id, span start and side (the
             # same in every run) puts refusals between the accepts on each
-            # side, and the cut inside a queue.
-            scores = scores_of(model, stream, windows, unspliced, insert)
+            # side, and the cut inside a round.
+            scored.append(len(windows))
+            scores = scores_of(model, stream, windows, insert_ids, insert_lengths)
             side = model is inputs.lm_tgt
-            halved = (windows[:, 0] + windows[:, 1] + side) % 3 == 0
-            halved[:unspliced] = False
+            halved = ((windows[:, 0] + windows[:, 1] + side) % 3 == 0) & (insert_lengths > 0)
             scores[halved] /= 2
             return scores
 
@@ -322,17 +324,23 @@ class TestLmGatePath:
             calls.append(args)
             return score(*args)
 
+        def counting_search(*args):
+            searched.append(args)
+            return search(*args)
+
         monkeypatch.setattr(pipeline, "stream_scores", halving)
         monkeypatch.setattr(pipeline, "lm_ratio_accept", gate)
+        monkeypatch.setattr(pipeline, "best_word_in_sentence", counting_search)
         candidates = Candidates(np.arange(len(inputs.corpus)))
         unlimited = dataclasses.replace(config, max_per_item=len(inputs.corpus))
-        full = [pipeline._process_item(item, candidates, inputs, unlimited)[1].records()
-                for item in items]
+        full = [outcome.records() for _, outcome in pipeline._process_items(
+            [(item, candidates) for item in items], inputs, unlimited
+        )]
         capped = dataclasses.replace(config, max_per_item=max_per_item)
         cut = 0
         for item, all_records in zip(items, full):
             calls.clear()
-            pairs, outcome = pipeline._process_item(item, candidates, inputs, capped)
+            [(pairs, outcome)] = pipeline._process_items([(item, candidates)], inputs, capped)
             records = outcome.records()
             assert records == all_records[: len(records)]
             accepted = [r for r in records if r.accepted]
@@ -348,6 +356,24 @@ class TestLmGatePath:
         assert cut > 0
         assert any(r.reason == REASON_LM_SRC for records in full for r in records)
         assert any(r.reason == REASON_LM_TGT for records in full for r in records)
+
+        # All the items in one call: at most one word search and one LM
+        # scoring call per side in each round.
+        scored.clear()
+        searched.clear()
+        rounds, run_round = [], pipeline._round
+
+        def counting_round(*args):
+            before = len(scored), len(searched)
+            run_round(*args)
+            rounds.append((len(scored) - before[0], len(searched) - before[1]))
+
+        monkeypatch.setattr(pipeline, "_round", counting_round)
+        pipeline._process_items([(item, candidates) for item in items], inputs, capped)
+        assert len(rounds) > 1 and len(searched) > 1
+        assert all(rows > 0 for rows in scored)
+        assert all(scorings <= 2 and searches <= 1 for scorings, searches in rounds)
+        assert sum(scorings for scorings, _ in rounds) == len(scored) > 0
 
 
 class TestGateLoopOracle:
@@ -408,6 +434,28 @@ class TestGateLoopOracle:
                         expected_accepted, expected_rejected
                     ).encode("utf-8")
         assert checked > 0
+
+    @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
+    def test_items_do_not_depend_on_their_batch(self, toy_inputs, preset):
+        # ``verify`` recomputes only the items and sentences its records
+        # name, so an item must fare the same in any batch of items.
+        load, _ = toy_inputs
+        base, (inputs, rare_words, dictionary) = load(preset)
+        for max_per_item in (1, 2, 3, 100000):
+            config = dataclasses.replace(base, max_per_item=max_per_item)
+            runs = [augment_rare_words(inputs, rare_words, config)]
+            if not config.use_sent_sim:
+                runs.append(augment_dictionary(inputs, dictionary, config, "all"))
+            for _, rejected in runs:
+                items = [(e.item, e.candidates) for e in rejected if isinstance(e, ItemOutcome)]
+                assert len(items) > 1
+                together = pipeline._process_items(items, inputs, config)
+                alone = [pipeline._process_items([item], inputs, config)[0] for item in items]
+                assert [pairs for pairs, _ in together] == [pairs for pairs, _ in alone]
+                assert [outcome.records() for _, outcome in together] == [
+                    outcome.records() for _, outcome in alone
+                ]
+                assert any(pairs for pairs, _ in together)
 
 
 @st.composite

@@ -313,7 +313,7 @@ class TestVerifyTamper:
             rare = next(r for r in rare_words if (r.surface,) == tuple(first["item_surface"]))
             item = pipeline.resolve_rare_word(rare, inputs, config.augmentation.max_span)
             host = Candidates(np.array([min(rare.host_sentence_ids)]))
-            _, outcome = pipeline._process_item(item, host, inputs, config.augmentation)
+            [(_, outcome)] = pipeline._process_items([(item, host)], inputs, config.augmentation)
             [record] = outcome.records()
             assert record.accepted
             return pipeline._provenance_line(record)
@@ -426,6 +426,33 @@ class TestVerifyBadProvenance:
         violation = "item: not an item of the run" if key == "item_kind" else f"{key}: recorded"
         assert violation in captured.err
         assert "Traceback" not in captured.err
+        assert "1 violation(s)" in captured.out
+
+    @pytest.mark.parametrize("key, retype", [
+        ("accepted", int),
+        ("syntactic_ok", int),
+        ("lm_ratio_src", int),
+        ("source_span", lambda span: [float(i) for i in span]),
+    ], ids=["accepted", "syntactic_ok", "lm_ratio_src", "source_span"])
+    def test_value_of_another_json_type_is_violation(self, toy, tmp_path, capsys, key, retype):
+        # Python holds 1 == True == 1.0; the line the pipeline writes does not.
+        run_dir = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", run_dir)
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        argv = ["augment", "--config", str(cfg), "--mode", "both", "--ablation", "wordSim_pos"]
+        assert main(argv) == EXIT_OK
+        path = run_dir / "provenance.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        # An accepted record whose value changes its JSON type, not its Python value.
+        index = next(i for i, r in enumerate(records)
+                     if r["accepted"] and retype(r[key]) == r[key]
+                     and json.dumps(retype(r[key])) != json.dumps(r[key]))
+        records[index][key] = retype(records[index][key])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert f"violations by field: {key}=1\n" in captured.err
         assert "1 violation(s)" in captured.out
 
     @pytest.mark.parametrize("key", ["word_sim", "lm_ratio_src", "lm_ratio_tgt"])
