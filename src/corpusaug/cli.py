@@ -5,8 +5,11 @@ Runs are driven by a flat ``key = value`` config file with CLI overrides
 ``<out_dir>/cache`` keyed by input-content hashes. One predicate,
 ``_fresh``, decides whether a cached artifact may be used: ``prepare``
 rebuilds what it rejects; ``augment``, and ``verify`` against the run's
-recorded fingerprints, refuse to run on it. Exit codes are a stable
-contract: 0 success, 2 input error, 3 numeric error, 4 stale cache, 5 verification failure.
+recorded fingerprints, refuse to run on it. ``augment`` and ``verify`` run
+the same ``_augment``: ``augment`` writes what it gives, and ``verify``
+replays the run through it and holds the run's outputs to the replay.
+Exit codes are a stable contract: 0 success, 2 input error, 3 numeric
+error, 4 stale cache, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__, agreement, pipeline
 from .aligner import (
@@ -32,6 +35,7 @@ from .aligner import (
 from .corpus_io import (
     CorpusFormatError,
     DictionaryEntry,
+    ParallelCorpus,
     RareWord,
     RareWordValidityConfig,
     build_vocabulary,
@@ -40,6 +44,7 @@ from .corpus_io import (
     load_dictionary,
     load_monolingual,
     load_parallel_corpus,
+    sentence_lines,
     write_parallel_corpus,
 )
 from .embeddings import (
@@ -60,7 +65,7 @@ from .pipeline import (
     rejections_per_set,
     write_provenance,
 )
-from .verify import verify_records
+from .verify import Violation, corpus_violations, json_violations, verify_records
 
 log = logging.getLogger(__name__)
 
@@ -268,6 +273,13 @@ def _expected_fingerprints(config: RunConfig) -> Dict[str, Dict[str, object]]:
     }
 
 
+def _input_sha256(config: RunConfig, mode: str) -> Dict[str, str]:
+    """The sha256 of each input of a run that no cache fingerprint covers:
+    the annotations and, in dict and both modes, the dictionary."""
+    paths = (config.annotations_src, config.dictionary if mode != MODE_RARE else "")
+    return {path: _sha256(path) for path in paths if path}
+
+
 def _cache_dir(config: RunConfig) -> Path:
     return Path(config.out_dir) / "cache"
 
@@ -381,6 +393,7 @@ def _check_cache(config: RunConfig, cache_dir: Path, stored: Dict[str, Dict[str,
     its ``stored`` fingerprint.
 
     Otherwise raise StaleCacheError naming the first artifact that is not,
+    or the input whose sha256 differs from the one its fingerprint records,
     except that a file whose fingerprint still matches its inputs but whose
     bytes changed and no longer parse raises its loader's error naming it.
     """
@@ -388,6 +401,13 @@ def _check_cache(config: RunConfig, cache_dir: Path, stored: Dict[str, Dict[str,
         out_path = cache_dir / str(spec["output"])
         entry = stored.get(artifact, {})
         if not _fresh(entry, spec, out_path):
+            recorded = entry.get("inputs")
+            changed = [path for path, digest in spec["inputs"].items()
+                       if isinstance(recorded, dict) and recorded.get(path, digest) != digest]
+            if changed:
+                raise StaleCacheError(
+                    f"input {changed[0]} changed since the cache was built; rerun prepare"
+                )
             if out_path.is_file() and entry == dict(spec, output_sha256=entry.get("output_sha256")):
                 _LOADERS[artifact](out_path)
             raise StaleCacheError(
@@ -432,14 +452,27 @@ def _load_run(
     return inputs, rare_words, dictionary
 
 
-def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
-    _check_mode(config, mode)
-    cache_dir = _cache_dir(config)
-    fingerprints = _load_fingerprints(cache_dir)
-    _check_cache(config, cache_dir, fingerprints)
-    inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
-    aug, corpus = config.augmentation, inputs.corpus
+class _Augmented(NamedTuple):
+    """What ``augment`` writes: the merged corpus and the merge manifest,
+    the kept pairs and the rejections in ``provenance.jsonl`` order, and
+    the rejections tallied per set and reason."""
 
+    merged: ParallelCorpus
+    merge: Dict[str, object]
+    kept: List[pipeline.SyntheticPair]
+    rejected: List[pipeline.Rejection]
+    tallies: Dict[str, Dict[str, int]]
+
+
+def _augment(
+    config: RunConfig,
+    inputs: pipeline.RunInputs,
+    rare_words: Optional[List[RareWord]],
+    dictionary: Optional[List[DictionaryEntry]],
+) -> _Augmented:
+    """Augment with what ``_load_run`` gave and merge: what ``augment``
+    writes and ``verify`` replays."""
+    aug = config.augmentation
     runs: Dict[str, Tuple[List[pipeline.SyntheticPair], List[pipeline.Rejection]]] = {}
     if rare_words is not None:
         runs[pipeline.ITEM_RARE_WORD] = augment_rare_words(inputs, rare_words, aug)
@@ -451,19 +484,27 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     set_names = list(runs)
     sets = [accepted for accepted, _ in runs.values()]
     rejected = [entry for _, set_rejected in runs.values() for entry in set_rejected]
-    merged, merge_manifest = merge_and_dedup(corpus, sets, set_names, aug.soft_cap)
+    merged, merge_manifest = merge_and_dedup(inputs.corpus, sets, set_names, aug.soft_cap)
 
     # Deduplication re-marks duplicate pairs as rejected; partition afterwards
     # so the reason tallies include them.
     kept_pairs = [p for s in sets for p in s if p.record.accepted]
-    duplicate_records = [p.record for s in sets for p in s if not p.record.accepted]
-    all_rejected = rejected + duplicate_records
-    tallies = rejections_per_set(all_rejected, set_names)
+    all_rejected = rejected + [p.record for s in sets for p in s if not p.record.accepted]
+    return _Augmented(merged, merge_manifest, kept_pairs, all_rejected,
+                      rejections_per_set(all_rejected, set_names))
+
+
+def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) -> int:
+    _check_mode(config, mode)
+    cache_dir = _cache_dir(config)
+    fingerprints = _load_fingerprints(cache_dir)
+    _check_cache(config, cache_dir, fingerprints)
+    run = _augment(config, *_load_run(config, cache_dir, mode))
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_parallel_corpus(merged, out_dir / "corpus.src.txt", out_dir / "corpus.tgt.txt")
-    write_provenance(out_dir / "provenance.jsonl", kept_pairs, all_rejected)
+    write_parallel_corpus(run.merged, out_dir / "corpus.src.txt", out_dir / "corpus.tgt.txt")
+    write_provenance(out_dir / "provenance.jsonl", run.kept, run.rejected)
 
     manifest = {
         "tool_version": __version__,
@@ -471,8 +512,9 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
         "ablation": ablation,
         "resolved_config": config.resolved(),
         "fingerprints": fingerprints,
-        "merge": merge_manifest,
-        "rejections_per_set": tallies,
+        "input_sha256": _input_sha256(config, mode),
+        "merge": run.merge,
+        "rejections_per_set": run.tallies,
         "outputs": {
             "source": "corpus.src.txt",
             "target": "corpus.tgt.txt",
@@ -482,12 +524,12 @@ def cmd_augment(config: RunConfig, mode: str, ablation: Optional[str] = None) ->
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    for warning in merge_manifest["warnings"]:
+    for warning in run.merge["warnings"]:
         log.warning("%s", warning)
     log.info(
         "augmentation finished: %d synthetic pair(s) kept, %d rejection record(s)",
-        merge_manifest["synthetic_pairs"],
-        sum(sum(tally.values()) for tally in tallies.values()),
+        run.merge["synthetic_pairs"],
+        sum(sum(tally.values()) for tally in run.tallies.values()),
     )
     return EXIT_OK
 
@@ -504,6 +546,8 @@ def cmd_verify(run_dir: str | Path) -> int:
         values = {key: resolved[key] for key in RunConfig().resolved()}
         mode = manifest["mode"]
         fingerprints = manifest["fingerprints"]
+        input_sha256 = manifest["input_sha256"]
+        tallies, merge = manifest["rejections_per_set"], manifest["merge"]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{manifest_path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -519,15 +563,30 @@ def cmd_verify(run_dir: str | Path) -> int:
         raise ConfigError(f"{manifest_path}: {exc}") from exc
     if not _is_fingerprints(fingerprints):
         raise ConfigError(f"{manifest_path}: 'fingerprints' is not a JSON object of objects")
+    if not isinstance(input_sha256, dict):
+        raise ConfigError(f"{manifest_path}: 'input_sha256' is not a JSON object")
 
+    changed = [Violation(path, "sha256", "changed since the run")
+               for path, digest in _input_sha256(config, mode).items()
+               if input_sha256.get(path) != digest]
+    if changed:
+        return _report(changed, "the run's dictionary and annotations")
     cache_dir = run_path / "cache"
     _check_cache(config, cache_dir, fingerprints)
-    inputs, rare_words, dictionary = _load_run(config, cache_dir, mode)
     records = read_provenance(run_path / "provenance.jsonl")
-    violations = verify_records(
-        records, inputs, rare_words or (), dictionary or (), config.augmentation, config.dict_scope
-    )
-    checked = f"{len(records)} accepted record(s), each recomputed by the pipeline"
+    replay = _augment(config, *_load_run(config, cache_dir, mode))
+    violations = verify_records(records, [pair.record for pair in replay.kept])
+    violations += json_violations(str(manifest_path), "rejections_per_set", tallies, replay.tallies)
+    violations += json_violations(str(manifest_path), "merge", merge, replay.merge)
+    for name, side in (("corpus.src.txt", replay.merged.source),
+                       ("corpus.tgt.txt", replay.merged.target)):
+        violations += corpus_violations(run_path / name, sentence_lines(side))
+    return _report(violations, f"{len(records)} accepted record(s), the tallies, the merge "
+                               "and both corpus files, against the replayed run")
+
+
+def _report(violations: List[Violation], checked: str) -> int:
+    """Print the violations and their tally; the exit code they give."""
     if violations:
         for violation in violations:
             print(violation, file=sys.stderr)
@@ -595,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="gate preset mirroring one ablation row",
     )
 
-    p_verify = sub.add_parser("verify", help="re-check accepted provenance records")
+    p_verify = sub.add_parser("verify", help="replay a finished run and check its outputs")
     p_verify.add_argument("--run-dir", required=True, help="directory of a finished run")
 
     return parser

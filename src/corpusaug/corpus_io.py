@@ -199,9 +199,12 @@ def write_parallel_corpus(
     """Write both sides back out, one sentence per line (round-trip exact)."""
     for path, side in ((source_path, corpus.source), (target_path, corpus.target)):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for sent in side:
-                fh.write(" ".join(sent.tokens))
-                fh.write("\n")
+            fh.writelines(sentence_lines(side))
+
+
+def sentence_lines(side: Sequence[Sentence]) -> Iterator[str]:
+    """Each sentence's line in a written corpus file, newline included."""
+    return (" ".join(sent.tokens) + "\n" for sent in side)
 
 
 def build_vocabulary(side: Sequence[Sentence]) -> Vocabulary:

@@ -13,11 +13,9 @@ the first batch that reads it. ``resolve_rare_word`` and
 on each side, or into the record of its item-level rejection;
 ``augment_rare_words`` and ``augment_dictionary`` add each item's candidate
 sentences, and ``_run_items`` runs ``_process_items``, the one place that
-evaluates the gates, once over all of them. ``verify`` re-runs the same two
-steps on each accepted record's item and sentence, all items in one
-``_process_items`` call. The steps are deterministic and no item's outcome
-depends on the others in its call, so the record they give must equal the
-recorded one exactly, its scores to the last bit.
+evaluates the gates, once over all of them. ``verify`` replays a run
+through the same calls, which are deterministic, so the records it gets
+must equal the recorded ones exactly, their scores to the last bit.
 
 ``_process_items`` runs the items in rounds, and each gate runs as one
 array pass over all the candidates a round holds: the in-sentence word
@@ -40,8 +38,7 @@ candidates: no candidate word, ``word_sim`` below its minimum, and the
 syntactic verdict, read from a per-run table of one ``syntactic_ok`` call
 per distinct pair of annotations. A candidate rejected there never becomes
 a ``ReplacementRecord``: ``ItemOutcome`` keeps it as an entry of its arrays,
-and only the candidates that reach the target-span gate get records. The
-outcome's ``records()`` materializes the full list when one is asked for.
+and only the candidates that reach the target-span gate get records.
 
 This module is the one that knows the ``provenance.jsonl`` line format: a
 record's fields in sorted order as ``json.JSONEncoder(ensure_ascii=False)``
@@ -709,9 +706,6 @@ def _process_items(
     return ordered_map(_ItemRun.outcome, runs)
 
 
-_FIRST = operator.itemgetter(0)
-
-
 @dataclass(eq=False)
 class ItemOutcome:
     """How an item's candidates fared, up to the cut at its
@@ -734,27 +728,6 @@ class ItemOutcome:
     early_score: np.ndarray
     survivors: List[Tuple[int, ReplacementRecord]]
     rejected: List[Tuple[int, ReplacementRecord]]
-
-    def _early_records(self) -> List[Tuple[int, ReplacementRecord]]:
-        kind, surface, sims = self.item.kind, self.item.surface, self.candidates.sent_sims
-        records = []
-        for at, sentence_id, code, position, score in zip(
-            self.early_at.tolist(), self.candidates.ids[self.early_at].tolist(),
-            self.early_reason.tolist(), self.early_position.tolist(), self.early_score.tolist(),
-        ):
-            record = ReplacementRecord(kind, surface, sentence_id, reason=_EARLY_REASONS[code],
-                                       sent_sim=None if sims is None else sims[at])
-            if code != _NO_CANDIDATE:
-                record.source_span, record.word_sim = (position, position), score
-            if code in (_POS, _MORPH):
-                record.syntactic_ok = False
-            records.append((at, record))
-        return records
-
-    def records(self) -> List[ReplacementRecord]:
-        """Every record of the item in candidate order, each early rejection
-        made a record: the list a record per candidate tried gives."""
-        return [record for _, record in sorted(self._early_records() + self.survivors, key=_FIRST)]
 
     def counts(self) -> Counter:
         """The number of rejected records per reason code."""

@@ -12,6 +12,8 @@ from corpusaug.embeddings import EmbeddingTable
 from corpusaug.lm import TrigramModel, train_lm
 from corpusaug.pipeline import ItemOutcome, RunInputs
 
+from oracles import outcome_records
+
 
 def corpus_of(rows) -> ParallelCorpus:
     src = tuple(Sentence(i, tuple(s.split())) for i, (s, _) in enumerate(rows))
@@ -32,7 +34,7 @@ def rejected_records(rejected):
     records = []
     for entry in rejected:
         if isinstance(entry, ItemOutcome):
-            records += [record for record in entry.records() if not record.accepted]
+            records += [record for record in outcome_records(entry) if not record.accepted]
         else:
             records.append(entry)
     return records

@@ -20,9 +20,11 @@ equal byte for byte.
 ``process_item_reference`` is the gate loop as one record per candidate,
 each candidate run through every gate in turn, which the array gates and
 the lazily made records of ``pipeline._process_items`` must equal field for
-field. ``load_embeddings_reference`` is the textual ``.vec`` parse as one
-``float()`` call per component, which the block parse of ``load_embeddings``
-must equal: the same tokens, matrix bits and warnings.
+field; ``outcome_records`` makes those records of an ``ItemOutcome``, its
+early rejections included. ``load_embeddings_reference`` is the textual
+``.vec`` parse as one ``float()`` call per component, which the block parse
+of ``load_embeddings`` must equal: the same tokens, matrix bits and
+warnings.
 """
 
 import json
@@ -44,7 +46,9 @@ from corpusaug.lm import (
     BOS, DEFAULT_DISCOUNT, DEFAULT_MIN_COUNT, EOS, RESERVED, UNK, IdStream, lm_ratio_accept,
     stream_scores,
 )
-from corpusaug.pipeline import ReplacementRecord, synthetic_window
+from corpusaug.pipeline import (
+    _EARLY_REASONS, _MORPH, _NO_CANDIDATE, _POS, ReplacementRecord, synthetic_window,
+)
 
 
 def eligible_reference(sentence, identity_token, lexicon, mode):
@@ -606,6 +610,27 @@ def process_item_reference(item, candidates, inputs, config):
             if accepted == config.max_per_item:
                 break
     return records
+
+
+def outcome_records(outcome):
+    """Every record of an ``ItemOutcome`` in candidate order, each early
+    rejection made a record: the list a record per candidate tried gives."""
+    item, sims = outcome.item, outcome.candidates.sent_sims
+    records = list(outcome.survivors)
+    for at, sentence_id, code, position, score in zip(
+        outcome.early_at.tolist(), outcome.candidates.ids[outcome.early_at].tolist(),
+        outcome.early_reason.tolist(), outcome.early_position.tolist(),
+        outcome.early_score.tolist(),
+    ):
+        record = ReplacementRecord(item.kind, item.surface, sentence_id,
+                                   reason=_EARLY_REASONS[code],
+                                   sent_sim=None if sims is None else sims[at])
+        if code != _NO_CANDIDATE:
+            record.source_span, record.word_sim = (position, position), score
+        if code in (_POS, _MORPH):
+            record.syntactic_ok = False
+        records.append((at, record))
+    return [record for _, record in sorted(records, key=lambda entry: entry[0])]
 
 
 # Stored as tuples, written to JSON as lists.

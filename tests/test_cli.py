@@ -321,7 +321,7 @@ class TestAugment:
         assert main(["augment", "--config", str(cfg), "--mode", "rare"]) == EXIT_STALE_CACHE
         assert "rerun prepare" in capsys.readouterr().err
 
-    def test_stale_after_input_change(self, toy, tmp_path):
+    def test_stale_after_input_change(self, toy, tmp_path, capsys):
         cfg, out = prepare_run(toy, tmp_path)
         toy.src_corpus.write_text(
             toy.src_corpus.read_text(encoding="utf-8"), encoding="utf-8"
@@ -333,6 +333,7 @@ class TestAugment:
                                       encoding="utf-8")
             rc = main(["augment", "--config", str(cfg), "--mode", "rare"])
             assert rc == EXIT_STALE_CACHE
+            assert f"input {toy.src_corpus} changed" in capsys.readouterr().err
         finally:
             toy.src_corpus.write_text(original, encoding="utf-8")
 
@@ -375,8 +376,8 @@ class TestAugment:
 
     def test_only_the_pairs_read_are_aligned(self, toy, tmp_path, monkeypatch):
         # augment aligns the sentences that reach the target-span gate and
-        # the first host of each rare word; verify the sentences that its
-        # accepted records name and those hosts.
+        # the first host of each rare word; verify, which replays augment,
+        # aligns exactly the pairs augment aligned.
         cfg, out = prepare_run(toy, tmp_path)
         config = resolve_config(parse_config_file(cfg))
         _, rare_words, _ = _load_run(config, out / "cache", "rare")
@@ -399,11 +400,10 @@ class TestAugment:
         assert 0 < len(aligned) == len(set(aligned)) <= len(gated | hosts)
         assert len(aligned) < corpus_size
 
+        augmented = list(aligned)
         aligned.clear()
         assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
-        named = {r["base_sentence_id"] for r in records if r["accepted"]}
-        assert 0 < len(aligned) == len(set(aligned)) <= len(named | hosts)
-        assert len(aligned) < corpus_size
+        assert aligned == augmented
 
     def test_outputs_and_manifest_shape(self, toy, tmp_path):
         cfg, out = prepare_run(toy, tmp_path)
@@ -644,10 +644,14 @@ class TestVerifyCommand:
         _one_error_line(err, f"{path}:1")
         assert "not a JSON object" in err
 
-    def test_empty_provenance_vacuously_ok(self, toy, tmp_path):
+    def test_empty_provenance_exit_5(self, toy, tmp_path, capsys):
         out = self.run_and_verify(toy, tmp_path)
         (out / "provenance.jsonl").write_text("", encoding="utf-8")
-        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert "record 0: record: missing: the run accepted " in captured.err
+        assert "violation(s) across 0 accepted record(s)" in captured.out
 
     def test_manifest_with_removed_embeddings_tgt_key_verifies(self, toy, tmp_path, capsys):
         out = self.run_and_verify(toy, tmp_path)

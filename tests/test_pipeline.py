@@ -47,8 +47,8 @@ from corpusaug.pipeline import (
 
 from micro import corpus_of, inputs_of, ledger_fixture, mono_of, rejected_records
 from oracles import (
-    process_item_reference, provenance_line_reference, provenance_reference, table_from_rows,
-    to_dict,
+    outcome_records, process_item_reference, provenance_line_reference, provenance_reference,
+    table_from_rows, to_dict,
 )
 
 
@@ -333,7 +333,7 @@ class TestLmGatePath:
         monkeypatch.setattr(pipeline, "best_word_in_sentence", counting_search)
         candidates = Candidates(np.arange(len(inputs.corpus)))
         unlimited = dataclasses.replace(config, max_per_item=len(inputs.corpus))
-        full = [outcome.records() for _, outcome in pipeline._process_items(
+        full = [outcome_records(outcome) for _, outcome in pipeline._process_items(
             [(item, candidates) for item in items], inputs, unlimited
         )]
         capped = dataclasses.replace(config, max_per_item=max_per_item)
@@ -341,7 +341,7 @@ class TestLmGatePath:
         for item, all_records in zip(items, full):
             calls.clear()
             [(pairs, outcome)] = pipeline._process_items([(item, candidates)], inputs, capped)
-            records = outcome.records()
+            records = outcome_records(outcome)
             assert records == all_records[: len(records)]
             accepted = [r for r in records if r.accepted]
             assert [p.record for p in pairs] == accepted
@@ -379,7 +379,7 @@ class TestLmGatePath:
 class TestGateLoopOracle:
     """On every ablation preset of the toy, the array gates and the records
     made only for the candidates that reach the target-span gate give what
-    the per-candidate reference gives: ``outcome.records()`` equal to its
+    the per-candidate reference gives: ``outcome_records`` equal to its
     records field for field, and ``provenance.jsonl`` equal to its lines."""
 
     @pytest.fixture(scope="class")
@@ -423,7 +423,7 @@ class TestGateLoopOracle:
                         ids, sims = outcome.candidates
                         candidates = list(zip(ids.tolist(), sims or [None] * len(ids)))
                         expected = process_item_reference(outcome.item, candidates, inputs, config)
-                        assert outcome.records() == expected
+                        assert outcome_records(outcome) == expected
                         expected_accepted += [r for r in expected if r.accepted]
                         expected_rejected += [r for r in expected if not r.accepted]
                         checked += len(expected)
@@ -437,8 +437,8 @@ class TestGateLoopOracle:
 
     @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
     def test_items_do_not_depend_on_their_batch(self, toy_inputs, preset):
-        # ``verify`` recomputes only the items and sentences its records
-        # name, so an item must fare the same in any batch of items.
+        # ``_process_items`` promises that no outcome depends on another
+        # item of its call, so an item must fare the same in any batch.
         load, _ = toy_inputs
         base, (inputs, rare_words, dictionary) = load(preset)
         for max_per_item in (1, 2, 3, 100000):
@@ -452,8 +452,8 @@ class TestGateLoopOracle:
                 together = pipeline._process_items(items, inputs, config)
                 alone = [pipeline._process_items([item], inputs, config)[0] for item in items]
                 assert [pairs for pairs, _ in together] == [pairs for pairs, _ in alone]
-                assert [outcome.records() for _, outcome in together] == [
-                    outcome.records() for _, outcome in alone
+                assert [outcome_records(outcome) for _, outcome in together] == [
+                    outcome_records(outcome) for _, outcome in alone
                 ]
                 assert any(pairs for pairs, _ in together)
 
@@ -497,7 +497,7 @@ class TestEarlyRejectionLines:
     @given(_outcomes())
     def test_each_line_equals_reference_of_its_record(self, outcome):
         survivors = [record for _, record in outcome.rejected]
-        early = [r for r in outcome.records() if not any(r is s for s in survivors)]
+        early = [r for r in outcome_records(outcome) if not any(r is s for s in survivors)]
         lines = outcome.early_lines()
         assert len(lines) == len(early) == len(outcome.early_at)
         for line, record in zip(lines, early):
@@ -509,7 +509,8 @@ class TestEarlyRejectionLines:
     def test_repeated_and_signed_zero_scores(self, outcome):
         # Each distinct score is formatted once: a repeated score, and 0.0
         # beside -0.0, must still give each line its own score's text.
-        records = [r for r in outcome.records() if not any(r is s for _, s in outcome.rejected)]
+        records = [r for r in outcome_records(outcome)
+                   if not any(r is s for _, s in outcome.rejected)]
         assert outcome.early_lines() == list(map(provenance_line_reference, records))
 
     def test_signed_zeros_keep_their_text(self):
@@ -530,7 +531,7 @@ class TestEarlyRejectionLines:
     @given(_outcomes())
     def test_item_text_and_counts_equal_its_records(self, outcome):
         # Every survivor drawn is rejected, so every record is.
-        records = outcome.records()
+        records = outcome_records(outcome)
         assert outcome.provenance() == "".join(map(provenance_line_reference, records))
         assert outcome.counts() == Counter(record.reason for record in records)
 

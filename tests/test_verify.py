@@ -2,14 +2,15 @@ import json
 import math
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corpusaug import pipeline
 from corpusaug.cli import (
-    EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _load_run, apply_ablation, main, parse_config_file,
-    resolve_config,
+    EXIT_INPUT, EXIT_OK, EXIT_STALE_CACHE, EXIT_VERIFY, _load_run, apply_ablation, main,
+    parse_config_file, resolve_config,
 )
 from corpusaug.corpus_io import load_parallel_corpus
 from corpusaug.embeddings import cosine, load_embeddings
@@ -20,7 +21,7 @@ from corpusaug.pipeline import (
 from corpusaug.verify import verify_records
 
 from micro import inputs_of, ledger_fixture, rejected_records
-from oracles import lm_ratio_reference
+from oracles import lm_ratio_reference, outcome_records
 
 
 def run(config=None):
@@ -35,10 +36,16 @@ def run(config=None):
 
 
 def verify(fx, config, records):
+    """The violations of ``records`` against the run replayed under ``config``."""
     inputs = inputs_of(
         fx.corpus, fx.embeddings, fx.alignment, fx.lm_src, fx.lm_tgt, fx.lexicon, config
     )
-    return verify_records(records, inputs, fx.rare_words, [], config)
+    replayed, _ = augment_rare_words(inputs, fx.rare_words, config)
+    return verify_records(records, [pair.record for pair in replayed])
+
+
+def missing(violations):
+    return [v for v in violations if v.field == "record" and v.detail.startswith("missing: ")]
 
 
 class TestVerifyRecords:
@@ -47,9 +54,12 @@ class TestVerifyRecords:
         assert verify(fx, config, records) == []
 
     def test_rejected_records_assert_nothing(self):
+        # Only the accepted records are compared, so each one is missing.
         fx, config, records = run()
         assert any(not r.accepted for r in records)
-        assert verify(fx, config, [r for r in records if not r.accepted]) == []
+        violations = verify(fx, config, [r for r in records if not r.accepted])
+        assert violations == missing(violations)
+        assert len(violations) == sum(r.accepted for r in records) > 0
 
     def test_tampered_lm_ratio_detected(self):
         fx, config, records = run()
@@ -78,8 +88,10 @@ class TestVerifyRecords:
         fx, _, records = run(AugmentationConfig(use_word_sim=False))
         strict = AugmentationConfig(use_word_sim=True)
         violations = verify(fx, strict, records)
-        # the pen replacement (word_sim ~0.02) now violates the threshold
-        assert any(v.field == "word_sim" and "below threshold" in v.detail for v in violations)
+        # the pen replacement (word_sim ~0.02) is one the strict replay rejects
+        assert [(v.where, v.field, v.detail) for v in violations] == [
+            ("record 1", "record", "not accepted by the run")
+        ]
 
     def test_missing_evidence_detected(self):
         fx, config, records = run()
@@ -88,14 +100,15 @@ class TestVerifyRecords:
         violations = verify(fx, config, records)
         assert any(v.field == "lm_ratio_tgt" for v in violations)
 
-    def test_empty_provenance_is_vacuously_clean(self):
-        fx, config, _ = run()
-        assert verify(fx, config, []) == []
-
-    def test_lm_gates_score_through_pipeline(self, monkeypatch):
-        # verify re-runs the pipeline's item step, so the traced benchmark's
-        # pipeline.lm_ratio_accept counts verify's LM-gate work too.
+    def test_empty_provenance_misses_every_record(self):
         fx, config, records = run()
+        violations = verify(fx, config, [])
+        assert violations == missing(violations)
+        assert len(violations) == sum(r.accepted for r in records) > 0
+
+    def test_lm_gates_score_through_pipeline(self, toy, tmp_path, monkeypatch):
+        # verify replays augment, so the traced benchmark's
+        # pipeline.lm_ratio_accept counts as many calls in verify as in augment.
         calls = []
         score = pipeline.lm_ratio_accept
 
@@ -104,9 +117,11 @@ class TestVerifyRecords:
             return score(*args)
 
         monkeypatch.setattr(pipeline, "lm_ratio_accept", counting)
-        assert verify(fx, config, records) == []
-        # One source and one target gate per accepted record.
-        assert len(calls) == 2 * sum(r.accepted for r in records)
+        out = finished_run(toy, tmp_path, "both")
+        augmented = len(calls)
+        calls.clear()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        assert len(calls) == augmented > 0
 
 
 def finished_run(toy, tmp_path, mode):
@@ -239,7 +254,7 @@ class TestVerifyTamper:
 
     @pytest.mark.parametrize("kind, violation", [
         ("rare_word", "target_inserted: recorded ('forged',)"),
-        ("dictionary", "item: not an item of the run"),
+        ("dictionary", "target_inserted: recorded ('forged',)"),
     ])
     def test_forged_target_inserted(self, finished, run_dir, capsys, kind, violation):
         def forge(record, source, target):
@@ -295,16 +310,16 @@ class TestVerifyTamper:
         path.write_text("".join(lines), encoding="utf-8")
 
     def test_repeated_sentence_of_an_item(self, run_dir, capsys):
-        # A copy of an accepted line recomputes to itself; only the repeat
-        # shows that the run never tried its sentence twice for the item.
+        # A copy of an accepted line recomputes to itself; the replay's
+        # record in its place names another sentence.
         self.replace_last_of_item(
             run_dir, "dictionary", lambda first: json.dumps(first, sort_keys=True) + "\n"
         )
-        self.verify_fails_with(run_dir, capsys, "repeats an earlier record of the item")
+        self.verify_fails_with(run_dir, capsys, "base_sentence_id: recorded")
 
     def test_rare_word_on_its_host_sentence(self, finished, run_dir, capsys):
         # The record the item step gives on a host sentence recomputes to
-        # itself; only the host check shows that the run never tries it.
+        # itself; the run never tries that sentence.
         config = resolve_config(parse_config_file(finished[0].parent / "run.cfg"))
         apply_ablation(config, "off")
         inputs, rare_words, _ = _load_run(config, run_dir / "cache", "both")
@@ -314,12 +329,12 @@ class TestVerifyTamper:
             item = pipeline.resolve_rare_word(rare, inputs, config.augmentation.max_span)
             host = Candidates(np.array([min(rare.host_sentence_ids)]))
             [(_, outcome)] = pipeline._process_items([(item, host)], inputs, config.augmentation)
-            [record] = outcome.records()
+            [record] = outcome_records(outcome)
             assert record.accepted
             return pipeline._provenance_line(record)
 
         self.replace_last_of_item(run_dir, "rare_word", on_host)
-        self.verify_fails_with(run_dir, capsys, "is a host of the rare word")
+        self.verify_fails_with(run_dir, capsys, "base_sentence_id: recorded")
 
     def test_more_records_than_max_per_item(self, run_dir, capsys):
         path = run_dir / "manifest.json"
@@ -327,7 +342,7 @@ class TestVerifyTamper:
         assert manifest["resolved_config"]["max_per_item"] > 1
         manifest["resolved_config"]["max_per_item"] = 1
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        self.verify_fails_with(run_dir, capsys, "max_per_item: more than 1 for the item")
+        self.verify_fails_with(run_dir, capsys, "record: not accepted by the run")
 
 
 class TestVerifyBadProvenance:
@@ -423,8 +438,7 @@ class TestVerifyBadProvenance:
         self.edit_line(run_dir, self.with_fields(**{key: value}))
         assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
         captured = capsys.readouterr()
-        violation = "item: not an item of the run" if key == "item_kind" else f"{key}: recorded"
-        assert violation in captured.err
+        assert f"{key}: recorded" in captured.err
         assert "Traceback" not in captured.err
         assert "1 violation(s)" in captured.out
 
@@ -467,3 +481,146 @@ class TestVerifyBadProvenance:
         captured = capsys.readouterr()
         assert f"violations by field: {key}=1\n" in captured.err
         assert "1 violation(s)" in captured.out
+
+
+class TestVerifyReplay:
+    """Outputs of a run edited outside the accepted records: verify replays
+    the run and names what differs (exit 5), or the changed input."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, toy, tmp_path_factory):
+        return finished_run(toy, tmp_path_factory.mktemp("replay"), "both")
+
+    @pytest.fixture
+    def run_dir(self, finished, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        return out
+
+    def verify_fails(self, run_dir, capsys):
+        """The stderr of a verify that exits 5."""
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_replaced_corpus_line(self, run_dir, capsys):
+        path = run_dir / "corpus.src.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = "the boral farnels the kimat\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        err = self.verify_fails(run_dir, capsys)
+        assert f"{path}:{len(lines)}: line: recorded 'the boral farnels the kimat\\n'" in err
+        assert "violations by field: line=1\n" in err
+
+    def test_deleted_synthetic_lines(self, run_dir, capsys):
+        base = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["merge"]
+        assert base["synthetic_pairs"] > 0
+        for name in ("corpus.src.txt", "corpus.tgt.txt"):
+            path = run_dir / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[: base["base_pairs"]]), encoding="utf-8")
+        err = self.verify_fails(run_dir, capsys)
+        for name in ("corpus.src.txt", "corpus.tgt.txt"):
+            assert f"{run_dir / name}:{base['base_pairs'] + 1}: line: recorded end of file" in err
+
+    def test_doubled_tallies(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["rejections_per_set"] = {
+            kind: {reason: 2 * n for reason, n in tally.items()}
+            for kind, tally in manifest["rejections_per_set"].items()
+        }
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        err = self.verify_fails(run_dir, capsys)
+        assert f"{path}: rejections_per_set: recorded" in err
+        assert "violations by field: rejections_per_set=1\n" in err
+
+    def test_provenance_cut_to_first_accepted_line(self, run_dir, capsys):
+        path = run_dir / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        accepted = sum(json.loads(line)["accepted"] for line in lines)
+        assert accepted > 1
+        path.write_text(lines[0], encoding="utf-8")
+        err = self.verify_fails(run_dir, capsys)
+        assert err.count(": record: missing: the run accepted ") == accepted - 1
+        assert f"violations by field: record={accepted - 1}\n" in err
+
+    @pytest.mark.parametrize("key, exit_code", [
+        ("dictionary", EXIT_VERIFY), ("annotations_src", EXIT_VERIFY),
+        ("src_corpus", EXIT_STALE_CACHE),
+    ], ids=["dictionary", "annotations", "src_corpus"])
+    def test_changed_input_is_named(self, toy, tmp_path, capsys, key, exit_code):
+        # A dictionary entry or an annotation deleted, or a token appended
+        # to the source corpus, in a copy of the input the run read.
+        path = tmp_path / Path(getattr(toy, key)).name
+        lines = getattr(toy, key).read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", out, **{key: path})
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
+        if key == "src_corpus":
+            lines[-1] = lines[-1].rstrip("\n") + " kimat\n"
+        else:
+            del lines[-1]
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == exit_code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        named = [line for line in err.splitlines() if str(path) in line]
+        assert len(named) == 1
+        if exit_code == EXIT_VERIFY:
+            assert named[0] == f"{path}: sha256: changed since the run"
+        else:
+            assert named[0] == (
+                f"error: input {path} changed since the cache was built; rerun prepare"
+            )
+
+    def test_record_moved_outside_the_top_sentences(self, toy, tmp_path, capsys):
+        # Under sentence similarity an item tries only its top sent_k
+        # sentences. The record the item step gives on a sentence outside
+        # them, with the recorded sent_sim, recomputes to itself; the run
+        # never tries that sentence.
+        out = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", out)
+        assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+        argv = ["augment", "--config", str(cfg), "--mode", "rare", "--ablation", "wordSim_sentSim"]
+        assert main(argv) == EXIT_OK
+        config = resolve_config(parse_config_file(cfg))
+        apply_ablation(config, "wordSim_sentSim")
+        inputs, rare_words, _ = _load_run(config, out / "cache", "rare")
+        _, rejected = augment_rare_words(inputs, rare_words, config.augmentation)
+        outcomes = {o.item.surface: o for o in rejected if isinstance(o, pipeline.ItemOutcome)}
+
+        path = out / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            if not record["accepted"]:
+                continue
+            outcome = outcomes[tuple(record["item_surface"])]
+            rare = next(r for r in rare_words if (r.surface,) == outcome.item.surface)
+            tried = set(outcome.candidates.ids.tolist()) | set(rare.host_sentence_ids)
+            assert len(outcome.candidates.ids) == config.augmentation.sent_k
+            for sentence_id in sorted(set(range(len(inputs.corpus))) - tried):
+                outside = Candidates(np.array([sentence_id]), [record["sent_sim"]])
+                [(pairs, _)] = pipeline._process_items(
+                    [(outcome.item, outside)], inputs, config.augmentation
+                )
+                if pairs:
+                    lines[index] = pipeline._provenance_line(pairs[0].record)
+                    break
+            else:
+                continue
+            break
+        else:
+            pytest.fail("no accepted record could be moved outside its item's top sentences")
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--run-dir", str(out)]) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert f"record {index}: base_sentence_id: recorded {sentence_id} != recomputed" in err
+        assert "Traceback" not in err
