@@ -61,11 +61,12 @@ from .pipeline import (
     augment_dictionary,
     augment_rare_words,
     merge_and_dedup,
+    provenance_lines,
     read_provenance,
     rejections_per_set,
     write_provenance,
 )
-from .verify import Violation, corpus_violations, json_violations, verify_records
+from .verify import Violation, json_violations, text_violations, verify_records
 
 log = logging.getLogger(__name__)
 
@@ -573,16 +574,25 @@ def cmd_verify(run_dir: str | Path) -> int:
         return _report(changed, "the run's dictionary and annotations")
     cache_dir = run_path / "cache"
     _check_cache(config, cache_dir, fingerprints)
-    records = read_provenance(run_path / "provenance.jsonl")
     replay = _augment(config, *_load_run(config, cache_dir, mode))
-    violations = verify_records(records, [pair.record for pair in replay.kept])
+    provenance = run_path / "provenance.jsonl"
+    violations = text_violations(provenance, provenance_lines(replay.kept, replay.rejected))
+    accepted = len(replay.kept)
+    if violations:
+        # Name what differs: the accepted records' fields when they differ,
+        # else the first differing line. A line that is not a record, or a
+        # file that is not UTF-8, is an input error.
+        records = read_provenance(provenance)
+        accepted = len(records)
+        violations = verify_records(records, [pair.record for pair in replay.kept]) or violations
     violations += json_violations(str(manifest_path), "rejections_per_set", tallies, replay.tallies)
     violations += json_violations(str(manifest_path), "merge", merge, replay.merge)
     for name, side in (("corpus.src.txt", replay.merged.source),
                        ("corpus.tgt.txt", replay.merged.target)):
-        violations += corpus_violations(run_path / name, sentence_lines(side))
-    return _report(violations, f"{len(records)} accepted record(s), the tallies, the merge "
-                               "and both corpus files, against the replayed run")
+        violations += text_violations(run_path / name, sentence_lines(side))
+    return _report(violations, f"{accepted} accepted record(s) and every line of "
+                               "provenance.jsonl, the tallies, the merge and both corpus "
+                               "files, against the replayed run")
 
 
 def _report(violations: List[Violation], checked: str) -> int:

@@ -42,12 +42,15 @@ and only the candidates that reach the target-span gate get records.
 
 This module is the one that knows the ``provenance.jsonl`` line format: a
 record's fields in sorted order as ``json.JSONEncoder(ensure_ascii=False)``
-writes them. ``write_provenance`` writes one item at a time. An item's early
-rejections are formatted straight from the outcome's arrays, one f-string
-per line and byte for byte what the encoder gives, and merged in candidate
-order with the encoder's lines of its other rejected records, so the file is
-the same as when every attempt was a record.
-``read_provenance`` returns only the accepted records: a line that
+writes them. ``provenance_lines`` gives the file's text one item at a time;
+``write_provenance`` writes it, and ``verify`` compares a finished run's
+file with it. An item's early rejections are formatted straight from the
+outcome's arrays, one f-string per line and byte for byte what the encoder
+gives, and merged in candidate order with the encoder's lines of its other
+rejected records, so the file is the same as when every attempt was a
+record.
+``read_provenance`` serves only a file that differs from that text, to name
+what differs. It returns only the accepted records: a line that
 ``_REJECTED_LINE`` fully matches is a rejected record as the writer formats
 it and is skipped unparsed, and every other line is parsed in full.
 """
@@ -65,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union,
 )
 
 import numpy as np
@@ -1011,24 +1014,32 @@ def _provenance_line(record: ReplacementRecord) -> str:
     return _ENCODE(dict(zip(_FIELD_NAMES, _FIELD_VALUES(record)))) + "\n"
 
 
+def provenance_lines(
+    accepted: Sequence[SyntheticPair], rejected: Iterable[Rejection]
+) -> Iterator[str]:
+    """The text of ``provenance.jsonl`` in file order, one record's line or
+    one item's lines at a time, each piece ending in a newline: one JSON
+    object per record, accepted first, then rejected.
+
+    ``rejected`` holds records and item outcomes in file order; an outcome
+    gives its rejected records' lines in candidate order, its early
+    rejections formatted from its arrays.
+    """
+    for pair in accepted:
+        yield _provenance_line(pair.record)
+    for entry in rejected:
+        yield entry.provenance() if isinstance(entry, ItemOutcome) else _provenance_line(entry)
+
+
 def write_provenance(
     path: str | Path,
     accepted: Sequence[SyntheticPair],
     rejected: Iterable[Rejection],
 ) -> None:
-    """Write one JSON object per record (accepted first, then rejected).
-
-    ``rejected`` holds records and item outcomes in file order; an outcome
-    writes its rejected records' lines in candidate order, its early
-    rejections formatted from its arrays. The lines are written one item at
-    a time, so the file is never held in memory.
-    """
+    """Write ``provenance_lines`` one piece at a time, so the file is never
+    held in memory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_provenance_line(pair.record) for pair in accepted)
-        fh.writelines(
-            entry.provenance() if isinstance(entry, ItemOutcome) else _provenance_line(entry)
-            for entry in rejected
-        )
+        fh.writelines(provenance_lines(accepted, rejected))
 
 
 def _rejected_line_pattern() -> "re.Pattern[str]":

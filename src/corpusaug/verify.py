@@ -6,21 +6,20 @@ run wrote to that replay. The pipeline is deterministic, so the replay
 gives the run's outputs exactly, scores to the last bit. The comparisons
 live here:
 
-- ``verify_records`` holds the accepted records of ``provenance.jsonl`` to
-  the records the replay keeps, in order and each as its
-  ``provenance.jsonl`` line: each field's JSON text, which also tells ``1``
-  from ``true`` and from ``1.0``. ``difflib.SequenceMatcher`` pairs the two
-  lists of lines. A record edited in place has each field that differs
-  named; a record that the file holds and the replay does not is "not
-  accepted by the run", and one that the replay holds and the file does not
-  is "missing", one violation each.
+- ``text_violations`` holds an output file, ``provenance.jsonl`` or a
+  corpus file, to the text the replay would write, in one streamed pass
+  over the open file: each replayed piece is encoded and compared with as
+  many bytes of the file. It names the first differing line.
+- ``verify_records`` serves only a ``provenance.jsonl`` that differs. It
+  holds the accepted records that ``read_provenance`` gives to the records
+  the replay keeps, in order and each as its ``provenance.jsonl`` line:
+  each field's JSON text, which also tells ``1`` from ``true`` and from
+  ``1.0``. ``difflib.SequenceMatcher`` pairs the two lists of lines. A
+  record edited in place has each field that differs named; a record that
+  the file holds and the replay does not is "not accepted by the run", and
+  one that the replay holds and the file does not is "missing", one
+  violation each.
 - ``json_violations`` holds a value of ``manifest.json`` to the replay's.
-- ``corpus_violations`` holds a corpus file to the replay's merged corpus
-  and names its first differing line.
-
-The rejected lines of ``provenance.jsonl`` are read but not compared, so
-one deleted is not noticed; holding every byte of the file to the replay
-is the rest of ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, fields
 from difflib import SequenceMatcher
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .pipeline import _ENCODE, ReplacementRecord, _provenance_line
 
@@ -98,18 +97,38 @@ def json_violations(where: str, key: str, recorded: object, replayed: object) ->
     return [Violation(where, key, f"recorded {texts[0]} != replayed {texts[1]}")]
 
 
-def _line_text(line: Optional[bytes]) -> str:
-    return "end of file" if line is None else repr(line.decode("utf-8", "replace"))
+def _line_text(line: bytes) -> str:
+    return repr(line.decode("utf-8", "replace")) if line else "end of file"
 
 
-def corpus_violations(path: Path, lines: Iterable[str]) -> List[Violation]:
+_CHUNK = 1 << 16
+
+
+def text_violations(path: Path, texts: Iterable[str]) -> List[Violation]:
     """A violation naming the first line of the file at ``path`` that
-    differs from the replayed ``lines``, compared as bytes."""
+    differs from the replayed ``texts``, compared as UTF-8 bytes. Each of
+    ``texts`` is whole lines; each is compared with the next as many bytes
+    of the file, and only a difference is located."""
     with open(path, "rb") as fh:
-        recorded = fh.readlines()
-    replayed = [line.encode("utf-8") for line in lines]
-    for lineno, (line, again) in enumerate(zip_longest(recorded, replayed), start=1):
-        if line != again:
-            return [Violation(f"{path}:{lineno}", "line",
-                              f"recorded {_line_text(line)} != replayed {_line_text(again)}")]
-    return []
+        offset = 0  # the bytes of the file that match
+        for text in texts:
+            replayed = text.encode("utf-8")
+            recorded = fh.read(len(replayed))
+            if recorded != replayed:
+                break
+            offset += len(replayed)
+        else:
+            replayed, recorded = b"", fh.read(1)
+            if not recorded:
+                return []
+        same = next((i for i, (a, b) in enumerate(zip(recorded, replayed)) if a != b),
+                    min(len(recorded), len(replayed)))
+        start = replayed.rfind(b"\n", 0, same) + 1
+        end = replayed.find(b"\n", start) + 1 or len(replayed)
+        fh.seek(0)
+        lineno = 1
+        while fh.tell() < offset + start:
+            lineno += fh.read(min(_CHUNK, offset + start - fh.tell())).count(b"\n")
+        line = fh.readline()
+    return [Violation(f"{path}:{lineno}", "line",
+                      f"recorded {_line_text(line)} != replayed {_line_text(replayed[start:end])}")]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -6,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -707,6 +710,22 @@ class TestVerifyCommand:
 
     def test_missing_run_dir_exit_2(self, tmp_path):
         assert main(["verify", "--run-dir", str(tmp_path / "nope")]) == EXIT_INPUT
+
+    def test_in_process_run_writes_only_to_sys_stdout(self, toy, tmp_path, capfd):
+        # A caller that runs the commands in its own process under
+        # redirect_stdout reads their output from its buffer: nothing may
+        # reach file descriptor 1, and no thread may outlive the commands.
+        threads = threading.enumerate()
+        out = tmp_path / "run"
+        cfg = toy.write_config(tmp_path / "run.cfg", out)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["prepare", "--config", str(cfg)]) == EXIT_OK
+            assert main(["augment", "--config", str(cfg), "--mode", "both"]) == EXIT_OK
+            assert main(["verify", "--run-dir", str(out)]) == EXIT_OK
+        assert threading.enumerate() == threads
+        assert capfd.readouterr().out == ""
+        assert stdout.getvalue().splitlines()[-1].startswith("0 violations across ")
 
 
 def _truncate(path):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpusaug import pipeline
+from corpusaug import cli, pipeline
 from corpusaug.cli import (
     EXIT_INPUT, EXIT_OK, EXIT_STALE_CACHE, EXIT_VERIFY, _load_run, apply_ablation, main,
     parse_config_file, resolve_config,
@@ -546,6 +549,105 @@ class TestVerifyReplay:
         err = self.verify_fails(run_dir, capsys)
         assert err.count(": record: missing: the run accepted ") == accepted - 1
         assert f"violations by field: record={accepted - 1}\n" in err
+
+    @staticmethod
+    def rejected_pair(lines):
+        """The index of the first rejected line with a ``word_sim`` that is
+        followed by a different rejected line of the same item."""
+        records = [json.loads(line) for line in lines]
+        return next(
+            i for i, (record, after) in enumerate(zip(records, records[1:]))
+            if not record["accepted"] and not after["accepted"] and record["word_sim"] is not None
+            and (record["item_kind"], record["item_surface"])
+            == (after["item_kind"], after["item_surface"])
+            and lines[i] != lines[i + 1]
+        )
+
+    @staticmethod
+    def delete_rejected_line(lines, index):
+        del lines[index]
+        return index + 1
+
+    @staticmethod
+    def nudge_rejected_word_sim(lines, index):
+        record = json.loads(lines[index])
+        nudged = math.nextafter(record["word_sim"], math.inf)
+        lines[index] = lines[index].replace(
+            f'"word_sim": {record["word_sim"]!r}}}', f'"word_sim": {nudged!r}}}'
+        )
+        return index + 1
+
+    @staticmethod
+    def swap_rejected_lines(lines, index):
+        lines[index], lines[index + 1] = lines[index + 1], lines[index]
+        return index + 1
+
+    @staticmethod
+    def append_blank_line(lines, index):
+        lines.append("\n")
+        return len(lines)
+
+    @pytest.mark.parametrize("edit", [
+        "delete_rejected_line", "nudge_rejected_word_sim", "swap_rejected_lines",
+        "append_blank_line",
+    ])
+    def test_provenance_line_that_reads_the_same(self, run_dir, capsys, edit):
+        # Edits that leave the accepted records as they were: only holding
+        # every byte of the file to the replay notices them.
+        path = run_dir / "provenance.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = getattr(self, edit)(lines, self.rejected_pair(lines))
+        path.write_text("".join(lines), encoding="utf-8")
+        err = self.verify_fails(run_dir, capsys)
+        assert f"{path}:{lineno}: line: recorded " in err
+        assert "violations by field: line=1\n" in err
+
+    def test_clean_provenance_is_not_parsed(self, run_dir, capsys, monkeypatch):
+        # A file equal to the replay's text is read once, as bytes.
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a clean provenance.jsonl was parsed")
+
+        monkeypatch.setattr(cli, "read_provenance", unexpected)
+        monkeypatch.setattr(cli, "verify_records", unexpected)
+        assert main(["verify", "--run-dir", str(run_dir)]) == EXIT_OK
+        assert "0 violations across " in capsys.readouterr().out
+
+    @pytest.fixture(scope="class")
+    def fuzzed(self, finished, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "run"
+        shutil.copytree(finished, out)
+        return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(edit=st.sampled_from(["insert", "delete", "replace", "truncate", "duplicate"]),
+           value=st.integers(0, 255), data=st.data())
+    def test_edited_provenance_never_verifies(self, fuzzed, edit, value, data):
+        # One random edit to the file: one byte inserted, deleted or
+        # replaced, the file truncated, or a line duplicated.
+        path = fuzzed / "provenance.jsonl"
+        original = path.read_bytes()
+        at = data.draw(st.integers(0, len(original) - 1), label="at")
+        if edit == "insert":
+            edited = original[:at] + bytes([value]) + original[at:]
+        elif edit == "delete":
+            edited = original[:at] + original[at + 1:]
+        elif edit == "replace":
+            edited = original[:at] + bytes([(original[at] + 1 + value % 255) % 256]) + original[at + 1:]
+        elif edit == "truncate":
+            edited = original[:at]
+        else:
+            lines = original.splitlines(keepends=True)
+            index = at * len(lines) // len(original)
+            edited = b"".join(lines[:index + 1] + lines[index:])
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            path.write_bytes(edited)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", "--run-dir", str(fuzzed)])
+        finally:
+            path.write_bytes(original)
+        assert code in (EXIT_INPUT, EXIT_VERIFY), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("key, exit_code", [
         ("dictionary", EXIT_VERIFY), ("annotations_src", EXIT_VERIFY),
